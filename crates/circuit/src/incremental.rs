@@ -6,9 +6,20 @@
 //! re-propagates arrivals only through the *affected cone* — the changed
 //! gate, the gates whose load it alters (its fan-ins), and whatever
 //! downstream actually moves — which is typically a tiny fraction of the
-//! design. All scratch state (the rank-ordered worklist heap and its
-//! membership bitmap) persists across calls, so a probe on a 10⁷-cell
-//! netlist allocates nothing and touches only the cone.
+//! design. Every working buffer persists across calls, so a probe on a
+//! 10⁷-cell netlist allocates nothing and touches only the cone.
+//!
+//! # The worklist
+//!
+//! Pending gates live in a two-level bitset over topological rank: bit
+//! `r` of `bits` marks the gate of rank `r` as queued, and bit `w` of
+//! `summary` marks `bits[w]` as non-empty. Queueing a gate is two
+//! OR-stores (deduplicating for free); popping takes the lowest set bit
+//! of the first non-empty summary word at or above a low-water cursor,
+//! then of the word it names — strict rank order, with two
+//! `trailing_zeros` per pop. Re-propagation only ever queues fan-outs,
+//! which rank above the gate being popped, so the cursor moves down only
+//! while a call queues its seeds.
 //!
 //! The engine maintains exact arrivals (identical to
 //! [`TimingContext::analyze`]) plus an incrementally-updated count of
@@ -29,8 +40,6 @@ use crate::error::CircuitError;
 use crate::netlist::{GateId, Netlist};
 use crate::sta::TimingContext;
 use np_units::Seconds;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Arrivals within this absolute tolerance (seconds) are considered
 /// unchanged, stopping re-propagation.
@@ -80,6 +89,11 @@ pub struct IncrementalSta<'a> {
     digest: u64,
     /// Topological rank of each gate (for ordered re-propagation).
     rank: Vec<u32>,
+    /// The gate of each rank: the construction netlist's topological
+    /// order. Kept here rather than read from the netlist handed to each
+    /// call, because the view check pins the topology, not which of its
+    /// valid orders that netlist was built with.
+    order: Vec<GateId>,
     /// Current gate delays.
     delay: Vec<Seconds>,
     /// Current arrival times.
@@ -89,11 +103,14 @@ pub struct IncrementalSta<'a> {
     /// Number of endpoints currently violating the context clock —
     /// maintained on every arrival move so feasibility probes are O(1).
     violations: usize,
-    /// Worklist membership bitmap. Invariant: all-false between calls
-    /// (bits are cleared as entries pop), so no O(n) reset per probe.
-    queued: Vec<bool>,
-    /// Rank-ordered worklist, persistent so probes allocate nothing.
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
+    /// Worklist, one bit per topological rank. Invariant: all-zero
+    /// between calls (bits clear as they pop), so no O(n) reset per probe.
+    bits: Vec<u64>,
+    /// One bit per non-empty word of `bits`.
+    summary: Vec<u64>,
+    /// Low-water mark: every word of `bits` below it is empty;
+    /// `bits.len()` when the worklist is empty.
+    cursor: usize,
 }
 
 impl<'a> IncrementalSta<'a> {
@@ -108,20 +125,24 @@ impl<'a> IncrementalSta<'a> {
         for id in netlist.timing_endpoints() {
             is_endpoint[id.index()] = true;
         }
+        let words = n.div_ceil(64);
         let mut this = Self {
             ctx,
             digest: netlist.topology_digest(),
             rank,
+            order: netlist.topological_order().to_vec(),
             delay: vec![Seconds(0.0); n],
             arrival: vec![Seconds(0.0); n],
             is_endpoint,
             violations: 0,
-            queued: vec![false; n],
-            heap: BinaryHeap::new(),
+            bits: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+            cursor: words,
         };
         for &id in netlist.topological_order() {
-            this.delay[id.index()] = ctx.gate_delay(netlist, id);
-            this.arrival[id.index()] = this.arrival_from_fanins(netlist, id);
+            let i = id.index();
+            this.delay[i] = ctx.gate_delay(netlist, id);
+            this.arrival[i] = ctx.output_arrival(netlist, &this.arrival, id, this.delay[i]);
         }
         this.violations = (0..n)
             .filter(|&i| this.is_endpoint[i] && this.violates(this.arrival[i]))
@@ -158,22 +179,38 @@ impl<'a> IncrementalSta<'a> {
         arrival.0 > self.ctx.clock_period.0 + FEASIBILITY_SLOP
     }
 
-    fn arrival_from_fanins(&self, netlist: &Netlist, id: GateId) -> Seconds {
-        let mut at = Seconds(0.0);
-        for &f in netlist.fanins(id) {
-            let c = self.arrival[f.index()] + self.ctx.edge_penalty(netlist, f, id);
-            at = at.max(c);
-        }
-        at + self.delay[id.index()]
+    /// Queues a gate for re-propagation (a no-op when already queued).
+    #[inline]
+    fn enqueue(&mut self, id: GateId) {
+        let r = self.rank[id.index()] as usize;
+        let w = r >> 6;
+        self.bits[w] |= 1 << (r & 63);
+        self.summary[w >> 6] |= 1 << (w & 63);
+        self.cursor = self.cursor.min(w);
     }
 
-    /// Queues a gate for re-propagation unless already queued.
-    fn enqueue(&mut self, id: GateId) {
-        let i = id.index();
-        if !self.queued[i] {
-            self.queued[i] = true;
-            self.heap.push(Reverse((self.rank[i], i as u32)));
+    /// Dequeues the lowest-ranked queued gate.
+    #[inline]
+    fn pop(&mut self) -> Option<GateId> {
+        let mut s = self.cursor >> 6;
+        while s < self.summary.len() {
+            let top = self.summary[s];
+            if top == 0 {
+                s += 1;
+                continue;
+            }
+            let w = (s << 6) | top.trailing_zeros() as usize;
+            let word = self.bits[w];
+            let rest = word & (word - 1);
+            self.bits[w] = rest;
+            if rest == 0 {
+                self.summary[s] = top & (top - 1);
+            }
+            self.cursor = w;
+            return Some(self.order[(w << 6) | word.trailing_zeros() as usize]);
         }
+        self.cursor = self.bits.len();
+        None
     }
 
     /// Verifies the handed netlist is the one this state was built from.
@@ -239,12 +276,12 @@ impl<'a> IncrementalSta<'a> {
             }
         }
         let mut stats = ConeStats::default();
-        while let Some(Reverse((_, idx))) = self.heap.pop() {
-            let idx = idx as usize;
-            let id = GateId::from_index(idx);
-            self.queued[idx] = false;
+        while let Some(id) = self.pop() {
+            let idx = id.index();
             stats.visited += 1;
-            let fresh = self.arrival_from_fanins(netlist, id);
+            let fresh = self
+                .ctx
+                .output_arrival(netlist, &self.arrival, id, self.delay[idx]);
             if (fresh.0 - self.arrival[idx].0).abs() > MOVE_EPSILON {
                 if self.is_endpoint[idx] {
                     let was = self.violates(self.arrival[idx]);
@@ -271,6 +308,7 @@ mod tests {
     use super::*;
     use crate::cell::{SupplyClass, VthClass};
     use crate::generate::{generate_netlist, NetlistSpec};
+    use crate::netlist::{Gate, NetlistBuilder};
     use np_roadmap::TechNode;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -396,6 +434,32 @@ mod tests {
         assert_matches_full_sta(&inc_b, &nl_b, &ctx);
     }
 
+    /// The same topology built by the other constructor has the same
+    /// digest but another topological order; the view must still map
+    /// its ranks to the right gates.
+    #[test]
+    fn view_accepts_the_same_topology_in_another_order() -> Result<(), CircuitError> {
+        let (nl, ctx) = setup();
+        let mut builder = NetlistBuilder::with_capacity(nl.len(), 0);
+        for id in nl.ids() {
+            let g = nl.gate(id);
+            let gate = Gate::new(g.kind, g.fanins.to_vec())
+                .with_drive(g.drive)
+                .with_wire_cap(g.wire_cap);
+            builder.push(&if g.is_output { gate.as_output() } else { gate })?;
+        }
+        let mut streamed = builder.finish()?;
+        assert_eq!(streamed.topology_digest(), nl.topology_digest());
+        assert_ne!(streamed.topological_order(), nl.topological_order());
+        let mut inc = IncrementalSta::new(&ctx, &nl);
+        for id in nl.ids().step_by(5) {
+            streamed.gate_mut(id).set_supply(SupplyClass::Low);
+            inc.reevaluate(&streamed, id)?;
+        }
+        assert_matches_full_sta(&inc, &streamed, &ctx);
+        Ok(())
+    }
+
     #[test]
     fn stale_view_is_a_typed_error() {
         let (nl, ctx) = setup();
@@ -413,6 +477,15 @@ mod tests {
         assert!(inc.reevaluate(&nl, nl.ids().next().unwrap()).is_ok());
     }
 
+    fn assert_worklist_empty(inc: &IncrementalSta<'_>, label: &str) {
+        assert!(inc.bits.iter().all(|&w| w == 0), "{label}: rank bits set");
+        assert!(
+            inc.summary.iter().all(|&w| w == 0),
+            "{label}: summary bits set"
+        );
+        assert_eq!(inc.cursor, inc.bits.len(), "{label}: cursor left low");
+    }
+
     #[test]
     fn worklist_buffers_stay_clean_across_calls() {
         let (mut nl, ctx) = setup();
@@ -421,12 +494,67 @@ mod tests {
             let id = GateId::from_index(round * 7);
             nl.gate_mut(id).set_drive(2.0);
             inc.reevaluate(&nl, id).unwrap();
-            assert!(inc.heap.is_empty());
-            assert!(
-                inc.queued.iter().all(|&q| !q),
-                "round {round} left bits set"
-            );
+            assert_worklist_empty(&inc, &format!("round {round}"));
         }
         assert_matches_full_sta(&inc, &nl, &ctx);
+    }
+
+    /// The bitset's word (64 ranks) and summary-word (4 096 ranks)
+    /// boundaries, on both construction paths (streamed: rank = index;
+    /// batch: Kahn order, rank ≠ index). Seeds arrive in descending rank
+    /// order, so every seed pulls the low-water cursor down.
+    #[test]
+    fn bitset_boundaries_and_descending_seeds() -> Result<(), CircuitError> {
+        let base = TimingContext::for_node(TechNode::N100)?;
+        for n in [63, 64, 65, 4_095, 4_096, 4_097] {
+            let batch = NetlistSpec {
+                gates: n,
+                ..NetlistSpec::small(n as u64)
+            };
+            for spec in [NetlistSpec::large(n as u64, n), batch] {
+                let mut nl = generate_netlist(&spec);
+                let ctx = base
+                    .clone()
+                    .with_clock(base.analyze(&nl)?.critical_delay() * 1.2);
+                let mut inc = IncrementalSta::new(&ctx, &nl);
+                let mut ranks: Vec<usize> = (0..n)
+                    .step_by(37)
+                    .chain([62, 63, 64, 65, 4_094, 4_095, 4_096, n - 1])
+                    .filter(|&r| r < n)
+                    .collect();
+                ranks.sort_unstable_by(|a, b| b.cmp(a));
+                ranks.dedup();
+
+                // The bitset alone: out-of-order pushes pop in strict
+                // rank order.
+                let order = nl.topological_order().to_vec();
+                for &r in &ranks {
+                    inc.enqueue(order[r]);
+                }
+                let mut popped = Vec::new();
+                while let Some(id) = inc.pop() {
+                    popped.push(inc.rank[id.index()] as usize);
+                }
+                let mut ascending = ranks.clone();
+                ascending.reverse();
+                assert_eq!(popped, ascending, "n = {n}");
+                assert_worklist_empty(&inc, &format!("n = {n}"));
+
+                // A batch re-timing seeded in descending rank order.
+                let seeds: Vec<GateId> = ranks.iter().map(|&r| order[r]).collect();
+                for (k, &id) in seeds.iter().enumerate() {
+                    match k % 3 {
+                        0 => nl.gate_mut(id).set_supply(SupplyClass::Low),
+                        1 => nl.gate_mut(id).set_vth(VthClass::High),
+                        _ => nl.gate_mut(id).set_drive(0.5),
+                    }
+                }
+                let cone = inc.reevaluate_batch(&nl, &seeds)?;
+                assert!(cone.visited >= seeds.len(), "n = {n}");
+                assert_worklist_empty(&inc, &format!("n = {n}"));
+                assert_matches_full_sta(&inc, &nl, &ctx);
+            }
+        }
+        Ok(())
     }
 }

@@ -363,6 +363,48 @@ impl Netlist {
         }
     }
 
+    /// The gate's cell function (one column read; the timing kernels use
+    /// these single-field accessors instead of a whole [`GateView`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range, as do the other column
+    /// accessors below.
+    #[inline]
+    pub fn kind(&self, id: GateId) -> CellKind {
+        self.kinds[id.index()]
+    }
+
+    /// The gate's drive strength.
+    #[inline]
+    pub fn drive(&self, id: GateId) -> f64 {
+        self.drives[id.index()]
+    }
+
+    /// The gate's supply assignment.
+    #[inline]
+    pub fn supply(&self, id: GateId) -> SupplyClass {
+        self.supplies[id.index()]
+    }
+
+    /// The gate's threshold assignment.
+    #[inline]
+    pub fn vth(&self, id: GateId) -> VthClass {
+        self.vths[id.index()]
+    }
+
+    /// The interconnect capacitance on the gate's output net.
+    #[inline]
+    pub fn wire_cap(&self, id: GateId) -> Farads {
+        self.wire_caps[id.index()]
+    }
+
+    /// True when the gate is declared a timing endpoint.
+    #[inline]
+    pub fn is_output(&self, id: GateId) -> bool {
+        self.outputs[id.index()]
+    }
+
     /// Mutable access to a gate's assignment fields.
     ///
     /// # Panics
@@ -382,12 +424,14 @@ impl Netlist {
     }
 
     /// The fan-in gates of `id` (CSR slice).
+    #[inline]
     pub fn fanins(&self, id: GateId) -> &[GateId] {
         let i = id.index();
         &self.fanin_edges[self.fanin_offsets[i] as usize..self.fanin_offsets[i + 1] as usize]
     }
 
     /// The gates driven by `id` (CSR slice).
+    #[inline]
     pub fn fanouts(&self, id: GateId) -> &[GateId] {
         let i = id.index();
         &self.fanout_edges[self.fanout_offsets[i] as usize..self.fanout_offsets[i + 1] as usize]

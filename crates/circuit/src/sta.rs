@@ -59,6 +59,8 @@ pub struct TimingContext {
     device: Mosfet,
     /// Cached delay multipliers indexed by [supply][vth].
     multipliers: [[f64; 2]; 2],
+    /// Cached level-converter delay (`τ × LEVEL_CONVERTER_TAU_UNITS`).
+    level_converter: Seconds,
 }
 
 impl TimingContext {
@@ -121,6 +123,7 @@ impl TimingContext {
             unit_width,
             device,
             multipliers,
+            level_converter: tau * LEVEL_CONVERTER_TAU_UNITS,
         })
     }
 
@@ -197,13 +200,13 @@ impl TimingContext {
 
     /// Capacitive load on a gate's output: fan-out input pins plus wire.
     pub fn load_of(&self, netlist: &Netlist, id: GateId) -> Farads {
-        let mut c = netlist.gate(id).wire_cap;
-        for &f in netlist.fanouts(id) {
-            let fg = netlist.gate(f);
-            c += self.input_cap(fg.kind, fg.drive);
+        let fanouts = netlist.fanouts(id);
+        let mut c = netlist.wire_cap(id);
+        for &f in fanouts {
+            c += self.input_cap(netlist.kind(f), netlist.drive(f));
         }
         // Endpoints drive a register pin comparable to a 4x inverter.
-        if netlist.fanouts(id).is_empty() || netlist.gate(id).is_output {
+        if fanouts.is_empty() || netlist.is_output(id) {
             c += Farads(self.unit_cap.0 * 4.0);
         }
         c
@@ -211,27 +214,48 @@ impl TimingContext {
 
     /// Propagation delay of one gate under its current assignment.
     pub fn gate_delay(&self, netlist: &Netlist, id: GateId) -> Seconds {
-        let g = netlist.gate(id);
-        let h = self.load_of(netlist, id).0 / self.input_cap(g.kind, g.drive).0
-            * g.kind.logical_effort();
-        let units = g.kind.parasitic_delay() + h;
-        self.tau * (units * self.delay_multiplier(g.supply, g.vth))
+        let kind = netlist.kind(id);
+        let h = self.load_of(netlist, id).0 / self.input_cap(kind, netlist.drive(id)).0
+            * kind.logical_effort();
+        let units = kind.parasitic_delay() + h;
+        self.tau * (units * self.delay_multiplier(netlist.supply(id), netlist.vth(id)))
     }
 
     /// The level-converter delay added on a `Low → High` supply crossing.
     pub fn level_converter_delay(&self) -> Seconds {
-        self.tau * LEVEL_CONVERTER_TAU_UNITS
+        self.level_converter
     }
 
-    /// Extra delay on the edge `from → to` (zero unless it crosses from
-    /// the low to the high supply domain).
-    pub fn edge_penalty(&self, netlist: &Netlist, from: GateId, to: GateId) -> Seconds {
-        let (f, t) = (netlist.gate(from), netlist.gate(to));
-        if f.supply == SupplyClass::Low && t.supply == SupplyClass::High {
-            self.level_converter_delay()
+    /// Extra delay on an edge between gates on supplies `from` and `to`
+    /// (zero unless it crosses from the low to the high supply domain).
+    #[inline]
+    fn crossing_penalty(&self, from: SupplyClass, to: SupplyClass) -> Seconds {
+        if from == SupplyClass::Low && to == SupplyClass::High {
+            self.level_converter
         } else {
             Seconds(0.0)
         }
+    }
+
+    /// Arrival at `id`'s output: the latest fan-in arrival (plus the
+    /// conversion penalty on each crossing edge) plus the gate's `delay`.
+    /// The one arrival expression of both [`TimingContext::analyze`] and
+    /// [`crate::incremental::IncrementalSta`], so the two cannot drift.
+    #[inline]
+    pub(crate) fn output_arrival(
+        &self,
+        netlist: &Netlist,
+        arrival: &[Seconds],
+        id: GateId,
+        delay: Seconds,
+    ) -> Seconds {
+        let to = netlist.supply(id);
+        let mut at = Seconds(0.0);
+        for &f in netlist.fanins(id) {
+            let candidate = arrival[f.index()] + self.crossing_penalty(netlist.supply(f), to);
+            at = at.max(candidate);
+        }
+        at + delay
     }
 
     /// Runs full STA against the context's clock period.
@@ -252,13 +276,7 @@ impl TimingContext {
         }
         let mut arrival = vec![Seconds(0.0); n];
         for &id in netlist.topological_order() {
-            let g = netlist.gate(id);
-            let mut at = Seconds(0.0);
-            for &f in g.fanins {
-                let candidate = arrival[f.index()] + self.edge_penalty(netlist, f, id);
-                at = at.max(candidate);
-            }
-            arrival[id.index()] = at + delay[id.index()];
+            arrival[id.index()] = self.output_arrival(netlist, &arrival, id, delay[id.index()]);
         }
         let clock = self.clock_period;
         let mut required = vec![Seconds(f64::INFINITY); n];
@@ -266,9 +284,10 @@ impl TimingContext {
             required[id.index()] = clock;
         }
         for &id in netlist.topological_order().iter().rev() {
-            let req_here = required[id.index()];
-            for &f in netlist.gate(id).fanins {
-                let budget = req_here - delay[id.index()] - self.edge_penalty(netlist, f, id);
+            let (req_here, delay_here) = (required[id.index()], delay[id.index()]);
+            let to = netlist.supply(id);
+            for &f in netlist.fanins(id) {
+                let budget = req_here - delay_here - self.crossing_penalty(netlist.supply(f), to);
                 required[f.index()] = required[f.index()].min(budget);
             }
         }

@@ -500,7 +500,10 @@ where
             options,
             af,
         };
-        let proposals = score_round(&view, workers, cancel, &mut cancelled);
+        let proposals = {
+            let _span = np_telemetry::span("opt.parallel.score");
+            score_round(&view, workers, cancel, &mut cancelled)
+        };
         if cancelled {
             break;
         }
@@ -509,19 +512,22 @@ where
             ..RoundStats::default()
         };
         np_telemetry::counter("opt.parallel.proposed", proposals.len() as u64);
-        for (k, p) in proposals.iter().enumerate() {
-            if k % ACCEPT_CANCEL_STRIDE == 0 && cancel() {
-                cancelled = true;
-                break;
-            }
-            if apply_proposal(netlist, &mut sta, options, p, &mut stats)? {
-                stats.accepted += 1;
-                np_telemetry::counter("opt.parallel.accepted", 1);
-            } else {
-                stats.reverted += 1;
-                np_telemetry::counter("opt.parallel.reverted", 1);
+        {
+            let _span = np_telemetry::span("opt.parallel.accept");
+            for (k, p) in proposals.iter().enumerate() {
+                if k % ACCEPT_CANCEL_STRIDE == 0 && cancel() {
+                    cancelled = true;
+                    break;
+                }
+                if apply_proposal(netlist, &mut sta, options, p, &mut stats)? {
+                    stats.accepted += 1;
+                } else {
+                    stats.reverted += 1;
+                }
             }
         }
+        np_telemetry::counter("opt.parallel.accepted", stats.accepted as u64);
+        np_telemetry::counter("opt.parallel.reverted", stats.reverted as u64);
         let done = stats.accepted == 0;
         rounds.push(stats);
         if done || cancelled {
@@ -617,17 +623,19 @@ fn apply_proposal(
     let id = p.gate;
     match p.kind {
         MoveKind::ToLowSupply => {
-            // Re-check clustered admissibility against the *current*
-            // state: an earlier accept this round may have changed a
-            // fan-out back... fan-outs only ever move High→Low, but a
-            // reverted neighbor means the frozen view was optimistic.
+            // Re-check clustered admissibility against the current
+            // state. Within a round supplies only move High→Low, and a
+            // revert restores a fan-out's frozen supply, so fan-outs that
+            // were Low at freeze are still Low: this check cannot fail on
+            // a proposal the frozen view admitted. It guards the
+            // clustering invariant rather than reacting to reverts.
             if options.style == CvsStyle::Clustered {
                 let fanouts = netlist.fanouts(id);
-                let endpoint = fanouts.is_empty() || netlist.gate(id).is_output;
+                let endpoint = fanouts.is_empty() || netlist.is_output(id);
                 let ok = endpoint
                     || fanouts
                         .iter()
-                        .all(|&f| netlist.gate(f).supply == SupplyClass::Low);
+                        .all(|&f| netlist.supply(f) == SupplyClass::Low);
                 if !ok {
                     return Ok(false);
                 }
@@ -650,7 +658,7 @@ fn apply_proposal(
             }
         }
         MoveKind::Downsize => {
-            let old = netlist.gate(id).drive;
+            let old = netlist.drive(id);
             netlist.gate_mut(id).set_drive(p.new_drive);
             stats.cone_visited += sta.reevaluate(netlist, id)?.visited;
             if !sta.is_feasible() {
@@ -794,6 +802,45 @@ mod tests {
             assert!(r.total_accepted() > 0, "family ({cvs},{vth},{sizing})");
             assert!(ctx.analyze(&nl).unwrap().is_feasible());
         }
+    }
+
+    #[test]
+    fn rounds_split_into_score_and_accept_spans() -> Result<(), OptError> {
+        let (mut nl, ctx) = setup(23, 1.0);
+        let collector = np_telemetry::Collector::new();
+        let installed = np_telemetry::install(&collector);
+        if np_telemetry::current().is_none() {
+            return Ok(()); // built with np-telemetry's `off` feature
+        }
+        let r = optimize_parallel(&mut nl, &ctx, &ParallelOptions::default())?;
+        drop(installed);
+        let summary = collector.summary();
+        let spans = |name: &str| {
+            summary
+                .spans
+                .iter()
+                .find(|(n, _)| n == name)
+                .map_or(0, |(_, s)| s.count)
+        };
+        let counter = |name: &str| {
+            summary
+                .counters
+                .iter()
+                .find(|(n, _)| n == name)
+                .map_or(0, |&(_, v)| v)
+        };
+        let rounds = r.rounds.len() as u64;
+        for name in [
+            "opt.parallel.round",
+            "opt.parallel.score",
+            "opt.parallel.accept",
+        ] {
+            assert_eq!(spans(name), rounds, "{name}");
+        }
+        let reverted: usize = r.rounds.iter().map(|s| s.reverted).sum();
+        assert_eq!(counter("opt.parallel.accepted"), r.total_accepted() as u64);
+        assert_eq!(counter("opt.parallel.reverted"), reverted as u64);
+        Ok(())
     }
 
     #[test]

@@ -67,6 +67,47 @@ fn digests_agree_across_worker_counts_at_10k() {
     assert_eq!(baseline, digest_at(77, 10_000, 1, 1), "run-to-run drift");
 }
 
+/// Runs the optimizer with default options at `workers` on a fresh
+/// `NetlistSpec::large(seed, cells)` clocked at exactly its critical
+/// delay, and returns (digest, rounds, accepted, reverted).
+fn tight_clock_answer(seed: u64, cells: usize, workers: usize) -> (u64, usize, usize, usize) {
+    let mut netlist = generate_netlist(&NetlistSpec::large(seed, cells));
+    let ctx = ctx_for(&netlist, 1.0);
+    let options = ParallelOptions {
+        workers: Some(workers),
+        ..ParallelOptions::default()
+    };
+    let result = optimize_parallel(&mut netlist, &ctx, &options).expect("optimize");
+    assert!(ctx.analyze(&netlist).expect("sta").is_feasible());
+    let reverted = result.rounds.iter().map(|r| r.reverted).sum();
+    (
+        assignment_digest(&netlist),
+        result.rounds.len(),
+        result.total_accepted(),
+        reverted,
+    )
+}
+
+/// The binding regime, pinned: at a 1.00x clock the critical paths have
+/// zero slack, so the exact accept-or-revert check decides moves (the
+/// 1.3x runs above barely revert). An STA or worklist change that moves
+/// an arrival at a binding endpoint changes the digest or the counts.
+#[test]
+fn tight_clock_answer_is_pinned() {
+    for workers in [1, 2] {
+        assert_eq!(
+            tight_clock_answer(11, 2_000, workers),
+            (0x012f_e31e_a330_5897, 8, 12_487, 24),
+            "2k cells, {workers} workers"
+        );
+    }
+    assert_eq!(
+        tight_clock_answer(77, 10_000, 2),
+        (0xc6c6_c872_7f3a_df16, 8, 62_821, 3),
+        "10k cells"
+    );
+}
+
 /// Cancellation mid-run drains cleanly: the result is flagged, the
 /// netlist is still timing-feasible, and no half-applied round leaks
 /// into the assignment (the cancelled round's proposals are discarded

@@ -288,18 +288,40 @@ mod tests {
 
     #[test]
     fn exports_are_deterministic_modulo_timestamps() {
-        let strip = |s: &str| -> String {
-            // Blank out every digit: what remains is the structure.
-            s.chars()
-                .map(|c| if c.is_ascii_digit() { '#' } else { c })
-                .collect()
+        // Replaces each timing number — a digit run right after one of
+        // `before` or right before one of `after` — with one '#', whatever
+        // its magnitude (9 us vs 12 us). Every other digit (counter totals,
+        // value stats, tid, depth) must match exactly.
+        let strip = |s: &str, before: &[&str], after: &[&str]| -> String {
+            let mut out = String::with_capacity(s.len());
+            let mut rest = s;
+            while let Some(i) = rest.find(|c: char| c.is_ascii_digit()) {
+                out.push_str(&rest[..i]);
+                let tail = &rest[i..];
+                let n = tail
+                    .find(|c: char| !c.is_ascii_digit())
+                    .unwrap_or(tail.len());
+                let (run, next) = tail.split_at(n);
+                let timing = before.iter().any(|p| out.ends_with(p))
+                    || after.iter().any(|p| next.starts_with(p));
+                out.push_str(if timing { "#" } else { run });
+                rest = next;
+            }
+            out.push_str(rest);
+            out
         };
-        let a = strip(&sample().chrome_trace());
-        let b = strip(&sample().chrome_trace());
+        let trace = |s: &str| strip(s, &["\"ts\": ", "\"dur\": "], &[]);
+        let a = trace(&sample().chrome_trace());
+        let b = trace(&sample().chrome_trace());
         assert_eq!(a, b);
-        let a = strip(&sample().flat_text());
-        let b = strip(&sample().flat_text());
+        assert!(a.contains("\"ts\": #, \"dur\": #"), "{a}");
+        assert!(a.contains("\"iters\": 42"), "{a}");
+        let text = |s: &str| strip(s, &[], &[" us"]);
+        let a = text(&sample().flat_text());
+        let b = text(&sample().flat_text());
         assert_eq!(a, b);
+        assert!(a.contains("# us (at +# us)"), "{a}");
+        assert!(a.contains("counter iters 42"), "{a}");
     }
 
     #[test]
