@@ -3,13 +3,12 @@
 //! A zero-dependency JSON-lines server (protocol: `nanopowerd/v1`, see
 //! `nanopower::proto`) that keeps the artifact registry hot behind a
 //! unix socket (or `--tcp addr`): a bounded, optionally spill-backed
-//! cross-request artifact memo, a process-wide shared mesh cache,
-//! bounded admission control with typed `busy` backpressure and typed
-//! `overloaded` load shedding, per-connection write deadlines so a
-//! stalled client cannot wedge the shared record stream, a
-//! max-connections gate, per-request deadlines wired to the engine's
-//! graceful cancellation, and a self-watchdog behind the `health`
-//! request.
+//! cross-request artifact memo, bounded admission control with typed
+//! `busy` backpressure and typed `overloaded` load shedding,
+//! per-connection write deadlines so a stalled client cannot wedge the
+//! shared record stream, a max-connections gate, per-request deadlines
+//! wired to the engine's graceful cancellation, and a self-watchdog
+//! behind the `health` request.
 //!
 //! Untrusted scenario specs (`nanopower::spec`) enter through a
 //! hardened pipeline: field-validated parsing with typed `invalid_spec`
@@ -325,9 +324,6 @@ fn cmd_serve(args: &[String]) -> i32 {
         started: Instant::now(),
         shutdown: AtomicBool::new(false),
     });
-    // One shared mesh cache for the whole daemon: every request on every
-    // connection reuses assembled meshes and warm starts.
-    let _mesh_cache = np_grid::mesh::scoped_process_cache(true);
     let watchdog = spawn_watchdog(&state);
     let code = match serve_on(&endpoint, &state) {
         Ok(()) => 0,
@@ -618,7 +614,6 @@ where
             Ok(Request::Run(run)) => handle_run(&run, &writer, state)?,
             Ok(Request::Stats) => {
                 let snap = state.counters.snapshot();
-                let (mesh_hits, mesh_misses) = np_grid::mesh::process_cache_stats();
                 writer.send(
                     state,
                     &Response::Stats(StatsMsg {
@@ -639,8 +634,6 @@ where
                         memo_entries: state.memo.len() as u64,
                         memo_bytes: state.memo.approx_bytes() as u64,
                         memo_evictions: state.memo.evictions(),
-                        mesh_hits,
-                        mesh_misses,
                     }),
                 )?;
             }

@@ -629,18 +629,11 @@ fn main() -> ExitCode {
             eprintln!("cannot write bench report to {}: {e}", out.display());
             return ExitCode::FAILURE;
         }
-        if let Some(speedup) = report.speedup("grid.pcg.seq", "grid.pcg.par") {
-            println!(
-                "pcg parallel speedup x{speedup:.2} at the largest shared mesh ({} shards, {} cpus)",
-                report.shards, report.ncpu
-            );
-        }
         if let Some(c) = &report.mg_vs_pcg {
             println!(
-                "mg vs pcg at {n}x{n}: {pcg} pcg iterations vs {mg} mg / {mgcg} mgcg sweep-equivalents (x{ratio:.1})",
+                "mg vs pcg at {n}x{n}: {pcg} pcg iterations vs {mgcg} mgcg sweep-equivalents (x{ratio:.1})",
                 n = c.mesh,
                 pcg = c.pcg_iterations,
-                mg = c.mg_sweeps_equivalent,
                 mgcg = c.mgcg_sweeps_equivalent,
                 ratio = c.fine_sweep_ratio
             );

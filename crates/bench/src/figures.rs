@@ -477,11 +477,8 @@ pub fn fig5_mesh() -> Result<Fig5MeshReport, Error> {
 /// [`fig5_mesh`] at an arbitrary mesh resolution (tests use a coarse
 /// one; the artifact is always [`FIG5_MESH_RESOLUTION`]).
 fn fig5_mesh_at(resolution: usize) -> Result<Fig5MeshReport, Error> {
-    use np_grid::mesh::MeshCache;
-    use np_grid::{SolvePlan, SolveStrategy};
-    // Explicit MGCG rather than `Auto` so the artifact's solver does not
-    // silently change if the auto-upgrade threshold is ever retuned.
-    let mut cache = MeshCache::with_plan(SolvePlan::with_strategy(SolveStrategy::MultigridCg));
+    // 1025 sits on the 2^k+1 ladder, so the solve plan runs MGCG.
+    let mut cache = np_grid::mesh::MeshCache::new();
     let mut rows = Vec::new();
     for node in TechNode::ALL {
         let plan = GridPlan::min_pitch(node)?;

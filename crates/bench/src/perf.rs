@@ -4,25 +4,24 @@
 //! Built on the vendored criterion shim ([`criterion::Criterion`]), the
 //! harness times three kernel families:
 //!
-//! * **grid** — sequential and parallel SOR, plain CG, sequential and
-//!   parallel Jacobi-PCG, multigrid and MGCG, and the warm
+//! * **grid** — the three solvers behind [`np_grid::SolvePlan`] (the
+//!   reference SOR, Jacobi-PCG and MGCG) and the warm
 //!   [`np_grid::mesh::MeshCache`] path, across bump-cell mesh sizes from
 //!   33 to 1025 nodes per side (each kernel capped at the largest size
 //!   where it finishes in reasonable time — SOR is O(n⁴) and stops at
-//!   129); plus a first-class shard-count sweep of the parallel kernels
-//!   at a fixed mesh;
+//!   129); plus a first-class shard-count sweep of MGCG's sharded
+//!   smoothing at a fixed mesh;
 //! * **thermal** — the electro-thermal fixed point of
 //!   [`np_thermal::package::Package::electro_thermal_temperature`];
 //! * **sta** — [`np_circuit::sta::TimingContext::analyze`] over a
 //!   generated netlist.
 //!
 //! A separate algorithmic-comparison block solves the largest mesh once
-//! per solver under a telemetry collector and records PCG iterations
-//! against multigrid fine-grid-sweep equivalents (`mg_vs_pcg` in the
-//! JSON) — the ISSUE 8 acceptance currency, independent of wall-clock
-//! noise.
+//! per CG-family solver under a telemetry collector and records PCG
+//! iterations against MGCG fine-grid-sweep equivalents (`mg_vs_pcg` in
+//! the JSON) — a work measure independent of wall-clock noise.
 //!
-//! The report schema (`nanopower-bench/v1`) is documented in
+//! The report schema (`nanopower-bench/v2`) is documented in
 //! `BENCHMARKS.md`; its *shape* is deterministic (same keys, same kernel
 //! entries in the same order for a given configuration) while the timing
 //! values vary run to run.
@@ -34,11 +33,12 @@ use np_circuit::incremental::IncrementalSta;
 use np_circuit::netlist::{GateId, Netlist};
 use np_circuit::sta::TimingContext;
 use np_device::Mosfet;
-use np_grid::cg::{solve_cg, solve_pcg, solve_pcg_parallel};
+use np_grid::cg::solve_pcg;
 use np_grid::mesh::MeshCache;
-use np_grid::multigrid::{solve_mgcg_sharded, solve_multigrid_sharded};
+use np_grid::multigrid::{solve_mgcg, MgHierarchy};
 use np_grid::plan::thread_budget;
 use np_grid::solver::MeshProblem;
+use np_grid::GridError;
 use np_roadmap::TechNode;
 use np_thermal::package::Package;
 use np_units::{Celsius, Microns, ThermalResistance, Volts, Watts};
@@ -49,9 +49,9 @@ use std::time::Instant;
 /// belong to the CG/multigrid families.
 pub const MESH_SIZES: [usize; 6] = [33, 65, 129, 257, 513, 1025];
 
-/// Shard counts the parallel kernels sweep at [`SHARD_SWEEP_MESH`] —
-/// the first-class scaling axis (on a multi-core host the curve shows
-/// real speedup; at ncpu=1 it quantifies the sharding overhead).
+/// Shard counts MGCG's smoothing sweeps at [`SHARD_SWEEP_MESH`] — the
+/// first-class scaling axis (on a multi-core host the curve shows real
+/// speedup; beyond ncpu it quantifies the sharding overhead).
 pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// The mesh the shard-count sweep runs on in full mode (quick mode
@@ -69,7 +69,7 @@ pub struct BenchOptions {
 /// One timed kernel in the report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelResult {
-    /// Kernel identifier, e.g. `grid.pcg.par`.
+    /// Kernel identifier, e.g. `grid.mgcg.par`.
     pub name: String,
     /// Mesh nodes per side for grid kernels; `0` for mesh-independent
     /// kernels (thermal, STA).
@@ -83,7 +83,7 @@ pub struct KernelResult {
     pub iterations: u64,
 }
 
-/// The algorithmic MG-vs-PCG comparison at the largest mesh: solver
+/// The algorithmic MGCG-vs-PCG comparison at the largest mesh: solver
 /// work measured in iteration/sweep counters, not wall-clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MgComparison {
@@ -91,19 +91,18 @@ pub struct MgComparison {
     pub mesh: usize,
     /// Jacobi-PCG iterations to its 1e-12 tolerance.
     pub pcg_iterations: u64,
-    /// Standalone V-cycle fine-grid-sweep equivalents.
-    pub mg_sweeps_equivalent: u64,
     /// MGCG fine-grid-sweep equivalents.
     pub mgcg_sweeps_equivalent: u64,
-    /// `pcg_iterations / min(mg, mgcg)` — the acceptance ratio (each
-    /// PCG iteration costs about one fine-grid sweep).
+    /// `pcg_iterations / mgcg_sweeps_equivalent` (each PCG iteration
+    /// costs about one fine-grid sweep).
     pub fine_sweep_ratio: f64,
 }
 
 /// A completed harness run, ready to serialize.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
-    /// Threads the parallel kernels were sharded across.
+    /// The thread budget: the shards of the optimizer round's scoring
+    /// fan-out (the shard sweep records its own counts per row).
     pub shards: usize,
     /// The machine's available parallelism when the run started.
     pub ncpu: usize,
@@ -116,9 +115,9 @@ pub struct BenchReport {
     pub quick: bool,
     /// Mesh sizes the grid kernels swept.
     pub mesh_sizes: Vec<usize>,
-    /// Shard counts the parallel kernels swept.
+    /// Shard counts MGCG's smoothing swept.
     pub shard_counts: Vec<usize>,
-    /// The MG-vs-PCG work comparison, if the grid sweep ran.
+    /// The MGCG-vs-PCG work comparison, if the grid sweep ran.
     pub mg_vs_pcg: Option<MgComparison>,
     /// Every timed kernel, in sweep order.
     pub kernels: Vec<KernelResult>,
@@ -132,6 +131,12 @@ fn bench_mesh(n: usize) -> MeshProblem {
     let centre = m.index(n / 2, n / 2);
     m.pinned[centre] = true;
     m
+}
+
+/// One cold MGCG solve, hierarchy build included — what
+/// [`np_grid::SolvePlan::solve`] runs on a ladder mesh.
+fn mgcg(m: &MeshProblem, shards: usize) -> Result<Vec<f64>, GridError> {
+    solve_mgcg(m, &MgHierarchy::new(m)?, shards, None)
 }
 
 /// Reads one summed counter out of a collector summary.
@@ -192,35 +197,18 @@ pub fn run(opts: BenchOptions) -> BenchReport {
         let mut group = criterion.benchmark_group(format!("grid/{n}"));
         group.sample_size(samples);
         // Per-kernel size gates: SOR relaxation is O(n⁴) (~3 s at 129
-        // already), plain CG is O(n³) without preconditioning, and the
-        // parallel-PCG barrier path is pure overhead on big meshes at
-        // ncpu=1 — each stops at the largest size it can afford. The
-        // CG/multigrid tail (513/1025) is timed once per solver in the
-        // comparison block below instead of through criterion.
+        // already) and Jacobi-PCG O(n³) — each stops at the largest size
+        // it can afford. The 1025 tail is timed once per CG-family
+        // solver in the comparison block below instead of through
+        // criterion.
         if n <= 129 {
             group.bench_function("grid.sor.seq", |b| b.iter(|| black_box(&m).solve()));
-            group.bench_function("grid.sor.par", |b| {
-                b.iter(|| black_box(&m).solve_parallel(shards))
-            });
-        }
-        if n <= 257 {
-            group.bench_function("grid.cg.seq", |b| b.iter(|| solve_cg(black_box(&m))));
         }
         if n <= 513 {
-            group.bench_function("grid.pcg.seq", |b| b.iter(|| solve_pcg(black_box(&m))));
-        }
-        if n <= 129 {
-            group.bench_function("grid.pcg.par", |b| {
-                b.iter(|| solve_pcg_parallel(black_box(&m), shards))
+            group.bench_function("grid.pcg.seq", |b| {
+                b.iter(|| solve_pcg(black_box(&m), None))
             });
-        }
-        if n <= 513 {
-            group.bench_function("grid.mg.seq", |b| {
-                b.iter(|| solve_multigrid_sharded(black_box(&m), 1))
-            });
-            group.bench_function("grid.mgcg.seq", |b| {
-                b.iter(|| solve_mgcg_sharded(black_box(&m), 1))
-            });
+            group.bench_function("grid.mgcg.seq", |b| b.iter(|| mgcg(black_box(&m), 1)));
         }
         if n <= 129 {
             // Warm-path cache: prime once, then time the hit + warm-start.
@@ -241,20 +229,19 @@ pub fn run(opts: BenchOptions) -> BenchReport {
         group.finish();
         for r in criterion.records().iter().skip(consumed) {
             consumed += 1;
-            let kernel_shards = if r.name.ends_with(".par") { shards } else { 1 };
             kernels.push(KernelResult {
                 name: r.name.clone(),
                 mesh: n,
-                shards: kernel_shards,
+                shards: 1,
                 mean_ns: r.mean_ns,
                 iterations: r.iterations,
             });
         }
     }
 
-    // The first-class shard axis: the same parallel kernels across an
-    // explicit shard-count sweep at one fixed mesh, so scaling (or, at
-    // ncpu=1, sharding overhead) is measured rather than inferred.
+    // The first-class shard axis: MGCG across an explicit shard-count
+    // sweep at one fixed mesh, so scaling (or, past the CPU count,
+    // sharding overhead) is measured rather than inferred.
     {
         let n = if opts.quick {
             MESH_SIZES[0]
@@ -265,17 +252,12 @@ pub fn run(opts: BenchOptions) -> BenchReport {
         let mut group = criterion.benchmark_group(format!("shards/{n}"));
         group.sample_size(3);
         for &s in &shard_counts {
-            group.bench_function(format!("grid.pcg.par/s{s}"), |b| {
-                b.iter(|| solve_pcg_parallel(black_box(&m), s))
-            });
-            group.bench_function(format!("grid.mg.par/s{s}"), |b| {
-                b.iter(|| solve_multigrid_sharded(black_box(&m), s))
+            group.bench_function(format!("grid.mgcg.par/s{s}"), |b| {
+                b.iter(|| mgcg(black_box(&m), s))
             });
         }
         group.finish();
-        for (i, r) in criterion.records().iter().skip(consumed).enumerate() {
-            // Two kernels per shard count, in push order.
-            let s = shard_counts[i / 2];
+        for (r, &s) in criterion.records().iter().skip(consumed).zip(&shard_counts) {
             let name = r
                 .name
                 .split('/')
@@ -294,30 +276,23 @@ pub fn run(opts: BenchOptions) -> BenchReport {
     }
 
     // The algorithmic comparison at the largest mesh: one timed solve
-    // per solver under its own collector (MG's coarse-level solves also
-    // emit PCG counters, so they must not share one), recording work in
-    // counters rather than repeated wall-clock samples.
+    // per CG-family solver under its own collector (MGCG's coarse-level
+    // solves also emit PCG counters, so they must not share one),
+    // recording work in counters rather than repeated wall-clock samples.
     let mg_vs_pcg = {
         let n = *mesh_sizes.iter().max().unwrap_or(&MESH_SIZES[0]);
         let m = bench_mesh(n);
         let (pcg_ns, pcg_iters) = timed_counted("grid.pcg.iterations", || {
-            let _ = solve_pcg(&m);
-        });
-        let (mg_ns, mg_sweeps) = timed_counted("grid.mg.sweeps_equivalent", || {
-            let _ = solve_multigrid_sharded(&m, 1);
+            let _ = solve_pcg(&m, None);
         });
         let (mgcg_ns, mgcg_sweeps) = timed_counted("grid.mgcg.sweeps_equivalent", || {
-            let _ = solve_mgcg_sharded(&m, 1);
+            let _ = mgcg(&m, 1);
         });
         if !opts.quick && n > 513 {
             // The 1025 tail is too expensive for repeated criterion
             // samples; record the single timed solves as kernels so the
             // scaling table has wall-clock at every size.
-            for (name, ns) in [
-                ("grid.pcg.seq", pcg_ns),
-                ("grid.mg.seq", mg_ns),
-                ("grid.mgcg.seq", mgcg_ns),
-            ] {
+            for (name, ns) in [("grid.pcg.seq", pcg_ns), ("grid.mgcg.seq", mgcg_ns)] {
                 kernels.push(KernelResult {
                     name: name.to_string(),
                     mesh: n,
@@ -327,13 +302,11 @@ pub fn run(opts: BenchOptions) -> BenchReport {
                 });
             }
         }
-        let best_mg = mg_sweeps.min(mgcg_sweeps).max(1);
         Some(MgComparison {
             mesh: n,
             pcg_iterations: pcg_iters,
-            mg_sweeps_equivalent: mg_sweeps,
             mgcg_sweeps_equivalent: mgcg_sweeps,
-            fine_sweep_ratio: pcg_iters as f64 / best_mg as f64,
+            fine_sweep_ratio: pcg_iters as f64 / mgcg_sweeps.max(1) as f64,
         })
     };
 
@@ -440,10 +413,8 @@ pub fn run(opts: BenchOptions) -> BenchReport {
 }
 
 impl BenchReport {
-    /// Mean time of `name` at mesh size `mesh`, if that kernel ran.
-    /// Where both a budget-sharded sweep row and shard-sweep rows exist,
-    /// the sweep row wins (it is pushed first); otherwise the
-    /// lowest-shard-count entry.
+    /// Mean time of `name` at mesh size `mesh`, if that kernel ran —
+    /// the first such row (for `grid.mgcg.par`, the lowest shard count).
     pub fn mean_ns(&self, name: &str, mesh: usize) -> Option<f64> {
         self.kernels
             .iter()
@@ -451,22 +422,10 @@ impl BenchReport {
             .map(|k| k.mean_ns)
     }
 
-    /// Sequential-over-parallel speedup of `seq`/`par` on the largest
-    /// mesh where both ran (values > 1 mean the parallel solver is
-    /// faster).
-    pub fn speedup(&self, seq: &str, par: &str) -> Option<f64> {
-        let mesh = self
-            .mesh_sizes
-            .iter()
-            .rev()
-            .find(|&&m| self.mean_ns(seq, m).is_some() && self.mean_ns(par, m).is_some())?;
-        Some(self.mean_ns(seq, *mesh)? / self.mean_ns(par, *mesh)?)
-    }
-
-    /// Serializes the report as `nanopower-bench/v1` JSON.
+    /// Serializes the report as `nanopower-bench/v2` JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"nanopower-bench/v1\",\n");
+        out.push_str("  \"schema\": \"nanopower-bench/v2\",\n");
         out.push_str(&format!("  \"ncpu\": {},\n", self.ncpu));
         out.push_str(&format!("  \"os\": \"{}\",\n", self.os));
         out.push_str(&format!("  \"arch\": \"{}\",\n", self.arch));
@@ -479,27 +438,11 @@ impl BenchReport {
             "  \"shard_counts\": [{}],\n",
             shard_axis.join(", ")
         ));
-        if let (Some(sor), Some(pcg)) = (
-            self.speedup("grid.sor.seq", "grid.sor.par"),
-            self.speedup("grid.pcg.seq", "grid.pcg.par"),
-        ) {
-            let mesh = self
-                .mesh_sizes
-                .iter()
-                .rev()
-                .find(|&&m| self.mean_ns("grid.pcg.par", m).is_some())
-                .copied()
-                .unwrap_or(0);
-            out.push_str(&format!(
-                "  \"speedup\": {{\"mesh\": {mesh}, \"sor\": {sor:.3}, \"pcg\": {pcg:.3}}},\n"
-            ));
-        }
         if let Some(c) = &self.mg_vs_pcg {
             out.push_str(&format!(
-                "  \"mg_vs_pcg\": {{\"mesh\": {}, \"pcg_iterations\": {}, \"mg_sweeps_equivalent\": {}, \"mgcg_sweeps_equivalent\": {}, \"fine_sweep_ratio\": {:.2}}},\n",
+                "  \"mg_vs_pcg\": {{\"mesh\": {}, \"pcg_iterations\": {}, \"mgcg_sweeps_equivalent\": {}, \"fine_sweep_ratio\": {:.2}}},\n",
                 c.mesh,
                 c.pcg_iterations,
-                c.mg_sweeps_equivalent,
                 c.mgcg_sweeps_equivalent,
                 c.fine_sweep_ratio
             ));
@@ -727,11 +670,7 @@ mod tests {
         assert_eq!(report.shard_counts, vec![1, 2]);
         for name in [
             "grid.sor.seq",
-            "grid.sor.par",
-            "grid.cg.seq",
             "grid.pcg.seq",
-            "grid.pcg.par",
-            "grid.mg.seq",
             "grid.mgcg.seq",
             "grid.cache.warm",
         ] {
@@ -757,33 +696,29 @@ mod tests {
             .kernels
             .iter()
             .any(|k| k.name == "opt.parallel.round" && k.shards == report.shards));
-        // The shard sweep ran both parallel kernels at every count.
+        // The shard sweep ran MGCG at every count.
         for &s in &[1usize, 2] {
-            for name in ["grid.pcg.par", "grid.mg.par"] {
-                assert!(
-                    report
-                        .kernels
-                        .iter()
-                        .any(|k| k.name == name && k.shards == s && k.mean_ns > 0.0),
-                    "{name} missing at shards={s}"
-                );
-            }
+            assert!(
+                report
+                    .kernels
+                    .iter()
+                    .any(|k| k.name == "grid.mgcg.par" && k.shards == s && k.mean_ns > 0.0),
+                "grid.mgcg.par missing at shards={s}"
+            );
         }
         // The comparison block proves the acceptance ratio even in
         // quick mode (the margin grows with mesh size; 33 is its floor).
         let cmp = report.mg_vs_pcg.expect("comparison must run");
         assert_eq!(cmp.mesh, 33);
         assert!(cmp.pcg_iterations > 0);
-        assert!(cmp.mg_sweeps_equivalent > 0);
         assert!(cmp.mgcg_sweeps_equivalent > 0);
         assert!(cmp.fine_sweep_ratio > 0.0);
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"nanopower-bench/v1\""));
-        assert!(json.contains("\"speedup\""));
+        assert!(json.contains("\"schema\": \"nanopower-bench/v2\""));
+        assert!(!json.contains("\"speedup\""));
         assert!(json.contains("\"shard_counts\": [1, 2]"));
         assert!(json.contains("\"mg_vs_pcg\""));
-        assert!(json.contains("\"grid.pcg.par\""));
-        assert!(json.contains("\"grid.mg.seq\""));
+        assert!(json.contains("\"grid.mgcg.par\""));
         assert!(json.contains("\"quick\": true"));
         // Host metadata pins where the numbers came from.
         assert_eq!(report.os, std::env::consts::OS);

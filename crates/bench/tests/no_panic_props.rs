@@ -18,7 +18,7 @@ use proptest::prelude::*;
 
 use np_device::solve::solve_vth_for_ion;
 use np_device::Mosfet;
-use np_grid::cg::solve_cg;
+use np_grid::cg::solve_pcg;
 use np_grid::solver::MeshProblem;
 use np_interconnect::elmore::RcLine;
 use np_interconnect::lowswing::LowSwingLink;
@@ -138,7 +138,7 @@ proptest! {
         m.injection[slot] = p;
         prop_assert!(m.validate().is_err());
         prop_assert!(m.solve().is_err(), "SOR must reject poison injection");
-        prop_assert!(solve_cg(&m).is_err(), "CG must reject poison injection");
+        prop_assert!(solve_pcg(&m, None).is_err(), "PCG must reject poison injection");
     }
 
     #[test]
@@ -147,7 +147,7 @@ proptest! {
         m.pinned[0] = true;
         m.edge_conductance = g;
         let sor = m.solve();
-        let cg = solve_cg(&m);
+        let cg = solve_pcg(&m, None);
         if !(g.is_finite() && g > 0.0) {
             prop_assert!(sor.is_err() && cg.is_err(), "conductance {g} must be rejected");
         }
@@ -162,12 +162,12 @@ proptest! {
         m.pinned[4] = true;
         m.injection[slot] = i;
         let sor = m.solve();
-        let cg = solve_cg(&m);
+        let cg = solve_pcg(&m, None);
         prop_assert!(sor.is_ok() && cg.is_ok());
         if let (Ok(a), Ok(b)) = (sor, cg) {
             for (x, y) in a.iter().zip(&b) {
                 prop_assert!(x.is_finite() && y.is_finite());
-                prop_assert!((x - y).abs() < 1e-6, "SOR {x} vs CG {y}");
+                prop_assert!((x - y).abs() < 1e-6, "SOR {x} vs PCG {y}");
             }
         }
     }

@@ -47,9 +47,6 @@
 //! assert!(report.all_ok());
 //! ```
 //!
-//! The former free functions `run` / `run_with_policy` /
-//! `run_with_hooks` survive as deprecated wrappers for one release.
-//!
 //! Retries are opt-in per job: only jobs flagged
 //! [`Job::transient`] are re-attempted (with doubling backoff), because a
 //! deterministic model failure will fail identically every time —
@@ -546,44 +543,6 @@ impl Session {
         } = self;
         run_session(jobs, workers, policy, hooks)
     }
-}
-
-/// Runs `jobs` across `workers` threads with the default (no-deadline,
-/// no-retry) policy and collects the report.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::new(jobs).workers(n).run()` instead"
-)]
-pub fn run(jobs: Vec<Job>, workers: usize) -> RunReport {
-    Session::new(jobs).workers(workers).run()
-}
-
-/// Runs `jobs` across `workers` threads under `policy`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::new(jobs).workers(n).policy(p).run()` instead"
-)]
-pub fn run_with_policy(jobs: Vec<Job>, workers: usize, policy: RunPolicy) -> RunReport {
-    Session::new(jobs).workers(workers).policy(policy).run()
-}
-
-/// Runs `jobs` across `workers` threads under `policy`, with [`RunHooks`]
-/// for graceful cancellation and per-record observation.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::new(jobs).workers(n).policy(p).hooks(h).run()` instead"
-)]
-pub fn run_with_hooks(
-    jobs: Vec<Job>,
-    workers: usize,
-    policy: RunPolicy,
-    hooks: RunHooks,
-) -> RunReport {
-    Session::new(jobs)
-        .workers(workers)
-        .policy(policy)
-        .hooks(hooks)
-        .run()
 }
 
 /// The engine proper — the body behind [`Session::run`].
@@ -1414,38 +1373,6 @@ mod tests {
         assert!(session.hooks.cancel.is_none());
         assert!(session.hooks.on_record.is_none());
         assert!(session.run().all_ok());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_run() {
-        // The one-release compatibility shims must behave exactly like
-        // the builder they forward to.
-        let direct = Session::new(fixed_jobs(3)).workers(2).run();
-        let wrapped = run(fixed_jobs(3), 2);
-        let essence = |r: &RunReport| -> Vec<(String, Result<String, Error>)> {
-            r.records
-                .iter()
-                .map(|j| (j.name.clone(), j.outcome.clone()))
-                .collect()
-        };
-        assert_eq!(essence(&direct), essence(&wrapped));
-
-        let policy = RunPolicy {
-            retries: 1,
-            backoff: Duration::from_millis(1),
-            ..RunPolicy::default()
-        };
-        let report = run_with_policy(fixed_jobs(2), 1, policy);
-        assert!(report.all_ok());
-
-        let hooks = RunHooks {
-            cancel: Some(CancelToken::new()),
-            ..RunHooks::default()
-        };
-        let report = run_with_hooks(fixed_jobs(2), 1, RunPolicy::default(), hooks);
-        assert!(report.all_ok());
-        assert!(!report.interrupted);
     }
 
     #[test]

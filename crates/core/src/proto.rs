@@ -304,10 +304,6 @@ pub struct StatsMsg {
     pub memo_bytes: u64,
     /// Memo entries evicted by the entry/byte caps.
     pub memo_evictions: u64,
-    /// Process-wide shared `MeshCache` hits.
-    pub mesh_hits: u64,
-    /// Process-wide shared `MeshCache` misses.
-    pub mesh_misses: u64,
 }
 
 /// The supervision snapshot answering a `health` request.
@@ -438,8 +434,7 @@ impl Response {
                  \"conn_rejected\": {}, \"write_timeouts\": {}, \"protocol_errors\": {}, \
                  \"invalid_specs\": {}, \"too_expensive\": {}, \"panicked\": {}, \
                  \"quarantined\": {}, \"quarantine_entries\": {}, \
-                 \"memo_entries\": {}, \"memo_bytes\": {}, \"memo_evictions\": {}, \
-                 \"mesh_hits\": {}, \"mesh_misses\": {}}}}}",
+                 \"memo_entries\": {}, \"memo_bytes\": {}, \"memo_evictions\": {}}}}}",
                 s.accepted,
                 s.served,
                 s.memo_hits,
@@ -456,9 +451,7 @@ impl Response {
                 s.quarantine_entries,
                 s.memo_entries,
                 s.memo_bytes,
-                s.memo_evictions,
-                s.mesh_hits,
-                s.mesh_misses
+                s.memo_evictions
             ),
             Response::Health(h) => format!(
                 "{{\"health\": {{\"ready\": {}, \"inflight\": {}, \"capacity\": {}, \
@@ -589,8 +582,6 @@ impl Response {
                 memo_entries: count("memo_entries"),
                 memo_bytes: count("memo_bytes"),
                 memo_evictions: count("memo_evictions"),
-                mesh_hits: count("mesh_hits"),
-                mesh_misses: count("mesh_misses"),
             }));
         }
         if let Some(health) = obj.get("health") {
@@ -849,8 +840,6 @@ mod tests {
             memo_entries: 5,
             memo_bytes: 8192,
             memo_evictions: 14,
-            mesh_hits: 7,
-            mesh_misses: 6,
         });
         assert_eq!(Response::parse(&stats.to_json()), Ok(stats));
 

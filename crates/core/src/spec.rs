@@ -372,9 +372,10 @@ impl ScenarioSpec {
     /// unit ≈ a thousand inner-loop operations):
     ///
     /// - [`BASE_COST_UNITS`] for the chip analyses every spec runs;
-    /// - the grid leg charges mesh nodes × a solver-iteration bound
-    ///   (O(resolution) PCG iterations below the multigrid threshold,
-    ///   a flat sweep count above it);
+    /// - the grid leg charges mesh nodes × a solver-iteration bound for
+    ///   the solver [`np_grid::plan::strategy_for`] picks on the
+    ///   assembled (odd) side: a flat 30 for MGCG on the 2^k+1 ladder,
+    ///   O(resolution) iterations for Jacobi-PCG off it;
     /// - the netlist leg charges cells × per-cell generation, STA, and
     ///   power work.
     ///
@@ -385,7 +386,12 @@ impl ScenarioSpec {
         let mut units = BASE_COST_UNITS;
         if let Some(g) = &self.grid {
             let r = g.resolution as u64;
-            let iterations = if g.resolution >= 257 { 30 } else { 3 * r };
+            // The mesh assembler rounds an even side up to the next odd one.
+            let side = g.resolution | 1;
+            let iterations = match np_grid::plan::strategy_for(side, side) {
+                np_grid::SolveStrategy::MultigridCg => 30,
+                np_grid::SolveStrategy::JacobiPcg => 3 * r,
+            };
             units += r * r * iterations / 1000;
         }
         if let Some(n) = &self.netlist {
@@ -792,6 +798,29 @@ mod tests {
             "the 10^7-cell tier must exceed the default budget, cost {}",
             mega.cost()
         );
+    }
+
+    #[test]
+    fn cost_model_prices_the_solver_the_plan_runs() {
+        let grid_cost = |resolution| {
+            let mut spec = ScenarioSpec::at_node(TechNode::N70);
+            spec.grid = Some(GridSpec { resolution });
+            spec.cost() - BASE_COST_UNITS
+        };
+        // 128 (assembled as 129) and 1025 fit the 2^k+1 ladder: MGCG, a
+        // flat 30 iterations. 300 and 1000 do not: Jacobi-PCG, 3·r.
+        for (resolution, iterations) in [(128, 30), (1025, 30), (300, 900), (1000, 3000)] {
+            let r = resolution as u64;
+            assert_eq!(
+                grid_cost(resolution),
+                r * r * iterations / 1000,
+                "{resolution}"
+            );
+        }
+        // An off-ladder near-maximal mesh runs Jacobi-PCG for minutes and
+        // must not pass the default gate; the 1025² MGCG tier still does.
+        assert!(grid_cost(1000) > DEFAULT_COST_BUDGET);
+        assert!(grid_cost(1025) + BASE_COST_UNITS <= DEFAULT_COST_BUDGET);
     }
 
     #[test]

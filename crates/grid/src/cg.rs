@@ -1,4 +1,4 @@
-//! Conjugate-gradient solvers for the resistive mesh.
+//! Preconditioned conjugate gradients for the resistive mesh.
 //!
 //! A second, independent numeric method for the same
 //! [`MeshProblem`]: the mesh Laplacian is
@@ -6,34 +6,29 @@
 //! conjugate gradients converge in at most `n` steps and typically far
 //! fewer. Having two solvers lets the test suite cross-validate the
 //! linear algebra itself, not just the physics built on it — and CG is
-//! the faster choice on large meshes.
+//! far faster than SOR on large meshes.
 //!
-//! Three CG entry points share the iteration core:
+//! One preconditioned-CG kernel serves both CG-family solvers; it takes
+//! the preconditioner as a parameter:
 //!
-//! * [`solve_cg`] — plain CG, the historical reference;
-//! * [`solve_pcg`] — Jacobi-preconditioned CG (the standard choice for
-//!   power-grid meshes), with optional warm starts via
-//!   [`solve_pcg_warm`] for repeated solves (see
-//!   [`crate::mesh::MeshCache`]);
-//! * [`solve_pcg_parallel`] — the same preconditioned iteration with the
-//!   vector kernels (mat-vec, dots, axpy) sharded across row bands on
-//!   scoped `std::thread` workers. Partial dot products are reduced in
-//!   fixed shard order, so results are deterministic for a given shard
-//!   count and agree with the sequential solver to solver tolerance.
+//! * [`solve_pcg`] — Jacobi-preconditioned CG (the inverse Laplacian
+//!   diagonal), optionally warm-started. [`crate::plan::SolvePlan`]
+//!   routes meshes off the 2^k+1 ladder here, and the multigrid V-cycle
+//!   solves its ≤ 9×9 coarsest level with it;
+//! * [`crate::multigrid::solve_mgcg`] — the same iteration with one
+//!   multigrid V-cycle as the preconditioner.
 //!
 //! Callers normally pick a method through [`crate::plan::SolvePlan`]
 //! rather than calling a specific solver directly.
 
 use crate::error::GridError;
-use crate::shard::{self, AtomicF64Vec};
 use crate::solver::MeshProblem;
 use np_units::convergence::{Breakdown, ResidualTrace};
-use std::sync::{Barrier, Mutex, PoisonError};
 
 /// Applies the mesh Laplacian `G·v` (pinned nodes held at zero).
 ///
-/// Shared with [`crate::multigrid`], whose outer MGCG iteration runs the
-/// same mat-vec.
+/// Shared with [`crate::multigrid`], whose warm starts evaluate the same
+/// mat-vec.
 pub(crate) fn apply(m: &MeshProblem, v: &[f64], out: &mut [f64]) {
     let (nx, ny, g) = (m.nx, m.ny, m.edge_conductance);
     for y in 0..ny {
@@ -66,224 +61,125 @@ pub(crate) fn apply(m: &MeshProblem, v: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Solves the mesh by conjugate gradients.
+/// The Jacobi preconditioner: `1 / diag(G)` per node — `1/(g·deg)` at
+/// free nodes, `1.0` at pinned nodes (whose rows are identity).
+fn inverse_diagonal(m: &MeshProblem) -> Vec<f64> {
+    let (nx, ny, g) = (m.nx, m.ny, m.edge_conductance);
+    (0..nx * ny)
+        .map(|i| {
+            if m.pinned[i] {
+                return 1.0;
+            }
+            let (x, y) = (i % nx, i / nx);
+            let deg = f64::from(u8::from(x > 0))
+                + f64::from(u8::from(x + 1 < nx))
+                + f64::from(u8::from(y > 0))
+                + f64::from(u8::from(y + 1 < ny));
+            1.0 / (g * deg)
+        })
+        .collect()
+}
+
+/// Rejects a warm-start vector of the wrong length before iterating.
+pub(crate) fn check_warm_len(m: &MeshProblem, x0: Option<&[f64]>) -> Result<(), GridError> {
+    match x0 {
+        Some(x0) if x0.len() != m.nx * m.ny => Err(GridError::BadParameter(
+            "warm-start vector must have nx*ny entries",
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// Solves the mesh by Jacobi-preconditioned conjugate gradients.
 ///
 /// Returns node voltages identical (to solver tolerance) to
-/// [`MeshProblem::solve`].
+/// [`MeshProblem::solve`]. `x0` seeds the iteration (its pinned entries
+/// are forced to zero); a start near the solution — the previous solve of
+/// the same mesh at another load — converges in a handful of iterations
+/// instead of `O(nx)`.
 ///
 /// # Errors
 ///
 /// [`GridError::BadParameter`]/[`GridError::NonFinite`] when
-/// [`MeshProblem::validate`] rejects the problem;
-/// [`GridError::NoConvergence`] if the iteration stalls, with a
-/// diagnostic whose reason distinguishes a plain budget exhaustion from
-/// a loss of positive-definiteness
+/// [`MeshProblem::validate`] rejects the problem or `x0` does not have
+/// `nx·ny` entries; [`GridError::NoConvergence`] if the iteration stalls,
+/// with a diagnostic whose reason distinguishes a plain budget exhaustion
+/// from a loss of positive-definiteness
 /// ([`Breakdown::IndefiniteOperator`]) — the latter means the system is
 /// singular/indefinite and re-running cannot help.
-pub fn solve_cg(m: &MeshProblem) -> Result<Vec<f64>, GridError> {
+pub fn solve_pcg(m: &MeshProblem, x0: Option<&[f64]>) -> Result<Vec<f64>, GridError> {
     m.validate()?;
-    cg_iterate(m)
+    check_warm_len(m, x0)?;
+    let _span = np_telemetry::span("grid.pcg.solve");
+    let inv_diag = inverse_diagonal(m);
+    let run = pcg_kernel(m, x0, |r, z| {
+        for ((zi, ri), di) in z.iter_mut().zip(r).zip(&inv_diag) {
+            *zi = ri * di;
+        }
+        Ok(())
+    });
+    np_telemetry::counter("grid.pcg.iterations", run.iterations as u64);
+    np_telemetry::value("grid.pcg.final_residual", run.final_residual);
+    run.result
 }
 
-/// The CG iteration proper, after [`MeshProblem::validate`] has accepted
-/// the inputs. Kept separate so the breakdown watchdogs can be exercised
-/// on inputs `validate` would reject.
-fn cg_iterate(m: &MeshProblem) -> Result<Vec<f64>, GridError> {
+/// How one [`pcg_kernel`] run ended: the verdict plus the counts each
+/// solver reports under its own telemetry names.
+pub(crate) struct CgRun {
+    /// The solution, or why there is none.
+    pub(crate) result: Result<Vec<f64>, GridError>,
+    /// Completed CG iterations.
+    pub(crate) iterations: usize,
+    /// Mesh mat-vecs performed (one per iteration, plus one for an
+    /// iteration that ended in a breakdown).
+    pub(crate) matvecs: usize,
+    /// Final recursive residual norm `‖r‖`.
+    pub(crate) final_residual: f64,
+}
+
+/// The preconditioned CG iteration behind [`solve_pcg`] and
+/// [`crate::multigrid::solve_mgcg`], after the caller has validated the
+/// inputs: solves `G·x = b` (`b = −injection` at free nodes, `0` at
+/// pinned ones) from `x0`, with `precondition(r, z)` writing `z = M⁻¹·r`
+/// for an SPD `M`.
+///
+/// Stops once `‖r‖ ≤ 1e-12·‖b‖`, within `10·n` iterations (accepting up
+/// to 10× the tolerance at the budget or at a breakdown). The guards run
+/// here rather than in the callers, so the breakdown watchdogs can be
+/// exercised on inputs `validate` would reject.
+pub(crate) fn pcg_kernel(
+    m: &MeshProblem,
+    x0: Option<&[f64]>,
+    mut precondition: impl FnMut(&[f64], &mut [f64]) -> Result<(), GridError>,
+) -> CgRun {
+    let mut run = CgRun {
+        result: Ok(Vec::new()),
+        iterations: 0,
+        matvecs: 0,
+        final_residual: 0.0,
+    };
     // Degenerate meshes must surface as the typed domain error, never as
     // a convergence/IndefiniteOperator breakdown (or a silent empty
     // success): the guard runs before any iteration state is built.
     if m.nx < 2 || m.ny < 2 {
-        return Err(GridError::BadParameter("mesh needs at least 2x2 nodes"));
+        run.result = Err(GridError::BadParameter("mesh needs at least 2x2 nodes"));
+        return run;
     }
-    let _span = np_telemetry::span("grid.cg.solve");
     let n = m.nx * m.ny;
     // RHS: -I at free nodes (current draw pulls the node negative),
     // 0 at pinned nodes.
     let b: Vec<f64> = (0..n)
         .map(|i| if m.pinned[i] { 0.0 } else { -m.injection[i] })
         .collect();
-    let mut x = vec![0.0f64; n];
-    let mut r = b.clone();
-    let mut p = r.clone();
-    let mut ap = vec![0.0f64; n];
-    let mut rs_old: f64 = r.iter().map(|v| v * v).sum();
-    let b_norm = rs_old.sqrt().max(1e-300);
-    let tol = 1e-12 * b_norm;
-    let max_iters = 10 * n;
-    let mut trace = ResidualTrace::new();
-    // The labeled block funnels every exit path through one point so the
-    // iteration count and final residual are recorded exactly once.
-    let result = 'solve: {
-        for _ in 0..max_iters {
-            if rs_old.sqrt() <= tol {
-                break 'solve Ok(x);
-            }
-            apply(m, &p, &mut ap);
-            let p_ap: f64 = p.iter().zip(&ap).map(|(a, b)| a * b).sum();
-            if !p_ap.is_finite() {
-                break 'solve Err(GridError::NoConvergence {
-                    diag: trace.diagnostic(Breakdown::NonFinite {
-                        at_iteration: trace.iterations(),
-                    }),
-                });
-            }
-            if p_ap <= 0.0 {
-                // Loss of positive-definiteness is a structural breakdown, not
-                // a budget problem — report it as its own reason so callers
-                // don't retry a solve that cannot succeed. A solution already
-                // within the relaxed tolerance is still accepted.
-                if rs_old.sqrt() <= tol * 10.0 {
-                    break 'solve Ok(x);
-                }
-                break 'solve Err(GridError::NoConvergence {
-                    diag: trace.diagnostic(Breakdown::IndefiniteOperator { curvature: p_ap }),
-                });
-            }
-            let alpha = rs_old / p_ap;
-            for i in 0..n {
-                x[i] += alpha * p[i];
-                r[i] -= alpha * ap[i];
-            }
-            let rs_new: f64 = r.iter().map(|v| v * v).sum();
-            let beta = rs_new / rs_old;
-            for i in 0..n {
-                p[i] = r[i] + beta * p[i];
-            }
-            rs_old = rs_new;
-            trace.record(rs_old.sqrt());
-        }
-        if rs_old.sqrt() <= tol * 10.0 {
-            Ok(x)
-        } else {
-            Err(GridError::NoConvergence {
-                diag: trace.diagnostic(Breakdown::IterationBudget),
-            })
-        }
-    };
-    np_telemetry::counter("grid.cg.iterations", trace.iterations() as u64);
-    np_telemetry::value("grid.cg.final_residual", rs_old.sqrt());
-    result
-}
-
-/// Mesh setup that repeated solves can reuse: the Jacobi preconditioner
-/// (the inverse of the Laplacian diagonal) for a given mesh shape.
-///
-/// Assembling it costs one pass over the mesh; the electro-thermal loop
-/// and the bench harness solve the same mesh shape dozens of times, so
-/// [`crate::mesh::MeshCache`] builds one `PreparedMesh` per mesh and
-/// hands it back to every subsequent [`solve_pcg_warm`]/
-/// [`solve_pcg_parallel_warm`] call.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PreparedMesh {
-    /// `1 / diag(G)` per node: `1/(g·deg)` at free nodes, `1.0` at
-    /// pinned nodes (whose rows are identity).
-    inv_diag: Vec<f64>,
-}
-
-impl PreparedMesh {
-    /// Builds the preconditioner for `m` (which should already satisfy
-    /// [`MeshProblem::validate`]; degenerate meshes yield an empty or
-    /// unusable preconditioner that the solvers reject).
-    pub fn new(m: &MeshProblem) -> Self {
-        let (nx, ny, g) = (m.nx, m.ny, m.edge_conductance);
-        let n = nx * ny;
-        let mut inv_diag = vec![1.0; n];
-        for y in 0..ny {
-            for x in 0..nx {
-                let i = y * nx + x;
-                if i < m.pinned.len() && m.pinned[i] {
-                    continue; // identity row
-                }
-                let deg = f64::from(u8::from(x > 0))
-                    + f64::from(u8::from(x + 1 < nx))
-                    + f64::from(u8::from(y > 0))
-                    + f64::from(u8::from(y + 1 < ny));
-                if deg > 0.0 && g != 0.0 {
-                    inv_diag[i] = 1.0 / (g * deg);
-                }
-            }
-        }
-        Self { inv_diag }
+    if b.iter().all(|&v| v == 0.0) {
+        // x = 0 is the exact solution of the pinned SPD system with zero
+        // injection. Iterating a warm start toward it instead chases a
+        // tolerance of ~1e-312 (b_norm clamps at 1e-300) into denormal
+        // territory until p·Ap underflows to an indefinite 0.
+        run.result = Ok(vec![0.0; n]);
+        return run;
     }
-
-    /// The inverse-diagonal entries, node-indexed.
-    pub fn inv_diag(&self) -> &[f64] {
-        &self.inv_diag
-    }
-}
-
-/// Solves the mesh by Jacobi-preconditioned conjugate gradients.
-///
-/// Same contract as [`solve_cg`]; the diagonal preconditioner cuts the
-/// iteration count roughly in half on loaded meshes and is the method
-/// [`crate::plan::SolvePlan`] selects for sequential CG solves.
-///
-/// # Errors
-///
-/// Exactly those of [`solve_cg`].
-pub fn solve_pcg(m: &MeshProblem) -> Result<Vec<f64>, GridError> {
-    m.validate()?;
-    pcg_iterate(m, &PreparedMesh::new(m), None)
-}
-
-/// [`solve_pcg`] with a reusable [`PreparedMesh`] and an optional warm
-/// start.
-///
-/// `x0` seeds the iteration (its pinned entries are forced to zero); a
-/// start near the solution — e.g. the previous solve of the same mesh in
-/// a fixed-point loop — converges in a handful of iterations instead of
-/// `O(nx)`.
-///
-/// # Errors
-///
-/// Those of [`solve_pcg`], plus [`GridError::BadParameter`] when
-/// `prepared` or `x0` does not match the mesh size.
-pub fn solve_pcg_warm(
-    m: &MeshProblem,
-    prepared: &PreparedMesh,
-    x0: Option<&[f64]>,
-) -> Result<Vec<f64>, GridError> {
-    m.validate()?;
-    check_warm_inputs(m, prepared, x0)?;
-    pcg_iterate(m, prepared, x0)
-}
-
-/// Rejects mismatched prepared/warm-start vectors before iterating.
-fn check_warm_inputs(
-    m: &MeshProblem,
-    prepared: &PreparedMesh,
-    x0: Option<&[f64]>,
-) -> Result<(), GridError> {
-    let n = m.nx * m.ny;
-    if prepared.inv_diag.len() != n {
-        return Err(GridError::BadParameter(
-            "prepared mesh does not match the problem size",
-        ));
-    }
-    if let Some(x0) = x0 {
-        if x0.len() != n {
-            return Err(GridError::BadParameter(
-                "warm-start vector must have nx*ny entries",
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Builds the PCG start state shared by the sequential and parallel
-/// iterations: RHS, (warm-started) solution, residual, preconditioned
-/// residual, and the two scalars `r·z` and `r·r`.
-#[allow(clippy::type_complexity)]
-fn pcg_start(
-    m: &MeshProblem,
-    prepared: &PreparedMesh,
-    x0: Option<&[f64]>,
-) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>, f64, f64, f64) {
-    let n = m.nx * m.ny;
-    let b: Vec<f64> = (0..n)
-        .map(|i| if m.pinned[i] { 0.0 } else { -m.injection[i] })
-        .collect();
-    let (x, r) = match x0 {
+    let (mut x, mut r) = match x0 {
         Some(seed) => {
             let mut x = seed.to_vec();
             for (i, xi) in x.iter_mut().enumerate() {
@@ -298,49 +194,27 @@ fn pcg_start(
         }
         None => (vec![0.0; n], b.clone()),
     };
-    let z: Vec<f64> = r
-        .iter()
-        .zip(&prepared.inv_diag)
-        .map(|(r, d)| r * d)
-        .collect();
-    let rz: f64 = r.iter().zip(&z).map(|(a, b)| a * b).sum();
-    let rr: f64 = r.iter().map(|v| v * v).sum();
     let b_norm = b.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-300);
-    (b, x, r, z, rz, rr, b_norm)
-}
-
-/// The Jacobi-PCG iteration, sequential.
-fn pcg_iterate(
-    m: &MeshProblem,
-    prepared: &PreparedMesh,
-    x0: Option<&[f64]>,
-) -> Result<Vec<f64>, GridError> {
-    if m.nx < 2 || m.ny < 2 {
-        return Err(GridError::BadParameter("mesh needs at least 2x2 nodes"));
-    }
-    let _span = np_telemetry::span("grid.pcg.solve");
-    let n = m.nx * m.ny;
-    let (b, mut x, mut r, mut z, mut rz, mut rr, b_norm) = pcg_start(m, prepared, x0);
-    if b.iter().all(|&v| v == 0.0) {
-        // x = 0 is the exact solution of the pinned SPD system with zero
-        // injection. Iterating a warm start toward it instead chases a
-        // tolerance of ~1e-312 (b_norm clamps at 1e-300) into denormal
-        // territory until p·Ap underflows to an indefinite 0.
-        return Ok(vec![0.0; n]);
-    }
-    let mut p = z.clone();
-    let mut ap = vec![0.0f64; n];
     let tol = 1e-12 * b_norm;
     let max_iters = 10 * n;
+    let mut z = vec![0.0f64; n];
+    let mut ap = vec![0.0f64; n];
+    let mut rr: f64 = r.iter().map(|v| v * v).sum();
     let mut trace = ResidualTrace::new();
     // The labeled block funnels every exit path through one point so the
     // iteration count and final residual are recorded exactly once.
-    let result = 'solve: {
+    run.result = 'solve: {
+        if let Err(e) = precondition(&r, &mut z) {
+            break 'solve Err(e);
+        }
+        let mut rz: f64 = r.iter().zip(&z).map(|(a, b)| a * b).sum();
+        let mut p = z.clone();
         for _ in 0..max_iters {
             if rr.sqrt() <= tol {
                 break 'solve Ok(x);
             }
             apply(m, &p, &mut ap);
+            run.matvecs += 1;
             let p_ap: f64 = p.iter().zip(&ap).map(|(a, b)| a * b).sum();
             if !p_ap.is_finite() {
                 break 'solve Err(GridError::NoConvergence {
@@ -350,6 +224,11 @@ fn pcg_iterate(
                 });
             }
             if p_ap <= 0.0 {
+                // Loss of positive-definiteness is a structural breakdown,
+                // not a budget problem — report it as its own reason so
+                // callers don't retry a solve that cannot succeed. A
+                // solution already within the relaxed tolerance is still
+                // accepted.
                 if rr.sqrt() <= tol * 10.0 {
                     break 'solve Ok(x);
                 }
@@ -364,8 +243,8 @@ fn pcg_iterate(
             }
             rr = r.iter().map(|v| v * v).sum();
             trace.record(rr.sqrt());
-            for i in 0..n {
-                z[i] = r[i] * prepared.inv_diag[i];
+            if let Err(e) = precondition(&r, &mut z) {
+                break 'solve Err(e);
             }
             let rz_new: f64 = r.iter().zip(&z).map(|(a, b)| a * b).sum();
             let beta = rz_new / rz;
@@ -382,247 +261,9 @@ fn pcg_iterate(
             })
         }
     };
-    np_telemetry::counter("grid.pcg.iterations", trace.iterations() as u64);
-    np_telemetry::value("grid.pcg.final_residual", rr.sqrt());
-    result
-}
-
-/// Solves the mesh by Jacobi-preconditioned CG with the vector kernels
-/// sharded across `shards` row bands.
-///
-/// Each iteration runs three barrier-separated phases on persistent
-/// scoped workers — mat-vec + partial `p·Ap`, the x/r/z updates with
-/// partial `r·r`/`r·z`, and the search-direction update — with all
-/// partial dot products reduced in fixed shard order on every worker, so
-/// every worker takes identical convergence decisions and the result is
-/// deterministic for a given shard count. Floating-point association
-/// differs from the sequential solver, so answers agree to solver
-/// tolerance rather than bitwise.
-///
-/// `shards` is clamped to `1..=ny`; one shard falls back to
-/// [`solve_pcg`].
-///
-/// # Errors
-///
-/// Exactly those of [`solve_pcg`].
-pub fn solve_pcg_parallel(m: &MeshProblem, shards: usize) -> Result<Vec<f64>, GridError> {
-    m.validate()?;
-    let prepared = PreparedMesh::new(m);
-    pcg_parallel_iterate(m, &prepared, shards, None)
-}
-
-/// [`solve_pcg_parallel`] with a reusable [`PreparedMesh`] and an
-/// optional warm start (see [`solve_pcg_warm`]).
-///
-/// # Errors
-///
-/// Those of [`solve_pcg_parallel`], plus [`GridError::BadParameter`]
-/// when `prepared` or `x0` does not match the mesh size.
-pub fn solve_pcg_parallel_warm(
-    m: &MeshProblem,
-    prepared: &PreparedMesh,
-    shards: usize,
-    x0: Option<&[f64]>,
-) -> Result<Vec<f64>, GridError> {
-    m.validate()?;
-    check_warm_inputs(m, prepared, x0)?;
-    pcg_parallel_iterate(m, prepared, shards, x0)
-}
-
-/// What shard 0 parks for the caller: verdict, iteration count, final
-/// residual norm.
-type PcgOutcome = (Result<(), GridError>, usize, f64);
-
-/// How a parallel PCG worker's iteration loop ended.
-#[derive(Clone, Copy)]
-enum PcgStatus {
-    Converged,
-    NonFinite,
-    Indefinite(f64),
-    Budget,
-}
-
-/// The sharded Jacobi-PCG iteration.
-fn pcg_parallel_iterate(
-    m: &MeshProblem,
-    prepared: &PreparedMesh,
-    shards: usize,
-    x0: Option<&[f64]>,
-) -> Result<Vec<f64>, GridError> {
-    if m.nx < 2 || m.ny < 2 {
-        return Err(GridError::BadParameter("mesh needs at least 2x2 nodes"));
-    }
-    let shards = shard::clamp_shards(shards, m.ny);
-    if shards == 1 {
-        return pcg_iterate(m, prepared, x0);
-    }
-    let _span = np_telemetry::span("grid.pcg.solve_parallel");
-    let (nx, n) = (m.nx, m.nx * m.ny);
-    let (b, x, r, z, rz0, rr0, b_norm) = pcg_start(m, prepared, x0);
-    if b.iter().all(|&v| v == 0.0) {
-        // Same zero-RHS short-circuit as the sequential path: x = 0 is
-        // exact, and a warm start cannot reach the clamped tolerance.
-        return Ok(vec![0.0; n]);
-    }
-    let tol = 1e-12 * b_norm;
-    let max_iters = 10 * n;
-    let xa = AtomicF64Vec::from_slice(&x);
-    let ra = AtomicF64Vec::from_slice(&r);
-    let za = AtomicF64Vec::from_slice(&z);
-    let pa = AtomicF64Vec::from_slice(&z); // p starts as z
-    let apa = AtomicF64Vec::zeros(n);
-    let s_pap = AtomicF64Vec::zeros(shards);
-    let s_rr = AtomicF64Vec::zeros(shards);
-    let s_rz = AtomicF64Vec::zeros(shards);
-    let barrier = Barrier::new(shards);
-    let bands = shard::row_bands(m.ny, shards);
-    // Shard 0 owns the residual trace and parks (verdict, iterations,
-    // final residual) here for the caller to unwrap and report.
-    let outcome: Mutex<Option<PcgOutcome>> = Mutex::new(None);
-    let collector = np_telemetry::current();
-    std::thread::scope(|scope| {
-        for (shard_idx, band) in bands.iter().enumerate() {
-            let nodes = band.start * nx..band.end * nx;
-            let (xa, ra, za, pa, apa) = (&xa, &ra, &za, &pa, &apa);
-            let (s_pap, s_rr, s_rz) = (&s_pap, &s_rr, &s_rz);
-            let (barrier, outcome, collector) = (&barrier, &outcome, &collector);
-            scope.spawn(move || {
-                let _telemetry = collector.as_ref().map(np_telemetry::install);
-                let _shard_span = np_telemetry::shard_span("grid.pcg.shard", shard_idx);
-                let mut trace = ResidualTrace::new();
-                let (mut rz, mut rr) = (rz0, rr0);
-                let mut status = PcgStatus::Budget;
-                for _ in 0..max_iters {
-                    if rr.sqrt() <= tol {
-                        status = PcgStatus::Converged;
-                        break;
-                    }
-                    // Phase 1: mat-vec over the band plus partial p·Ap.
-                    // `pa` is read-only here (cross-band reads are safe);
-                    // `apa` writes stay inside the band.
-                    let mut pap_part = 0.0f64;
-                    for i in nodes.clone() {
-                        let av = apply_row_atomic(m, pa, i);
-                        apa.set(i, av);
-                        pap_part += pa.get(i) * av;
-                    }
-                    s_pap.set(shard_idx, pap_part);
-                    barrier.wait(); // B1: apa + pap partials visible
-                    let p_ap = (0..shards).map(|s| s_pap.get(s)).sum::<f64>();
-                    if !p_ap.is_finite() {
-                        status = PcgStatus::NonFinite;
-                        break;
-                    }
-                    if p_ap <= 0.0 {
-                        status = if rr.sqrt() <= tol * 10.0 {
-                            PcgStatus::Converged
-                        } else {
-                            PcgStatus::Indefinite(p_ap)
-                        };
-                        break;
-                    }
-                    let alpha = rz / p_ap;
-                    // Phase 2: band-local x/r/z updates with partial
-                    // r·r and r·z.
-                    let (mut rr_part, mut rz_part) = (0.0f64, 0.0f64);
-                    for i in nodes.clone() {
-                        xa.set(i, xa.get(i) + alpha * pa.get(i));
-                        let ri = ra.get(i) - alpha * apa.get(i);
-                        ra.set(i, ri);
-                        let zi = ri * prepared.inv_diag[i];
-                        za.set(i, zi);
-                        rr_part += ri * ri;
-                        rz_part += ri * zi;
-                    }
-                    s_rr.set(shard_idx, rr_part);
-                    s_rz.set(shard_idx, rz_part);
-                    barrier.wait(); // B2: updates + partials visible
-                    let rr_new = (0..shards).map(|s| s_rr.get(s)).sum::<f64>();
-                    let rz_new = (0..shards).map(|s| s_rz.get(s)).sum::<f64>();
-                    trace.record(rr_new.sqrt());
-                    let beta = rz_new / rz;
-                    rz = rz_new;
-                    rr = rr_new;
-                    // Phase 3: search-direction update on the band.
-                    for i in nodes.clone() {
-                        pa.set(i, za.get(i) + beta * pa.get(i));
-                    }
-                    // B3: p complete before the next mat-vec reads it
-                    // across bands; also keeps fast shards from
-                    // overwriting the dot-product slots early.
-                    barrier.wait();
-                }
-                if matches!(status, PcgStatus::Budget) && rr.sqrt() <= tol * 10.0 {
-                    status = PcgStatus::Converged;
-                }
-                if shard_idx == 0 {
-                    let result = match status {
-                        PcgStatus::Converged => Ok(()),
-                        PcgStatus::NonFinite => Err(GridError::NoConvergence {
-                            diag: trace.diagnostic(Breakdown::NonFinite {
-                                at_iteration: trace.iterations(),
-                            }),
-                        }),
-                        PcgStatus::Indefinite(curvature) => Err(GridError::NoConvergence {
-                            diag: trace.diagnostic(Breakdown::IndefiniteOperator { curvature }),
-                        }),
-                        PcgStatus::Budget => Err(GridError::NoConvergence {
-                            diag: trace.diagnostic(Breakdown::IterationBudget),
-                        }),
-                    };
-                    let iters = trace.iterations();
-                    *outcome.lock().unwrap_or_else(PoisonError::into_inner) =
-                        Some((result, iters, rr.sqrt()));
-                }
-            });
-        }
-    });
-    // The fallback is unreachable (shard 0 always records before its
-    // scope ends) but kept as a typed error rather than a panic.
-    let (result, iters, final_residual) = outcome
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .unwrap_or((
-            Err(GridError::BadParameter(
-                "parallel PCG worker exited without recording an outcome",
-            )),
-            0,
-            f64::NAN,
-        ));
-    np_telemetry::counter("grid.pcg.iterations", iters as u64);
-    np_telemetry::value("grid.pcg.final_residual", final_residual);
-    result.map(|()| xa.to_vec())
-}
-
-/// One row of the mesh Laplacian `(G·v)_i`, reading `v` through the
-/// shared atomic vector; mirrors [`apply`] exactly. Shared with
-/// [`crate::multigrid`]'s per-level residual evaluation.
-#[inline]
-pub(crate) fn apply_row_atomic(m: &MeshProblem, v: &AtomicF64Vec, i: usize) -> f64 {
-    let (nx, ny, g) = (m.nx, m.ny, m.edge_conductance);
-    if m.pinned[i] {
-        return v.get(i); // identity row for pinned nodes
-    }
-    let (x, y) = (i % nx, i / nx);
-    let mut acc = 0.0;
-    let mut deg = 0.0;
-    if x > 0 {
-        acc += if m.pinned[i - 1] { 0.0 } else { v.get(i - 1) };
-        deg += 1.0;
-    }
-    if x + 1 < nx {
-        acc += if m.pinned[i + 1] { 0.0 } else { v.get(i + 1) };
-        deg += 1.0;
-    }
-    if y > 0 {
-        acc += if m.pinned[i - nx] { 0.0 } else { v.get(i - nx) };
-        deg += 1.0;
-    }
-    if y + 1 < ny {
-        acc += if m.pinned[i + nx] { 0.0 } else { v.get(i + nx) };
-        deg += 1.0;
-    }
-    g * (deg * v.get(i) - acc)
+    run.iterations = trace.iterations();
+    run.final_residual = rr.sqrt();
+    run
 }
 
 #[cfg(test)]
@@ -639,27 +280,35 @@ mod tests {
         m
     }
 
+    /// The unpreconditioned iteration (`M = I`), for driving the kernel
+    /// on inputs `validate` would reject.
+    fn identity(r: &[f64], z: &mut [f64]) -> Result<(), GridError> {
+        z.copy_from_slice(r);
+        Ok(())
+    }
+
     #[test]
-    fn cg_matches_sor() {
+    fn cg_matches_sor() -> Result<(), GridError> {
         for n in [5usize, 9, 16] {
             let m = loaded_mesh(n);
-            let sor = m.solve().expect("sor");
-            let cg = solve_cg(&m).expect("cg");
+            let sor = m.solve()?;
+            let cg = solve_pcg(&m, None)?;
             for i in 0..sor.len() {
                 assert!(
                     (sor[i] - cg[i]).abs() < 1e-6,
-                    "n={n} node {i}: SOR {} vs CG {}",
+                    "n={n} node {i}: SOR {} vs PCG {}",
                     sor[i],
                     cg[i]
                 );
             }
         }
+        Ok(())
     }
 
     #[test]
-    fn cg_satisfies_kcl() {
+    fn cg_satisfies_kcl() -> Result<(), GridError> {
         let m = loaded_mesh(9);
-        let v = solve_cg(&m).unwrap();
+        let v = solve_pcg(&m, None)?;
         let mut gv = vec![0.0; v.len()];
         apply(&m, &v, &mut gv);
         for (i, g) in gv.iter().enumerate() {
@@ -671,49 +320,56 @@ mod tests {
                 );
             }
         }
+        Ok(())
     }
 
     #[test]
-    fn pinned_nodes_stay_at_zero() {
+    fn pinned_nodes_stay_at_zero() -> Result<(), GridError> {
         let m = loaded_mesh(11);
-        let v = solve_cg(&m).unwrap();
+        let v = solve_pcg(&m, None)?;
         for (i, vi) in v.iter().enumerate() {
             if m.pinned[i] {
                 assert_eq!(*vi, 0.0);
             }
         }
+        Ok(())
     }
 
     #[test]
     fn unpinned_rejected() {
         let m = MeshProblem::new(4, 4, 1.0);
-        assert!(matches!(solve_cg(&m), Err(GridError::BadParameter(_))));
+        assert!(matches!(
+            solve_pcg(&m, None),
+            Err(GridError::BadParameter(_))
+        ));
     }
 
     #[test]
     fn non_finite_injection_rejected_with_typed_error() {
         let mut m = loaded_mesh(5);
         m.injection[3] = f64::NAN;
-        assert!(matches!(solve_cg(&m), Err(GridError::NonFinite(_))));
+        assert!(matches!(solve_pcg(&m, None), Err(GridError::NonFinite(_))));
     }
 
     #[test]
     fn mismatched_injection_length_rejected_not_panicking() {
         let mut m = loaded_mesh(5);
         m.injection.truncate(3);
-        assert!(matches!(solve_cg(&m), Err(GridError::BadParameter(_))));
+        assert!(matches!(
+            solve_pcg(&m, None),
+            Err(GridError::BadParameter(_))
+        ));
     }
 
     #[test]
     fn indefinite_operator_reports_breakdown_reason() {
-        use np_units::convergence::Breakdown;
         // A negative conductance makes the operator negative-definite:
         // pᵀAp < 0 on the first step. `validate` rejects this at the
-        // public API; the iteration's own watchdog must still name the
+        // public API; the kernel's own watchdog must still name the
         // structural cause rather than a generic budget exhaustion.
         let mut m = loaded_mesh(5);
         m.edge_conductance = -1.0;
-        match cg_iterate(&m) {
+        match pcg_kernel(&m, None, identity).result {
             Err(GridError::NoConvergence { diag }) => {
                 assert!(
                     matches!(diag.reason, Breakdown::IndefiniteOperator { curvature } if curvature < 0.0),
@@ -726,15 +382,16 @@ mod tests {
     }
 
     #[test]
-    fn multiple_pins_supported() {
+    fn multiple_pins_supported() -> Result<(), GridError> {
         let mut m = loaded_mesh(13);
         let extra = m.index(0, 0);
         m.pinned[extra] = true;
-        let sor = m.solve().unwrap();
-        let cg = solve_cg(&m).unwrap();
+        let sor = m.solve()?;
+        let cg = solve_pcg(&m, None)?;
         for i in 0..sor.len() {
             assert!((sor[i] - cg[i]).abs() < 1e-6);
         }
+        Ok(())
     }
 
     // Regression: a degenerate (zero- or one-row) mesh must surface the
@@ -750,11 +407,11 @@ mod tests {
             pinned: vec![],
         };
         assert!(matches!(
-            cg_iterate(&empty),
+            pcg_kernel(&empty, None, identity).result,
             Err(GridError::BadParameter("mesh needs at least 2x2 nodes"))
         ));
         assert!(matches!(
-            solve_cg(&empty),
+            solve_pcg(&empty, None),
             Err(GridError::BadParameter("mesh needs at least 2x2 nodes"))
         ));
         // A 1-wide strip is singular without pins; the guard must fire
@@ -767,26 +424,20 @@ mod tests {
             pinned: vec![false; 4],
         };
         assert!(matches!(
-            cg_iterate(&strip),
-            Err(GridError::BadParameter("mesh needs at least 2x2 nodes"))
-        ));
-        let prepared = PreparedMesh { inv_diag: vec![] };
-        assert!(matches!(
-            pcg_iterate(&empty, &prepared, None),
-            Err(GridError::BadParameter("mesh needs at least 2x2 nodes"))
-        ));
-        assert!(matches!(
-            pcg_parallel_iterate(&empty, &prepared, 2, None),
+            pcg_kernel(&strip, None, identity).result,
             Err(GridError::BadParameter("mesh needs at least 2x2 nodes"))
         ));
     }
 
     #[test]
-    fn pcg_matches_sor_and_cg() {
+    fn pcg_matches_sor_and_cg() -> Result<(), GridError> {
+        // Jacobi-PCG against the SOR oracle and against the same kernel
+        // run unpreconditioned (plain CG).
         for n in [5usize, 9, 16] {
             let m = loaded_mesh(n);
-            let sor = m.solve().expect("sor");
-            let pcg = solve_pcg(&m).expect("pcg");
+            let sor = m.solve()?;
+            let pcg = solve_pcg(&m, None)?;
+            let cg = pcg_kernel(&m, None, identity).result?;
             for i in 0..sor.len() {
                 assert!(
                     (sor[i] - pcg[i]).abs() < 1e-6,
@@ -794,104 +445,48 @@ mod tests {
                     sor[i],
                     pcg[i]
                 );
+                assert!(
+                    (cg[i] - pcg[i]).abs() <= 1e-9 * (1.0 + cg[i].abs()),
+                    "n={n} node {i}: CG {} vs PCG {}",
+                    cg[i],
+                    pcg[i]
+                );
             }
         }
+        Ok(())
     }
 
     #[test]
-    fn parallel_pcg_matches_sequential_within_tolerance() {
-        for n in [6usize, 9, 17] {
-            let m = loaded_mesh(n);
-            let seq = solve_pcg(&m).expect("sequential pcg");
-            for shards in [2usize, 3, 7] {
-                let par = solve_pcg_parallel(&m, shards).expect("parallel pcg");
-                for i in 0..seq.len() {
-                    assert!(
-                        (seq[i] - par[i]).abs() <= 1e-9 * (1.0 + seq[i].abs()),
-                        "n={n} shards={shards} node {i}: {} vs {}",
-                        seq[i],
-                        par[i]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_pcg_single_shard_falls_back_to_sequential() {
-        let m = loaded_mesh(9);
-        assert_eq!(
-            solve_pcg_parallel(&m, 1).unwrap(),
-            solve_pcg(&m).unwrap(),
-            "one shard must be the exact sequential iteration"
-        );
-    }
-
-    #[test]
-    fn warm_start_from_the_solution_converges_immediately() {
+    fn warm_start_from_the_solution_converges_immediately() -> Result<(), GridError> {
         let m = loaded_mesh(17);
-        let prepared = PreparedMesh::new(&m);
-        let cold = solve_pcg_warm(&m, &prepared, None).unwrap();
-        let warm = solve_pcg_warm(&m, &prepared, Some(&cold)).unwrap();
+        let cold = solve_pcg(&m, None)?;
+        let warm = solve_pcg(&m, Some(&cold))?;
         for i in 0..cold.len() {
             assert!((warm[i] - cold[i]).abs() <= 1e-9 * (1.0 + cold[i].abs()));
         }
-        let warm_par = solve_pcg_parallel_warm(&m, &prepared, 3, Some(&cold)).unwrap();
-        for i in 0..cold.len() {
-            assert!((warm_par[i] - cold[i]).abs() <= 1e-9 * (1.0 + cold[i].abs()));
-        }
+        Ok(())
     }
 
     #[test]
     fn warm_inputs_are_validated() {
         let m = loaded_mesh(5);
-        let wrong = PreparedMesh {
-            inv_diag: vec![1.0; 3],
-        };
-        assert!(matches!(
-            solve_pcg_warm(&m, &wrong, None),
-            Err(GridError::BadParameter(_))
-        ));
-        let prepared = PreparedMesh::new(&m);
         let short = vec![0.0; 3];
         assert!(matches!(
-            solve_pcg_warm(&m, &prepared, Some(&short)),
-            Err(GridError::BadParameter(_))
-        ));
-        assert!(matches!(
-            solve_pcg_parallel_warm(&m, &prepared, 2, Some(&short)),
+            solve_pcg(&m, Some(&short)),
             Err(GridError::BadParameter(_))
         ));
     }
 
     #[test]
-    fn prepared_mesh_inverts_the_diagonal() {
+    fn jacobi_preconditioner_inverts_the_diagonal() {
         let m = loaded_mesh(5);
-        let p = PreparedMesh::new(&m);
+        let inv_diag = inverse_diagonal(&m);
         let pin = m.index(2, 2);
-        assert_eq!(p.inv_diag()[pin], 1.0, "pinned rows are identity");
+        assert_eq!(inv_diag[pin], 1.0, "pinned rows are identity");
         // A corner node has degree 2.
-        assert!((p.inv_diag()[0] - 1.0 / (1.3 * 2.0)).abs() < 1e-15);
+        assert!((inv_diag[0] - 1.0 / (1.3 * 2.0)).abs() < 1e-15);
         // An interior free node has degree 4.
         let interior = m.index(1, 1);
-        assert!((p.inv_diag()[interior] - 1.0 / (1.3 * 4.0)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn parallel_pcg_indefinite_operator_reports_breakdown() {
-        use np_units::convergence::Breakdown;
-        let mut m = loaded_mesh(6);
-        m.edge_conductance = -1.0;
-        let prepared = PreparedMesh::new(&m);
-        match pcg_parallel_iterate(&m, &prepared, 2, None) {
-            Err(GridError::NoConvergence { diag }) => {
-                assert!(
-                    matches!(diag.reason, Breakdown::IndefiniteOperator { curvature } if curvature < 0.0),
-                    "got {:?}",
-                    diag.reason
-                );
-            }
-            other => panic!("expected breakdown, got {other:?}"),
-        }
+        assert!((inv_diag[interior] - 1.0 / (1.3 * 4.0)).abs() < 1e-15);
     }
 }

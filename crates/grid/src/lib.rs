@@ -8,18 +8,19 @@
 //! * [`analytic`] — closed-form worst-case IR drop in a bump cell and the
 //!   rail width required for a <10 % drop budget;
 //! * [`solver`] / [`mesh`] — an independent resistive-mesh field solver
-//!   (successive over-relaxation) used to validate the analytic model;
-//! * [`cg`] / [`shard`] — conjugate-gradient solvers (plain and
-//!   Jacobi-preconditioned, sequential and row-band parallel) over the
-//!   same mesh, plus the lock-free sharing primitives they build on;
-//! * [`multigrid`] — the O(N) geometric multigrid V-cycle over the same
-//!   mesh (red-black smoothing, full-weighting restriction, bilinear
-//!   prolongation), standalone or as a CG preconditioner (MGCG);
+//!   (red-black successive over-relaxation) used to validate the
+//!   analytic model, and the reference oracle for the faster solvers;
+//! * [`cg`] — Jacobi-preconditioned conjugate gradients over the same
+//!   mesh, built on the preconditioned-CG kernel MGCG shares;
+//! * [`multigrid`] — multigrid-preconditioned CG (MGCG): the O(N)
+//!   geometric V-cycle (red-black smoothing, full-weighting restriction,
+//!   bilinear prolongation) as the CG preconditioner, with smoothing
+//!   sharded across row bands ([`shard`]);
 //! * [`plan`] — the Fig. 5 study: required rail width (normalized to the
 //!   minimum top-metal width) and routing-resource share per node, under
 //!   (a) minimum attainable bump pitch and (b) ITRS pad counts — and the
-//!   [`plan::SolvePlan`] strategy enum that routes a mesh to the right
-//!   solver under the process-wide thread budget;
+//!   [`plan::SolvePlan`] policy that sends every mesh on the 2^k+1
+//!   ladder to MGCG and every other mesh to Jacobi-PCG;
 //! * [`transient`] — `L·di/dt` noise from sleep-mode wake-up;
 //! * [`mcml`] — MOS current-mode logic as a current-transient-free
 //!   alternative (ref. \[42\]).

@@ -7,8 +7,7 @@
 //! cheap to damp:
 //!
 //! 1. **smooth** — a few red-black Gauss-Seidel sweeps (the `ω = 1`
-//!    special case of the SOR half-sweep the parallel SOR solver already
-//!    shards) kill the high-frequency error;
+//!    special case of the SOR half-sweep) kill the high-frequency error;
 //! 2. **restrict** — the remaining smooth residual moves to the next
 //!    coarser grid by full weighting (the 9-point `1/16·[1 2 1; 2 4 2;
 //!    1 2 1]` stencil), scaled by 4 because the coarse `g·L` operator
@@ -19,19 +18,15 @@
 //!    bilinearly and a few more sweeps smooth the interpolation error.
 //!
 //! The total work per cycle is a small constant number of fine-grid
-//! sweeps (the level sizes form a geometric series), and the cycle count
-//! to a fixed tolerance is essentially mesh-independent — the solve is
-//! O(N) where CG-family methods are O(N^1.5). Two entry families are
-//! exposed:
-//!
-//! * [`solve_multigrid`] / [`solve_multigrid_sharded`] /
-//!   [`solve_multigrid_warm`] — the standalone V-cycle iteration, bitwise
-//!   deterministic for every shard count (smoothing shards are the
-//!   bitwise-identical red-black pass; every reduction is sequential);
-//! * [`solve_mgcg`] / [`solve_mgcg_sharded`] / [`solve_mgcg_warm`] — CG
-//!   preconditioned by one V-cycle (symmetrized: red-black pre-sweeps,
-//!   black-red post-sweeps, near-exact coarse solve), the robust choice
-//!   [`crate::plan::SolvePlan`] auto-selects on large compatible meshes.
+//! sweeps (the level sizes form a geometric series). One symmetrized
+//! cycle (red-black pre-sweeps, black-red post-sweeps, near-exact coarse
+//! solve) preconditions the shared CG kernel in [`solve_mgcg`] (MGCG),
+//! whose iteration count is essentially mesh-independent — the solve is
+//! O(N) where Jacobi-PCG is O(N^1.5). [`crate::plan::SolvePlan`] runs it
+//! on every mesh that fits the ladder. Smoothing shards across row bands
+//! perform the same arithmetic as the sequential pass and every
+//! reduction is sequential, so the result is bitwise identical for every
+//! shard count.
 //!
 //! Dirichlet pins coarsen conservatively: a coarse node is pinned when
 //! *any* fine pin falls in the 3×3 fine neighborhood it represents, so
@@ -41,11 +36,11 @@
 //! correctness — acceptance is always the fine-grid residual reaching
 //! the CG-family tolerance `1e-12·‖b‖`.
 
-use crate::cg::{apply, apply_row_atomic, solve_pcg};
+use crate::cg::{check_warm_len, pcg_kernel, solve_pcg};
 use crate::error::GridError;
 use crate::shard::{self, AtomicF64Vec};
-use crate::solver::{sor_color_pass, MeshProblem};
-use np_units::convergence::{Breakdown, ResidualTrace};
+use crate::solver::MeshProblem;
+use std::ops::Range;
 use std::sync::Barrier;
 
 /// Coarsening stops once a level reaches this many nodes per side; the
@@ -61,13 +56,8 @@ const PRE_SWEEPS: usize = 2;
 /// therefore a valid CG preconditioner).
 const POST_SWEEPS: usize = 2;
 
-/// V-cycle budget for the standalone solver; typical loaded meshes
-/// converge in 10–20 cycles regardless of size.
-const MAX_CYCLES: usize = 100;
-
-/// Levels below this node count always smooth sequentially — the same
-/// break-even as [`crate::plan::AUTO_PARALLEL_THRESHOLD`]: barrier
-/// overhead beats the work saved on small grids.
+/// Levels below this node count (128²) always smooth sequentially:
+/// barrier overhead beats the work saved on small grids.
 const LEVEL_PARALLEL_MIN: usize = 16_384;
 
 /// The full-weighting restriction stencil, `[dy+1][dx+1]`-indexed.
@@ -94,13 +84,13 @@ struct LevelShape {
 /// The precomputed level ladder for one mesh shape — dimensions and
 /// coarsened pin masks per level, finest first.
 ///
-/// Building the hierarchy costs one pass over the mesh; repeated solves
-/// of the same geometry (the electro-thermal fixed point, warm bench
-/// runs, [`crate::mesh::MeshCache`] entries) reuse one hierarchy across
-/// every [`solve_multigrid_warm`] / [`solve_mgcg_warm`] call.
+/// Building the hierarchy costs one pass over the mesh. It depends only
+/// on the mesh shape, pins and conductance — not the injection — so
+/// repeated solves of one geometry at different loads can share it
+/// across [`solve_mgcg`] calls.
 ///
 /// ```
-/// use np_grid::multigrid::{solve_multigrid_warm, MgHierarchy};
+/// use np_grid::multigrid::{solve_mgcg, MgHierarchy};
 /// use np_grid::solver::MeshProblem;
 ///
 /// let mut m = MeshProblem::new(33, 33, 1.0);
@@ -109,8 +99,8 @@ struct LevelShape {
 /// m.pinned[centre] = true;
 /// let hier = MgHierarchy::new(&m)?;
 /// assert_eq!(hier.levels(), 3); // 33 -> 17 -> 9
-/// let cold = solve_multigrid_warm(&m, &hier, 1, None)?;
-/// let warm = solve_multigrid_warm(&m, &hier, 1, Some(&cold))?;
+/// let cold = solve_mgcg(&m, &hier, 1, None)?;
+/// let warm = solve_mgcg(&m, &hier, 1, Some(&cold))?;
 /// assert_eq!(cold, warm); // warm start from the solution is a no-op
 /// # Ok::<(), np_grid::GridError>(())
 /// ```
@@ -250,8 +240,7 @@ fn make_workspace(m: &MeshProblem, hier: &MgHierarchy) -> Vec<LevelState> {
 ///
 /// Same-color nodes are independent, so the sharded schedule performs
 /// exactly the sequential arithmetic — the result is bitwise identical
-/// for every shard count (the property the parallel SOR solver already
-/// proves; this is the same pass at `ω = 1`).
+/// for every shard count.
 fn smooth(m: &MeshProblem, x: &AtomicF64Vec, sweeps: usize, colors: [usize; 2], shards: usize) {
     if sweeps == 0 {
         return;
@@ -260,7 +249,7 @@ fn smooth(m: &MeshProblem, x: &AtomicF64Vec, sweeps: usize, colors: [usize; 2], 
     if shards == 1 {
         for _ in 0..sweeps {
             for color in colors {
-                let _ = sor_color_pass(m, x, 0..m.ny, color, 1.0);
+                gauss_seidel_pass(m, x, 0..m.ny, color);
             }
         }
         return;
@@ -273,7 +262,7 @@ fn smooth(m: &MeshProblem, x: &AtomicF64Vec, sweeps: usize, colors: [usize; 2], 
             scope.spawn(move || {
                 for _ in 0..sweeps {
                     for color in colors {
-                        let _ = sor_color_pass(m, x, band.clone(), color, 1.0);
+                        gauss_seidel_pass(m, x, band.clone(), color);
                         // Cross-band reads of this color's values happen
                         // in the next half-sweep; the final barrier's
                         // happens-before is subsumed by the scope join.
@@ -283,6 +272,83 @@ fn smooth(m: &MeshProblem, x: &AtomicF64Vec, sweeps: usize, colors: [usize; 2], 
             });
         }
     });
+}
+
+/// One red-black Gauss-Seidel half-sweep over the rows in `band`,
+/// updating only nodes of `color` — the `ω = 1` case of the SOR sweep in
+/// [`MeshProblem::solve`].
+///
+/// Same-color nodes never neighbor each other, so every update in this
+/// pass reads only opposite-color values: concurrent band updates of the
+/// same color are independent, and the arithmetic matches the sequential
+/// sweep exactly.
+fn gauss_seidel_pass(m: &MeshProblem, v: &AtomicF64Vec, band: Range<usize>, color: usize) {
+    let (nx, ny, g) = (m.nx, m.ny, m.edge_conductance);
+    for y in band {
+        for x in 0..nx {
+            if (x + y) % 2 != color {
+                continue;
+            }
+            let i = y * nx + x;
+            if m.pinned[i] {
+                continue;
+            }
+            let mut sum = 0.0;
+            let mut deg = 0.0;
+            if x > 0 {
+                sum += v.get(i - 1);
+                deg += 1.0;
+            }
+            if x + 1 < nx {
+                sum += v.get(i + 1);
+                deg += 1.0;
+            }
+            if y > 0 {
+                sum += v.get(i - nx);
+                deg += 1.0;
+            }
+            if y + 1 < ny {
+                sum += v.get(i + nx);
+                deg += 1.0;
+            }
+            // KCL: deg*g*v_i = g*sum - I_i  (I positive = draw). The
+            // update is written as a relaxation step at ω = 1, which
+            // rounds differently from storing `target` directly.
+            let target = (g * sum - m.injection[i]) / (deg * g);
+            let cur = v.get(i);
+            v.set(i, cur + (target - cur));
+        }
+    }
+}
+
+/// One row of the mesh Laplacian `(G·v)_i`, reading `v` through the
+/// shared atomic vector; mirrors [`crate::cg`]'s sequential mat-vec
+/// exactly.
+fn apply_row_atomic(m: &MeshProblem, v: &AtomicF64Vec, i: usize) -> f64 {
+    let (nx, ny, g) = (m.nx, m.ny, m.edge_conductance);
+    if m.pinned[i] {
+        return v.get(i); // identity row for pinned nodes
+    }
+    let (x, y) = (i % nx, i / nx);
+    let mut acc = 0.0;
+    let mut deg = 0.0;
+    if x > 0 {
+        acc += if m.pinned[i - 1] { 0.0 } else { v.get(i - 1) };
+        deg += 1.0;
+    }
+    if x + 1 < nx {
+        acc += if m.pinned[i + 1] { 0.0 } else { v.get(i + 1) };
+        deg += 1.0;
+    }
+    if y > 0 {
+        acc += if m.pinned[i - nx] { 0.0 } else { v.get(i - nx) };
+        deg += 1.0;
+    }
+    if y + 1 < ny {
+        acc += if m.pinned[i + nx] { 0.0 } else { v.get(i + nx) };
+        deg += 1.0;
+    }
+    g * (deg * v.get(i) - acc)
 }
 
 /// `r = b − A·x` for the level problem (`b` being `−injection` at free
@@ -377,7 +443,7 @@ fn v_cycle(
     let nodes = (cur.m.nx * cur.m.ny) as f64;
     if rest.is_empty() {
         // Coarsest grid: a ≤ 9×9 system, solved near-exactly.
-        let v = solve_pcg(&cur.m)?;
+        let v = solve_pcg(&cur.m, None)?;
         for (i, value) in v.iter().enumerate() {
             cur.x.set(i, *value);
         }
@@ -404,275 +470,41 @@ fn v_cycle(
     Ok(())
 }
 
-/// Squared-norm of the level-0 residual, recomputed from scratch
-/// (sequentially, so the convergence decision is bitwise independent of
-/// the shard count).
-fn fine_residual_norm(levels: &mut [LevelState]) -> f64 {
-    let Some(lvl) = levels.first_mut() else {
-        return f64::NAN;
-    };
-    residual(&lvl.m, &lvl.x, &mut lvl.r);
-    lvl.r.iter().map(|v| v * v).sum::<f64>().sqrt()
-}
-
-/// The coupling `1ᵀ·A·1` of the all-ones free-node vector: `g` times the
-/// number of free→pinned edges. This is the denominator of the
-/// constant-mode deflation step (see [`deflate_constant_mode`]).
-fn pin_coupling(m: &MeshProblem) -> f64 {
-    let mut edges = 0usize;
-    for y in 0..m.ny {
-        for x in 0..m.nx {
-            let i = y * m.nx + x;
-            if m.pinned[i] {
-                continue;
-            }
-            let mut nb = |xx: usize, yy: usize| {
-                if m.pinned[yy * m.nx + xx] {
-                    edges += 1;
-                }
-            };
-            if x > 0 {
-                nb(x - 1, y);
-            }
-            if x + 1 < m.nx {
-                nb(x + 1, y);
-            }
-            if y > 0 {
-                nb(x, y - 1);
-            }
-            if y + 1 < m.ny {
-                nb(x, y + 1);
-            }
-        }
-    }
-    m.edge_conductance * edges as f64
-}
-
-/// Rank-one correction of the near-constant error mode:
-/// `x += 1_free · ⟨1_free, r⟩ / ⟨1_free, A·1_free⟩`.
+/// Solves the mesh by multigrid-preconditioned conjugate gradients
+/// (MGCG): the preconditioned-CG kernel of [`crate::cg::solve_pcg`] with
+/// one symmetrized V-cycle as the preconditioner instead of the Jacobi
+/// diagonal.
 ///
-/// A bump cell pins a handful of nodes in a sea of free ones, so the
-/// operator's weakest mode is almost constant — its amplitude is set by
-/// the log-divergent spreading resistance into the pin, which the
-/// coarse grids (at 2h, 4h, …) systematically under-represent; the
-/// V-cycle alone then contracts that one mode by only ~0.5 per cycle.
-/// Deflating it explicitly (the exact A-projection of the residual onto
-/// the constant) restores the mesh-independent ~0.1 contraction of the
-/// fully-pinned-boundary case. With no free→pinned edge the step is
-/// skipped (`coupling = 0` cannot happen on a validated mesh, which
-/// requires at least one pin).
-fn deflate_constant_mode(m: &MeshProblem, x: &AtomicF64Vec, r: &[f64], coupling: f64) {
-    if coupling <= 0.0 {
-        return;
-    }
-    let mass: f64 = (0..r.len()).filter(|&i| !m.pinned[i]).map(|i| r[i]).sum();
-    let alpha = mass / coupling;
-    for i in 0..r.len() {
-        if !m.pinned[i] {
-            x.set(i, x.get(i) + alpha);
-        }
-    }
-}
-
-/// Rejects a warm-start vector of the wrong length.
-fn check_warm_len(m: &MeshProblem, x0: Option<&[f64]>) -> Result<(), GridError> {
-    if let Some(x0) = x0 {
-        if x0.len() != m.nx * m.ny {
-            return Err(GridError::BadParameter(
-                "warm-start vector must have nx*ny entries",
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Solves the mesh by the standalone multigrid V-cycle iteration.
-///
-/// Same contract (and `1e-12·‖b‖` tolerance) as
-/// [`crate::cg::solve_pcg`], in O(N) total work. Bitwise deterministic:
-/// the result is a pure function of the problem alone.
+/// Converges to the same `1e-12·‖b‖` tolerance in a near-mesh-independent
+/// number of iterations, each O(N). `hier` is the level ladder of `m`
+/// (built once per mesh shape and reusable across loads); `shards` row
+/// bands smooth the levels large enough to profit; `x0` warm-starts the
+/// iteration (pinned entries forced to zero). Bitwise deterministic: the
+/// result is a pure function of the problem and `x0`, whatever the shard
+/// count.
 ///
 /// ```
-/// use np_grid::multigrid::solve_multigrid;
+/// use np_grid::multigrid::{solve_mgcg, MgHierarchy};
 /// use np_grid::solver::MeshProblem;
 ///
 /// let mut m = MeshProblem::new(17, 17, 1.0);
 /// m.injection = vec![1e-4; 17 * 17];
 /// let centre = m.index(8, 8);
 /// m.pinned[centre] = true;
-/// let v = solve_multigrid(&m)?;
+/// let hier = MgHierarchy::new(&m)?;
+/// let v = solve_mgcg(&m, &hier, 1, None)?;
 /// assert_eq!(v.len(), 17 * 17);
 /// assert_eq!(v[centre], 0.0); // the bump stays at the rail
+/// assert_eq!(v, solve_mgcg(&m, &hier, 4, None)?); // any shard count
 /// # Ok::<(), np_grid::GridError>(())
 /// ```
 ///
 /// # Errors
 ///
 /// Those of [`MeshProblem::validate`]; [`GridError::BadParameter`] when
-/// a dimension is not `2^k+1`; [`GridError::NoConvergence`] when the
-/// cycle budget runs out.
-pub fn solve_multigrid(m: &MeshProblem) -> Result<Vec<f64>, GridError> {
-    solve_multigrid_sharded(m, 1)
-}
-
-/// [`solve_multigrid`] with smoothing sharded across `shards` row bands
-/// on levels large enough to profit.
-///
-/// Bitwise identical to the sequential solve for every shard count: the
-/// red-black half-sweeps perform identical arithmetic regardless of
-/// banding, and every reduction (residual norms, transfers, the coarse
-/// solve) runs sequentially.
-///
-/// # Errors
-///
-/// Exactly those of [`solve_multigrid`].
-pub fn solve_multigrid_sharded(m: &MeshProblem, shards: usize) -> Result<Vec<f64>, GridError> {
-    let hier = MgHierarchy::new(m)?;
-    solve_multigrid_warm(m, &hier, shards, None)
-}
-
-/// [`solve_multigrid_sharded`] with a reusable [`MgHierarchy`] and an
-/// optional warm start (pinned entries of `x0` are forced to zero).
-///
-/// # Errors
-///
-/// Those of [`solve_multigrid`], plus [`GridError::BadParameter`] when
-/// `hier` or `x0` does not match the mesh.
-pub fn solve_multigrid_warm(
-    m: &MeshProblem,
-    hier: &MgHierarchy,
-    shards: usize,
-    x0: Option<&[f64]>,
-) -> Result<Vec<f64>, GridError> {
-    m.validate()?;
-    hier.check_matches(m)?;
-    check_warm_len(m, x0)?;
-    let _span = np_telemetry::span("grid.mg.solve");
-    let n = m.nx * m.ny;
-    let b_norm_sq: f64 = (0..n)
-        .filter(|&i| !m.pinned[i])
-        .map(|i| m.injection[i] * m.injection[i])
-        .sum();
-    if b_norm_sq == 0.0 {
-        // x = 0 is the exact solution; iterating a warm start toward it
-        // chases a clamped tolerance into denormals (same short-circuit
-        // as the PCG family).
-        return Ok(vec![0.0; n]);
-    }
-    let tol = 1e-12 * b_norm_sq.sqrt().max(1e-300);
-    let mut levels = make_workspace(m, hier);
-    if let Some(seed) = x0 {
-        let Some(fine) = levels.first_mut() else {
-            return Err(GridError::BadParameter("multigrid hierarchy is empty"));
-        };
-        for (i, v) in seed.iter().enumerate() {
-            fine.x.set(i, if m.pinned[i] { 0.0 } else { *v });
-        }
-    }
-    let fine_nodes = n as f64;
-    let coupling = pin_coupling(m);
-    let mut work = 0.0f64;
-    let mut cycles: usize = 0;
-    let mut final_rnorm;
-    let mut prev_rnorm = f64::INFINITY;
-    let mut stalled: usize = 0;
-    let mut trace = ResidualTrace::new();
-    let result = loop {
-        let rnorm = fine_residual_norm(&mut levels);
-        final_rnorm = rnorm;
-        trace.record(rnorm);
-        work += 1.0; // the fine residual evaluation itself
-        if !rnorm.is_finite() {
-            break Err(GridError::NoConvergence {
-                diag: trace.diagnostic(Breakdown::NonFinite {
-                    at_iteration: cycles,
-                }),
-            });
-        }
-        if rnorm <= tol {
-            break Ok(());
-        }
-        // Unlike the CG family, this loop measures the TRUE residual
-        // every cycle (the recursive CG residual drifts optimistic by
-        // 10-100× at these tolerances), and the true residual has a
-        // rounding floor near `n·ε·‖A‖·‖x‖` that a tight relative
-        // tolerance can sit below. Once cycles stop contracting the
-        // iterate is at that floor — more accurate than a nominally
-        // "converged" PCG solve — so accept within a generous band and
-        // report failure only for a genuinely unconverged stall. The
-        // comparison is against the PREVIOUS cycle: the first deflation
-        // step spikes the residual transiently (it concentrates the
-        // constant mode's mass at the pin), which a best-so-far
-        // comparison would misread as three straight stalls.
-        if rnorm > 0.9 * prev_rnorm {
-            stalled += 1;
-        } else {
-            stalled = 0;
-        }
-        prev_rnorm = rnorm;
-        if stalled >= 3 || cycles >= MAX_CYCLES {
-            break if rnorm <= tol * 1e3 {
-                Ok(())
-            } else {
-                Err(GridError::NoConvergence {
-                    diag: trace.diagnostic(Breakdown::IterationBudget),
-                })
-            };
-        }
-        if let Some(fine) = levels.first() {
-            // The residual in fine.r is current (just computed above).
-            deflate_constant_mode(&fine.m, &fine.x, &fine.r, coupling);
-        }
-        if let Err(e) = v_cycle(&mut levels, 0, shards, fine_nodes, &mut work) {
-            break Err(e);
-        }
-        cycles += 1;
-    };
-    np_telemetry::counter("grid.mg.cycles", cycles as u64);
-    np_telemetry::counter("grid.mg.sweeps_equivalent", work.round() as u64);
-    np_telemetry::value("grid.mg.sweeps_equivalent", work);
-    np_telemetry::value("grid.mg.final_residual", final_rnorm);
-    result.map(|()| levels.first().map(|lvl| lvl.x.to_vec()).unwrap_or_default())
-}
-
-/// Solves the mesh by multigrid-preconditioned conjugate gradients
-/// (MGCG): the CG iteration of [`crate::cg::solve_pcg`] with one
-/// symmetrized V-cycle as the preconditioner instead of the Jacobi
-/// diagonal.
-///
-/// Converges in a near-mesh-independent number of CG iterations (each
-/// O(N)), and tolerates rough patches — irregular pin clusters, strong
-/// local corrections — that can slow the standalone V-cycle, which is
-/// why [`crate::plan::SolvePlan`]'s auto heuristic picks MGCG on large
-/// compatible meshes.
-///
-/// # Errors
-///
-/// Exactly those of [`solve_multigrid`].
-pub fn solve_mgcg(m: &MeshProblem) -> Result<Vec<f64>, GridError> {
-    solve_mgcg_sharded(m, 1)
-}
-
-/// [`solve_mgcg`] with sharded smoothing inside the preconditioner (see
-/// [`solve_multigrid_sharded`]; MGCG is likewise bitwise deterministic
-/// for every shard count).
-///
-/// # Errors
-///
-/// Exactly those of [`solve_multigrid`].
-pub fn solve_mgcg_sharded(m: &MeshProblem, shards: usize) -> Result<Vec<f64>, GridError> {
-    let hier = MgHierarchy::new(m)?;
-    solve_mgcg_warm(m, &hier, shards, None)
-}
-
-/// [`solve_mgcg_sharded`] with a reusable [`MgHierarchy`] and an
-/// optional warm start.
-///
-/// # Errors
-///
-/// Those of [`solve_mgcg`], plus [`GridError::BadParameter`] when
-/// `hier` or `x0` does not match the mesh.
-pub fn solve_mgcg_warm(
+/// `hier` was built for another mesh or `x0` does not have `nx·ny`
+/// entries; [`GridError::NoConvergence`] when the iteration stalls.
+pub fn solve_mgcg(
     m: &MeshProblem,
     hier: &MgHierarchy,
     shards: usize,
@@ -682,101 +514,20 @@ pub fn solve_mgcg_warm(
     hier.check_matches(m)?;
     check_warm_len(m, x0)?;
     let _span = np_telemetry::span("grid.mgcg.solve");
-    let n = m.nx * m.ny;
-    let b: Vec<f64> = (0..n)
-        .map(|i| if m.pinned[i] { 0.0 } else { -m.injection[i] })
-        .collect();
-    if b.iter().all(|&v| v == 0.0) {
-        return Ok(vec![0.0; n]); // see solve_multigrid_warm
-    }
     let mut levels = make_workspace(m, hier);
-    let (mut x, mut r) = match x0 {
-        Some(seed) => {
-            let mut x = seed.to_vec();
-            for (i, xi) in x.iter_mut().enumerate() {
-                if m.pinned[i] {
-                    *xi = 0.0;
-                }
-            }
-            let mut ax = vec![0.0; n];
-            apply(m, &x, &mut ax);
-            let r: Vec<f64> = b.iter().zip(&ax).map(|(b, ax)| b - ax).collect();
-            (x, r)
-        }
-        None => (vec![0.0; n], b.clone()),
-    };
-    let b_norm = b.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-300);
-    let tol = 1e-12 * b_norm;
-    let max_iters = 10 * n;
-    let fine_nodes = n as f64;
+    let fine_nodes = (m.nx * m.ny) as f64;
     let mut work = 0.0f64;
-    let mut z = vec![0.0; n];
-    let mut ap = vec![0.0f64; n];
-    let mut rr: f64 = r.iter().map(|v| v * v).sum();
-    let mut trace = ResidualTrace::new();
-    // The labeled block funnels every exit path through one point so the
-    // iteration count and final residual are recorded exactly once.
-    let result = 'solve: {
-        if let Err(e) = apply_preconditioner(&mut levels, &r, &mut z, shards, fine_nodes, &mut work)
-        {
-            break 'solve Err(e);
-        }
-        let mut rz: f64 = r.iter().zip(&z).map(|(a, b)| a * b).sum();
-        let mut p = z.clone();
-        for _ in 0..max_iters {
-            if rr.sqrt() <= tol {
-                break 'solve Ok(x);
-            }
-            apply(m, &p, &mut ap);
-            work += 2.0; // mat-vec plus the iteration's vector updates
-            let p_ap: f64 = p.iter().zip(&ap).map(|(a, b)| a * b).sum();
-            if !p_ap.is_finite() {
-                break 'solve Err(GridError::NoConvergence {
-                    diag: trace.diagnostic(Breakdown::NonFinite {
-                        at_iteration: trace.iterations(),
-                    }),
-                });
-            }
-            if p_ap <= 0.0 {
-                if rr.sqrt() <= tol * 10.0 {
-                    break 'solve Ok(x);
-                }
-                break 'solve Err(GridError::NoConvergence {
-                    diag: trace.diagnostic(Breakdown::IndefiniteOperator { curvature: p_ap }),
-                });
-            }
-            let alpha = rz / p_ap;
-            for i in 0..n {
-                x[i] += alpha * p[i];
-                r[i] -= alpha * ap[i];
-            }
-            rr = r.iter().map(|v| v * v).sum();
-            trace.record(rr.sqrt());
-            if let Err(e) =
-                apply_preconditioner(&mut levels, &r, &mut z, shards, fine_nodes, &mut work)
-            {
-                break 'solve Err(e);
-            }
-            let rz_new: f64 = r.iter().zip(&z).map(|(a, b)| a * b).sum();
-            let beta = rz_new / rz;
-            rz = rz_new;
-            for i in 0..n {
-                p[i] = z[i] + beta * p[i];
-            }
-        }
-        if rr.sqrt() <= tol * 10.0 {
-            Ok(x)
-        } else {
-            Err(GridError::NoConvergence {
-                diag: trace.diagnostic(Breakdown::IterationBudget),
-            })
-        }
-    };
-    np_telemetry::counter("grid.mgcg.iterations", trace.iterations() as u64);
+    let run = pcg_kernel(m, x0, |r, z| {
+        apply_preconditioner(&mut levels, r, z, shards, fine_nodes, &mut work)
+    });
+    // Each mat-vec plus its iteration's vector updates costs about two
+    // fine-grid sweeps.
+    let work = work + 2.0 * run.matvecs as f64;
+    np_telemetry::counter("grid.mgcg.iterations", run.iterations as u64);
     np_telemetry::counter("grid.mgcg.sweeps_equivalent", work.round() as u64);
     np_telemetry::value("grid.mgcg.sweeps_equivalent", work);
-    np_telemetry::value("grid.mgcg.final_residual", rr.sqrt());
-    result
+    np_telemetry::value("grid.mgcg.final_residual", run.final_residual);
+    run.result
 }
 
 /// `z = M⁻¹·r` where `M⁻¹` is one V-cycle from a zero guess on the
@@ -825,14 +576,29 @@ mod tests {
         m
     }
 
+    /// A one-shot MGCG solve at `shards` shards.
+    fn mgcg(m: &MeshProblem, shards: usize) -> Result<Vec<f64>, GridError> {
+        solve_mgcg(m, &MgHierarchy::new(m)?, shards, None)
+    }
+
+    /// Reads one summed counter out of a collector summary.
+    fn counter(summary: &np_telemetry::Summary, name: &str) -> Option<u64> {
+        summary
+            .counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| *v)
+    }
+
     #[test]
-    fn hierarchy_ladder_has_the_expected_depth() {
-        let h = MgHierarchy::new(&loaded(33)).unwrap();
+    fn hierarchy_ladder_has_the_expected_depth() -> Result<(), GridError> {
+        let h = MgHierarchy::new(&loaded(33))?;
         assert_eq!(h.levels(), 3, "33 -> 17 -> 9");
-        let h = MgHierarchy::new(&loaded(9)).unwrap();
+        let h = MgHierarchy::new(&loaded(9))?;
         assert_eq!(h.levels(), 1, "9 is already the coarsest");
-        let h = MgHierarchy::new(&loaded(129)).unwrap();
+        let h = MgHierarchy::new(&loaded(129))?;
         assert_eq!(h.levels(), 5, "129 -> 65 -> 33 -> 17 -> 9");
+        Ok(())
     }
 
     #[test]
@@ -843,46 +609,44 @@ mod tests {
             m.pinned[pin] = true;
             m.injection = vec![1e-3; n * n];
             assert!(
-                matches!(solve_multigrid(&m), Err(GridError::BadParameter(_))),
+                matches!(MgHierarchy::new(&m), Err(GridError::BadParameter(_))),
                 "n={n} must be rejected"
             );
             assert!(
-                matches!(solve_mgcg(&m), Err(GridError::BadParameter(_))),
+                matches!(mgcg(&m, 1), Err(GridError::BadParameter(_))),
                 "n={n} must be rejected for MGCG too"
             );
         }
         // 2x2 passes MeshProblem::new but not the coarsening ladder.
         let mut m = MeshProblem::new(2, 2, 1.0);
         m.pinned[0] = true;
-        assert!(matches!(
-            solve_multigrid(&m),
-            Err(GridError::BadParameter(_))
-        ));
+        assert!(matches!(mgcg(&m, 1), Err(GridError::BadParameter(_))));
     }
 
     #[test]
-    fn multigrid_matches_sor_and_pcg() {
+    fn multigrid_matches_sor_and_pcg() -> Result<(), GridError> {
         for n in [9usize, 17, 33] {
             let m = loaded(n);
-            let sor = m.solve().expect("sor");
-            let mg = solve_multigrid(&m).expect("mg");
+            let sor = m.solve()?;
+            let mg = mgcg(&m, 1)?;
             for i in 0..sor.len() {
                 assert!(
                     (sor[i] - mg[i]).abs() < 1e-6 * (1.0 + sor[i].abs()),
-                    "n={n} node {i}: SOR {} vs MG {}",
+                    "n={n} node {i}: SOR {} vs MGCG {}",
                     sor[i],
                     mg[i]
                 );
             }
         }
+        Ok(())
     }
 
     #[test]
-    fn mgcg_matches_pcg() {
+    fn mgcg_matches_pcg() -> Result<(), GridError> {
         for n in [17usize, 33] {
             let m = loaded(n);
-            let pcg = solve_pcg(&m).expect("pcg");
-            let mgcg = solve_mgcg(&m).expect("mgcg");
+            let pcg = solve_pcg(&m, None)?;
+            let mgcg = mgcg(&m, 1)?;
             for i in 0..pcg.len() {
                 assert!(
                     (pcg[i] - mgcg[i]).abs() < 1e-6 * (1.0 + pcg[i].abs()),
@@ -892,31 +656,25 @@ mod tests {
                 );
             }
         }
+        Ok(())
     }
 
     #[test]
-    fn sharded_smoothing_is_bitwise_identical() {
-        let m = loaded(33);
-        let seq = solve_multigrid(&m).unwrap();
-        for shards in [2usize, 3, 7, 16] {
-            assert_eq!(
-                seq,
-                solve_multigrid_sharded(&m, shards).unwrap(),
-                "MG shards={shards}"
-            );
+    fn sharded_smoothing_is_bitwise_identical() -> Result<(), GridError> {
+        // 129² puts the finest level over LEVEL_PARALLEL_MIN, so the
+        // sharded smoother really runs.
+        for n in [33usize, 129] {
+            let m = loaded(n);
+            let seq = mgcg(&m, 1)?;
+            for shards in [2usize, 3, 7] {
+                assert_eq!(seq, mgcg(&m, shards)?, "n={n} shards={shards}");
+            }
         }
-        let seq = solve_mgcg(&m).unwrap();
-        for shards in [2usize, 3, 7] {
-            assert_eq!(
-                seq,
-                solve_mgcg_sharded(&m, shards).unwrap(),
-                "MGCG shards={shards}"
-            );
-        }
+        Ok(())
     }
 
     #[test]
-    fn off_centre_and_multiple_pins_survive_coarsening() {
+    fn off_centre_and_multiple_pins_survive_coarsening() -> Result<(), GridError> {
         for pins in [vec![(0usize, 0usize)], vec![(1, 2), (31, 30), (16, 0)]] {
             let mut m = MeshProblem::new(33, 33, 1.0);
             for &(x, y) in &pins {
@@ -924,8 +682,8 @@ mod tests {
                 m.pinned[i] = true;
             }
             m.injection = vec![1e-3; 33 * 33];
-            let mg = solve_multigrid(&m).expect("mg with awkward pins");
-            let pcg = solve_pcg(&m).expect("pcg");
+            let mg = mgcg(&m, 1)?;
+            let pcg = solve_pcg(&m, None)?;
             for i in 0..mg.len() {
                 assert!(
                     (pcg[i] - mg[i]).abs() < 1e-6 * (1.0 + pcg[i].abs()),
@@ -933,80 +691,78 @@ mod tests {
                 );
             }
         }
+        Ok(())
     }
 
     #[test]
-    fn rectangular_meshes_coarsen_per_dimension() {
+    fn rectangular_meshes_coarsen_per_dimension() -> Result<(), GridError> {
         let mut m = MeshProblem::new(17, 33, 1.0);
         let pin = m.index(8, 16);
         m.pinned[pin] = true;
         m.injection = vec![1e-3; 17 * 33];
-        let mg = solve_multigrid(&m).unwrap();
-        let pcg = solve_pcg(&m).unwrap();
+        let mg = mgcg(&m, 1)?;
+        let pcg = solve_pcg(&m, None)?;
         for i in 0..mg.len() {
             assert!((pcg[i] - mg[i]).abs() < 1e-6 * (1.0 + pcg[i].abs()));
         }
+        Ok(())
     }
 
     #[test]
-    fn warm_start_from_the_solution_takes_zero_cycles() {
+    fn warm_start_from_the_solution_takes_zero_cycles() -> Result<(), GridError> {
         let m = loaded(33);
-        let hier = MgHierarchy::new(&m).unwrap();
-        let cold = solve_multigrid_warm(&m, &hier, 1, None).unwrap();
+        let hier = MgHierarchy::new(&m)?;
+        let cold = solve_mgcg(&m, &hier, 1, None)?;
         let collector = np_telemetry::Collector::new();
         let warm = {
             let _guard = np_telemetry::install(&collector);
-            solve_multigrid_warm(&m, &hier, 1, Some(&cold)).unwrap()
+            solve_mgcg(&m, &hier, 1, Some(&cold))?
         };
         assert_eq!(cold, warm);
-        let summary = collector.summary();
-        let cycles = summary
-            .counters
-            .iter()
-            .find(|(name, _)| name == "grid.mg.cycles")
-            .map(|(_, n)| *n);
-        assert_eq!(cycles, Some(0), "a converged warm start needs no cycles");
+        assert_eq!(
+            counter(&collector.summary(), "grid.mgcg.iterations"),
+            Some(0),
+            "a converged warm start needs no iterations"
+        );
+        Ok(())
     }
 
     #[test]
-    fn zero_injection_short_circuits_to_zeros() {
+    fn zero_injection_short_circuits_to_zeros() -> Result<(), GridError> {
         let mut m = MeshProblem::new(17, 17, 1.0);
         let pin = m.index(8, 8);
         m.pinned[pin] = true;
-        assert_eq!(solve_multigrid(&m).unwrap(), vec![0.0; 17 * 17]);
-        assert_eq!(solve_mgcg(&m).unwrap(), vec![0.0; 17 * 17]);
+        assert_eq!(mgcg(&m, 1)?, vec![0.0; 17 * 17]);
+        Ok(())
     }
 
     #[test]
-    fn mismatched_hierarchy_and_warm_starts_are_rejected() {
+    fn mismatched_hierarchy_and_warm_starts_are_rejected() -> Result<(), GridError> {
         let m = loaded(17);
-        let other = MgHierarchy::new(&loaded(33)).unwrap();
+        let other = MgHierarchy::new(&loaded(33))?;
         assert!(matches!(
-            solve_multigrid_warm(&m, &other, 1, None),
+            solve_mgcg(&m, &other, 1, None),
             Err(GridError::BadParameter(_))
         ));
         // Same shape, different pins: still a mismatch.
         let mut repinned = m.clone();
         let extra = repinned.index(0, 0);
         repinned.pinned[extra] = true;
-        let hier = MgHierarchy::new(&m).unwrap();
+        let hier = MgHierarchy::new(&m)?;
         assert!(matches!(
-            solve_multigrid_warm(&repinned, &hier, 1, None),
+            solve_mgcg(&repinned, &hier, 1, None),
             Err(GridError::BadParameter(_))
         ));
         let short = vec![0.0; 3];
         assert!(matches!(
-            solve_multigrid_warm(&m, &hier, 1, Some(&short)),
+            solve_mgcg(&m, &hier, 1, Some(&short)),
             Err(GridError::BadParameter(_))
         ));
-        assert!(matches!(
-            solve_mgcg_warm(&m, &hier, 1, Some(&short)),
-            Err(GridError::BadParameter(_))
-        ));
+        Ok(())
     }
 
     #[test]
-    fn multigrid_beats_pcg_on_sweeps_equivalent() {
+    fn multigrid_beats_pcg_on_sweeps_equivalent() -> Result<(), GridError> {
         // The acceptance currency: MGCG's total fine-grid-sweep
         // equivalents must undercut PCG's iteration count by ≥5× from
         // 257×257 up (the gap only widens with N — PCG iterations grow
@@ -1015,42 +771,23 @@ mod tests {
         // solves also emit `grid.pcg.iterations`, which would pollute a
         // shared one.
         let m = loaded(257);
-        let counter = |summary: &np_telemetry::Summary, name: &str| {
-            summary
-                .counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map_or(0, |(_, v)| *v)
-        };
         let pcg_collector = np_telemetry::Collector::new();
         {
             let _guard = np_telemetry::install(&pcg_collector);
-            solve_pcg(&m).unwrap();
+            solve_pcg(&m, None)?;
         }
         let mgcg_collector = np_telemetry::Collector::new();
         {
             let _guard = np_telemetry::install(&mgcg_collector);
-            solve_mgcg(&m).unwrap();
+            mgcg(&m, 1)?;
         }
-        let pcg_iters = counter(&pcg_collector.summary(), "grid.pcg.iterations");
-        let mgcg_sweeps = counter(&mgcg_collector.summary(), "grid.mgcg.sweeps_equivalent");
+        let pcg_iters = counter(&pcg_collector.summary(), "grid.pcg.iterations").unwrap_or(0);
+        let mgcg_sweeps =
+            counter(&mgcg_collector.summary(), "grid.mgcg.sweeps_equivalent").unwrap_or(0);
         assert!(
             pcg_iters >= 5 * mgcg_sweeps,
             "PCG {pcg_iters} iterations vs MGCG {mgcg_sweeps} sweep-equivalents"
         );
-        // The standalone V-cycle also has to beat PCG outright, if not
-        // by the same margin (the point-pin log mode costs it a
-        // slowly-growing cycle count: ~38 cycles here vs MGCG's 13
-        // iterations).
-        let mg_collector = np_telemetry::Collector::new();
-        {
-            let _guard = np_telemetry::install(&mg_collector);
-            solve_multigrid(&m).unwrap();
-        }
-        let mg_sweeps = counter(&mg_collector.summary(), "grid.mg.sweeps_equivalent");
-        assert!(
-            pcg_iters >= 2 * mg_sweeps,
-            "PCG {pcg_iters} iterations vs MG {mg_sweeps} sweep-equivalents"
-        );
+        Ok(())
     }
 }

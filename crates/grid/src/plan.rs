@@ -1,12 +1,11 @@
 //! The Fig. 5 study — per-node grid plans under minimum bump pitch
-//! versus ITRS pad counts — plus the [`SolvePlan`] strategy layer that
-//! routes a mesh problem to the right solver under the process-wide
-//! [`thread_budget`].
+//! versus ITRS pad counts — plus the [`SolvePlan`] policy that routes a
+//! mesh problem to its solver under the process-wide [`thread_budget`].
 
 use crate::analytic::{rail_routing_fraction, required_rail_width, IrBudget};
-use crate::cg::{solve_cg, solve_pcg, solve_pcg_parallel};
+use crate::cg::solve_pcg;
 use crate::error::GridError;
-use crate::multigrid::{solve_mgcg_sharded, solve_multigrid_sharded, MgHierarchy};
+use crate::multigrid::{solve_mgcg, MgHierarchy};
 use crate::solver::MeshProblem;
 use np_roadmap::{PackagingRoadmap, TechNode};
 use np_units::Microns;
@@ -137,17 +136,6 @@ pub fn fig5_series() -> Result<Vec<(GridPlan, GridPlan)>, GridError> {
         .collect()
 }
 
-/// Meshes below this node count solve faster sequentially than the
-/// barrier overhead of sharded workers can recoup (a 128×128 mesh sits
-/// right at the boundary on commodity cores).
-pub const AUTO_PARALLEL_THRESHOLD: usize = 16_384;
-
-/// Meshes with at least this many nodes (257×257) — when their
-/// dimensions fit the 2^k+1 multigrid ladder — auto-route to MGCG: the
-/// O(N) cycle overtakes Jacobi-PCG's O(N^1.5) iteration growth around
-/// here, and the margin widens by ~2× per further mesh doubling.
-pub const AUTO_MULTIGRID_THRESHOLD: usize = 66_049;
-
 /// The process-wide solver thread budget; `0` means "unset", which
 /// resolves to the machine's available parallelism.
 static THREAD_BUDGET: AtomicUsize = AtomicUsize::new(0);
@@ -188,169 +176,87 @@ impl Drop for ThreadBudgetGuard {
     }
 }
 
-/// Which algorithm a [`SolvePlan`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// Which algorithm a [`SolvePlan`] runs on a mesh.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolveStrategy {
-    /// Pick per mesh: sequential PCG below [`AUTO_PARALLEL_THRESHOLD`]
-    /// nodes or when the [`thread_budget`] is 1, parallel PCG otherwise
-    /// — upgraded to [`SolveStrategy::MultigridCg`] at
-    /// [`AUTO_MULTIGRID_THRESHOLD`] nodes and above when the mesh
-    /// dimensions fit the 2^k+1 coarsening ladder (see
-    /// [`SolvePlan::resolve_for`]).
-    #[default]
-    Auto,
-    /// The red-black SOR sweep of [`MeshProblem::solve`].
-    SequentialSor,
-    /// Row-band-sharded SOR ([`MeshProblem::solve_parallel`]); bitwise
-    /// identical to [`SolveStrategy::SequentialSor`].
-    ParallelSor,
-    /// Plain conjugate gradients ([`solve_cg`]).
-    SequentialCg,
-    /// Jacobi-preconditioned CG, sharded ([`solve_pcg_parallel`]).
-    ParallelCg,
-    /// The standalone geometric multigrid V-cycle
-    /// ([`crate::multigrid::solve_multigrid_sharded`]); needs 2^k+1
-    /// mesh dimensions.
-    Multigrid,
-    /// Multigrid-preconditioned CG
-    /// ([`crate::multigrid::solve_mgcg_sharded`]); needs 2^k+1 mesh
-    /// dimensions. What [`SolveStrategy::Auto`] picks on large
-    /// compatible meshes.
+    /// Jacobi-preconditioned CG ([`solve_pcg`]), sequential: meshes off
+    /// the 2^k+1 ladder.
+    JacobiPcg,
+    /// Multigrid-preconditioned CG ([`solve_mgcg`]), smoothing sharded
+    /// across the [`thread_budget`]: every mesh on the 2^k+1 ladder.
     MultigridCg,
 }
 
-/// A solver selection: strategy plus an optional explicit shard count.
+/// The solver policy for an `nx × ny` mesh: MGCG exactly when both sides
+/// fit the 2^k+1 coarsening ladder ([`MgHierarchy::compatible`]),
+/// Jacobi-PCG otherwise.
 ///
-/// ```
-/// use np_grid::solver::MeshProblem;
-/// use np_grid::SolvePlan;
-///
-/// let mut m = MeshProblem::new(9, 9, 1.0);
-/// m.injection = vec![1e-4; 81];
-/// let centre = m.index(4, 4);
-/// m.pinned[centre] = true;
-/// let v = SolvePlan::auto().solve(&m)?;
-/// assert_eq!(v.len(), 81);
-/// # Ok::<(), np_grid::GridError>(())
-/// ```
-///
-/// Strategies can be forced; on a 2^k+1 mesh the multigrid family is
-/// available explicitly (Auto upgrades to it only from
-/// [`AUTO_MULTIGRID_THRESHOLD`] nodes up):
+/// There is no size threshold: on the ladder MGCG does O(N) work against
+/// Jacobi-PCG's O(N^1.5), and `BENCH_grid.json` has it ahead from 65²
+/// up (4.3× at 129²). At 33² it is ~1.2× slower, but that solve takes
+/// about a millisecond either way. The spec cost gate prices a grid leg
+/// with the same function, so it charges for the solver that runs.
+pub fn strategy_for(nx: usize, ny: usize) -> SolveStrategy {
+    if MgHierarchy::compatible(nx, ny) {
+        SolveStrategy::MultigridCg
+    } else {
+        SolveStrategy::JacobiPcg
+    }
+}
+
+/// The one solve policy: [`strategy_for`] picks the algorithm, and the
+/// [`thread_budget`] sets MGCG's smoothing shards.
 ///
 /// ```
 /// use np_grid::solver::MeshProblem;
 /// use np_grid::{SolvePlan, SolveStrategy};
 ///
-/// let mut m = MeshProblem::new(17, 17, 1.0);
-/// m.injection = vec![1e-4; 17 * 17];
-/// let centre = m.index(8, 8);
-/// m.pinned[centre] = true;
-/// let auto = SolvePlan::auto().solve(&m)?;
-/// let mgcg = SolvePlan::with_strategy(SolveStrategy::MultigridCg).solve(&m)?;
-/// for (a, b) in auto.iter().zip(&mgcg) {
-///     assert!((a - b).abs() < 1e-6);
-/// }
+/// let mesh = |n: usize| {
+///     let mut m = MeshProblem::new(n, n, 1.0);
+///     m.injection = vec![1e-4; n * n];
+///     let centre = m.index(n / 2, n / 2);
+///     m.pinned[centre] = true;
+///     m
+/// };
+/// let (on_ladder, off_ladder) = (mesh(17), mesh(18));
+/// assert_eq!(SolvePlan::auto().resolve_for(&on_ladder).0, SolveStrategy::MultigridCg);
+/// assert_eq!(SolvePlan::auto().resolve_for(&off_ladder).0, SolveStrategy::JacobiPcg);
+/// let cold = SolvePlan::auto().solve(&on_ladder, None)?;
+/// // A warm start from the previous solution converges at once.
+/// let warm = SolvePlan::auto().solve(&on_ladder, Some(&cold))?;
+/// assert_eq!(cold, warm);
 /// # Ok::<(), np_grid::GridError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct SolvePlan {
-    /// The algorithm to run (or [`SolveStrategy::Auto`]).
-    pub strategy: SolveStrategy,
-    /// Shard count for the parallel strategies; `None` uses the
-    /// [`thread_budget`].
-    pub shards: Option<usize>,
-}
+pub struct SolvePlan;
 
 impl SolvePlan {
-    /// The default plan: [`SolveStrategy::Auto`] with budget-derived
-    /// shards.
+    /// The solve policy — the only one there is.
     pub fn auto() -> Self {
-        Self::default()
+        Self
     }
 
-    /// A plan running `strategy` with budget-derived shards.
-    pub fn with_strategy(strategy: SolveStrategy) -> Self {
-        Self {
-            strategy,
-            shards: None,
-        }
-    }
-
-    /// Overrides the shard count for parallel strategies.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards.max(1));
-        self
-    }
-
-    /// The concrete (strategy, shards) pair this plan uses for a mesh of
-    /// `nodes` total nodes.
-    ///
-    /// Auto falls back to the sequential solver whenever the mesh is
-    /// small, the resolved shard count is 1, *or* the effective
-    /// [`thread_budget`] is 1 — on a single-CPU host the parallel path
-    /// is pure sharding overhead even when the caller explicitly asked
-    /// for multiple shards (measured: `pcg.par`/`sor.par` slower than
-    /// seq in `BENCH_grid.json` at ncpu=1).
-    pub fn resolve(&self, nodes: usize) -> (SolveStrategy, usize) {
-        let shards = self.shards.unwrap_or_else(thread_budget).max(1);
-        let strategy = match self.strategy {
-            SolveStrategy::Auto => {
-                if nodes < AUTO_PARALLEL_THRESHOLD || shards == 1 || thread_budget() == 1 {
-                    SolveStrategy::SequentialCg
-                } else {
-                    SolveStrategy::ParallelCg
-                }
-            }
-            other => other,
-        };
-        (strategy, shards)
-    }
-
-    /// [`SolvePlan::resolve`] with the mesh in hand: Auto additionally
-    /// upgrades to [`SolveStrategy::MultigridCg`] when the mesh has at
-    /// least [`AUTO_MULTIGRID_THRESHOLD`] nodes *and* its dimensions fit
-    /// the 2^k+1 coarsening ladder.
-    ///
-    /// Multigrid smoothing shards drop to 1 under a [`thread_budget`]
-    /// of 1 (same single-CPU reasoning as the CG fallback), but the
-    /// strategy upgrade still happens — MGCG wins on algorithmic work,
-    /// not parallelism.
+    /// The (strategy, shards) pair this plan runs `m` with: MGCG smooths
+    /// across [`thread_budget`] shards, Jacobi-PCG runs on one.
     pub fn resolve_for(&self, m: &MeshProblem) -> (SolveStrategy, usize) {
-        let nodes = m.nx * m.ny;
-        let (strategy, shards) = self.resolve(nodes);
-        if self.strategy == SolveStrategy::Auto
-            && nodes >= AUTO_MULTIGRID_THRESHOLD
-            && MgHierarchy::compatible(m.nx, m.ny)
-        {
-            let mg_shards = if thread_budget() == 1 { 1 } else { shards };
-            return (SolveStrategy::MultigridCg, mg_shards);
+        match strategy_for(m.nx, m.ny) {
+            SolveStrategy::MultigridCg => (SolveStrategy::MultigridCg, thread_budget()),
+            SolveStrategy::JacobiPcg => (SolveStrategy::JacobiPcg, 1),
         }
-        (strategy, shards)
     }
 
-    /// Solves `m` with the resolved strategy.
+    /// Solves `m` with the resolved strategy, warm-started from `x0`
+    /// when given (see [`solve_pcg`]).
     ///
     /// # Errors
     ///
-    /// Those of the underlying solver ([`MeshProblem::solve`] /
-    /// [`solve_cg`] / [`solve_pcg`] /
-    /// [`crate::multigrid::solve_multigrid`]).
-    pub fn solve(&self, m: &MeshProblem) -> Result<Vec<f64>, GridError> {
+    /// Those of [`solve_pcg`] / [`solve_mgcg`].
+    pub fn solve(&self, m: &MeshProblem, x0: Option<&[f64]>) -> Result<Vec<f64>, GridError> {
         match self.resolve_for(m) {
-            (SolveStrategy::SequentialSor, _) => m.solve(),
-            (SolveStrategy::ParallelSor, shards) => m.solve_parallel(shards),
-            (SolveStrategy::SequentialCg, _) => {
-                if self.strategy == SolveStrategy::Auto {
-                    solve_pcg(m) // Auto prefers the preconditioned path
-                } else {
-                    solve_cg(m)
-                }
+            (SolveStrategy::JacobiPcg, _) => solve_pcg(m, x0),
+            (SolveStrategy::MultigridCg, shards) => {
+                solve_mgcg(m, &MgHierarchy::new(m)?, shards, x0)
             }
-            (SolveStrategy::ParallelCg, shards) => solve_pcg_parallel(m, shards),
-            (SolveStrategy::Multigrid, shards) => solve_multigrid_sharded(m, shards),
-            (SolveStrategy::MultigridCg, shards) => solve_mgcg_sharded(m, shards),
-            (SolveStrategy::Auto, _) => unreachable!("resolve never returns Auto"),
         }
     }
 }
@@ -360,9 +266,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn min_pitch_plans_are_routable_everywhere() {
+    fn min_pitch_plans_are_routable_everywhere() -> Result<(), GridError> {
         for node in TechNode::ALL {
-            let p = GridPlan::min_pitch(node).unwrap();
+            let p = GridPlan::min_pitch(node)?;
             assert!(p.is_routable(), "{node} should be routable at min pitch");
             assert!(
                 p.width_over_min() < 40.0,
@@ -370,20 +276,22 @@ mod tests {
                 p.width_over_min()
             );
         }
+        Ok(())
     }
 
     #[test]
-    fn itrs_pads_blow_up_at_the_end_of_the_roadmap() {
+    fn itrs_pads_blow_up_at_the_end_of_the_roadmap() -> Result<(), GridError> {
         // Fig. 5 solid symbols: "over 2000X the minimum allowable" at
         // 35 nm; we require at least a three-order-of-magnitude demand.
-        let p = GridPlan::itrs_pads(TechNode::N35).unwrap();
+        let p = GridPlan::itrs_pads(TechNode::N35)?;
         assert!(!p.is_routable());
         assert!(p.width_over_min() > 500.0, "got {:.0}x", p.width_over_min());
+        Ok(())
     }
 
     #[test]
-    fn min_pitch_routing_fraction_is_small() {
-        let p = GridPlan::min_pitch(TechNode::N35).unwrap();
+    fn min_pitch_routing_fraction_is_small() -> Result<(), GridError> {
+        let p = GridPlan::min_pitch(TechNode::N35)?;
         assert!(
             p.rail_fraction() < 0.08,
             "{:.1}%",
@@ -395,31 +303,34 @@ mod tests {
             "total {:.1}% should be ~17-20%",
             total * 100.0
         );
+        Ok(())
     }
 
     #[test]
-    fn series_covers_all_nodes() {
-        let s = fig5_series().unwrap();
+    fn series_covers_all_nodes() -> Result<(), GridError> {
+        let s = fig5_series()?;
         assert_eq!(s.len(), 6);
         for (a, b) in &s {
             assert_eq!(a.assumption, BumpAssumption::MinPitch);
             assert_eq!(b.assumption, BumpAssumption::ItrsPads);
             assert!(b.width_over_min() >= a.width_over_min());
         }
+        Ok(())
     }
 
     #[test]
-    fn display_mentions_routability() {
-        let p = GridPlan::itrs_pads(TechNode::N35).unwrap();
+    fn display_mentions_routability() -> Result<(), GridError> {
+        let p = GridPlan::itrs_pads(TechNode::N35)?;
         assert!(format!("{p}").contains("UNROUTABLE"));
-        let p = GridPlan::min_pitch(TechNode::N35).unwrap();
+        let p = GridPlan::min_pitch(TechNode::N35)?;
         assert!(format!("{p}").contains("routable"));
+        Ok(())
     }
 
-    fn loaded_mesh(n: usize) -> MeshProblem {
-        let mut m = MeshProblem::new(n, n, 1.0);
-        m.injection = vec![1e-4; n * n];
-        let centre = m.index(n / 2, n / 2);
+    fn loaded_mesh(nx: usize, ny: usize) -> MeshProblem {
+        let mut m = MeshProblem::new(nx, ny, 1.0);
+        m.injection = vec![1e-4; nx * ny];
+        let centre = m.index(nx / 2, ny / 2);
         m.pinned[centre] = true;
         m
     }
@@ -429,34 +340,23 @@ mod tests {
     #[test]
     fn auto_resolves_by_size_and_budget_and_guard_restores() {
         let outer = thread_budget();
+        let (on_ladder, off_ladder) = (loaded_mesh(9, 9), loaded_mesh(10, 10));
         {
             let _guard = scoped_thread_budget(8);
             assert_eq!(thread_budget(), 8);
             let plan = SolvePlan::auto();
-            assert_eq!(plan.resolve(100), (SolveStrategy::SequentialCg, 8));
             assert_eq!(
-                plan.resolve(AUTO_PARALLEL_THRESHOLD),
-                (SolveStrategy::ParallelCg, 8)
+                plan.resolve_for(&on_ladder),
+                (SolveStrategy::MultigridCg, 8)
             );
+            assert_eq!(plan.resolve_for(&off_ladder), (SolveStrategy::JacobiPcg, 1));
             {
+                // A budget of 1 keeps the algorithm and drops MGCG's
+                // smoothing to one shard.
                 let _inner = scoped_thread_budget(1);
                 assert_eq!(
-                    plan.resolve(AUTO_PARALLEL_THRESHOLD),
-                    (SolveStrategy::SequentialCg, 1)
-                );
-                // Even explicit multi-shard plans go sequential under a
-                // budget of 1: the parallel path is pure overhead on a
-                // single-CPU host. Explicit non-auto strategies are
-                // still honored verbatim.
-                let sharded = SolvePlan::auto().with_shards(4);
-                assert_eq!(
-                    sharded.resolve(AUTO_PARALLEL_THRESHOLD),
-                    (SolveStrategy::SequentialCg, 4)
-                );
-                let forced = SolvePlan::with_strategy(SolveStrategy::ParallelCg).with_shards(4);
-                assert_eq!(
-                    forced.resolve(AUTO_PARALLEL_THRESHOLD),
-                    (SolveStrategy::ParallelCg, 4)
+                    plan.resolve_for(&on_ladder),
+                    (SolveStrategy::MultigridCg, 1)
                 );
             }
             assert_eq!(thread_budget(), 8);
@@ -465,59 +365,42 @@ mod tests {
     }
 
     #[test]
-    fn explicit_shards_override_the_budget() {
-        let plan = SolvePlan::with_strategy(SolveStrategy::ParallelSor).with_shards(3);
-        assert_eq!(plan.resolve(10_000), (SolveStrategy::ParallelSor, 3));
+    fn auto_picks_mgcg_exactly_on_the_ladder() {
+        let strategy = |nx, ny| {
+            SolvePlan::auto()
+                .resolve_for(&MeshProblem::new(nx, ny, 1.0))
+                .0
+        };
+        for k in 2..=10 {
+            let side = (1 << k) + 1; // 5, 9, 17, ..., 1025
+            assert_eq!(strategy(side, side), SolveStrategy::MultigridCg, "{side}");
+        }
+        assert_eq!(strategy(17, 33), SolveStrategy::MultigridCg);
+        for side in [6, 20, 1001] {
+            assert_eq!(strategy(side, side), SolveStrategy::JacobiPcg, "{side}");
+        }
     }
 
     #[test]
-    fn auto_upgrades_large_compatible_meshes_to_mgcg() {
-        let plan = SolvePlan::auto();
-        // 257x257 fits the ladder and crosses the threshold.
-        let big = loaded_mesh(257);
-        assert_eq!(big.nx * big.ny, AUTO_MULTIGRID_THRESHOLD);
-        let (strategy, _) = plan.resolve_for(&big);
-        assert_eq!(strategy, SolveStrategy::MultigridCg);
-        // A mesh of the same size that misses the 2^k+1 ladder keeps
-        // the CG-family pick.
-        let incompatible = loaded_mesh(260);
-        let (strategy, _) = plan.resolve_for(&incompatible);
-        assert_ne!(strategy, SolveStrategy::MultigridCg);
-        // Small meshes never upgrade.
-        let small = loaded_mesh(33);
-        let (strategy, _) = plan.resolve_for(&small);
-        assert_eq!(strategy, SolveStrategy::SequentialCg);
-        // Explicit strategies are never upgraded.
-        let forced = SolvePlan::with_strategy(SolveStrategy::SequentialCg);
-        let (strategy, _) = forced.resolve_for(&big);
-        assert_eq!(strategy, SolveStrategy::SequentialCg);
-    }
-
-    #[test]
-    fn all_strategies_agree_on_a_loaded_mesh() {
-        // 9x9: small enough for SOR, and 2^3+1 so the multigrid
-        // strategies are eligible too.
-        let m = loaded_mesh(9);
-        let reference = m.solve().unwrap();
-        for strategy in [
-            SolveStrategy::Auto,
-            SolveStrategy::SequentialSor,
-            SolveStrategy::ParallelSor,
-            SolveStrategy::SequentialCg,
-            SolveStrategy::ParallelCg,
-            SolveStrategy::Multigrid,
-            SolveStrategy::MultigridCg,
-        ] {
-            let v = SolvePlan::with_strategy(strategy)
-                .with_shards(3)
-                .solve(&m)
-                .unwrap();
-            for (a, b) in v.iter().zip(&reference) {
-                assert!(
-                    (a - b).abs() <= 1e-9 * (1.0 + b.abs()),
-                    "{strategy:?} disagrees with SOR: {a} vs {b}"
-                );
+    fn all_strategies_agree_on_a_loaded_mesh() -> Result<(), GridError> {
+        // 9x9 fits the ladder and 10x10 does not, so the plan runs each
+        // algorithm once; on the 9x9 both also run directly.
+        for n in [9, 10] {
+            let m = loaded_mesh(n, n);
+            let reference = m.solve()?;
+            let mut answers = vec![SolvePlan::auto().solve(&m, None)?, solve_pcg(&m, None)?];
+            if MgHierarchy::compatible(n, n) {
+                answers.push(solve_mgcg(&m, &MgHierarchy::new(&m)?, 3, None)?);
+            }
+            for v in &answers {
+                for (a, b) in v.iter().zip(&reference) {
+                    assert!(
+                        (a - b).abs() <= 1e-9 * (1.0 + b.abs()),
+                        "n={n} disagrees with SOR: {a} vs {b}"
+                    );
+                }
             }
         }
+        Ok(())
     }
 }

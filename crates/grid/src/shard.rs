@@ -1,16 +1,17 @@
-//! Row-band sharding primitives for the parallel mesh solvers.
+//! Row-band sharding primitives for MGCG's parallel smoother.
 //!
-//! The workspace is offline and dependency-free, so the parallel SOR and
-//! CG paths are built from `std` alone: scoped worker threads
-//! ([`std::thread::scope`]), [`std::sync::Barrier`] phase separation, and
-//! the [`AtomicF64Vec`] shared vector defined here. Shards own disjoint
-//! *row bands* of the mesh ([`row_bands`]), so every write targets the
-//! owning shard's band; reads may cross band boundaries (mesh stencils
-//! reach one row up/down), which is safe because each solver phase either
-//! reads or writes a given vector, never both, and phases are separated
-//! by barriers. The barrier's acquire/release synchronization makes the
-//! relaxed atomic accesses race-free *and* deterministic: the numeric
-//! result is a pure function of the problem and the shard count.
+//! The workspace is offline and dependency-free, so the sharded
+//! Gauss-Seidel smoothing in [`crate::multigrid`] is built from `std`
+//! alone: scoped worker threads ([`std::thread::scope`]),
+//! [`std::sync::Barrier`] phase separation, and the [`AtomicF64Vec`]
+//! shared vector defined here. Shards own disjoint *row bands* of the
+//! mesh ([`row_bands`]), so every write targets the owning shard's band;
+//! reads may cross band boundaries (mesh stencils reach one row up/down),
+//! which is safe because each red-black half-sweep reads only the color
+//! it does not write, and half-sweeps are separated by barriers. The
+//! barrier's acquire/release synchronization makes the relaxed atomic
+//! accesses race-free *and* deterministic: the numeric result is a pure
+//! function of the problem, whatever the shard count.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// Values are stored as [`AtomicU64`] bit patterns so shards can read and
 /// write entries through a shared reference without locks or `unsafe`.
-/// All accesses are `Relaxed`: the solvers order cross-shard visibility
+/// All accesses are `Relaxed`: the smoother orders cross-shard visibility
 /// with [`std::sync::Barrier`], which establishes the happens-before
 /// edges, so the relaxed loads observe exactly the values written before
 /// the last barrier.
@@ -33,13 +34,6 @@ impl AtomicF64Vec {
     pub fn zeros(n: usize) -> Self {
         Self {
             bits: (0..n).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// A vector holding a copy of `values`.
-    pub fn from_slice(values: &[f64]) -> Self {
-        Self {
-            bits: values.iter().map(|v| AtomicU64::new(v.to_bits())).collect(),
         }
     }
 
@@ -71,14 +65,6 @@ impl AtomicF64Vec {
     #[inline]
     pub fn set(&self, i: usize, value: f64) {
         self.bits[i].store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Copies the vector out as a plain `Vec<f64>`.
-    pub fn to_vec(&self) -> Vec<f64> {
-        self.bits
-            .iter()
-            .map(|b| f64::from_bits(b.load(Ordering::Relaxed)))
-            .collect()
     }
 }
 
@@ -120,12 +106,13 @@ mod tests {
 
     #[test]
     fn atomic_vec_round_trips() {
-        let v = AtomicF64Vec::from_slice(&[1.5, -2.25, 0.0]);
+        let v = AtomicF64Vec::zeros(3);
         assert_eq!(v.len(), 3);
         assert!(!v.is_empty());
-        assert_eq!(v.get(1), -2.25);
+        v.set(1, -2.25);
+        assert_eq!((v.get(0), v.get(1), v.get(2)), (0.0, -2.25, 0.0));
         v.set(1, 7.0);
-        assert_eq!(v.to_vec(), vec![1.5, 7.0, 0.0]);
+        assert_eq!(v.get(1), 7.0);
         assert!(AtomicF64Vec::zeros(0).is_empty());
     }
 

@@ -1,10 +1,10 @@
 //! Property-based tests on the mesh solver and IR-drop models.
 
 use np_grid::analytic::{required_rail_width, worst_case_drop, IrBudget};
-use np_grid::cg::{solve_pcg, solve_pcg_parallel};
-use np_grid::multigrid::{solve_mgcg_sharded, solve_multigrid, solve_multigrid_sharded};
+use np_grid::cg::solve_pcg;
+use np_grid::multigrid::{solve_mgcg, MgHierarchy};
 use np_grid::solver::MeshProblem;
-use np_grid::{GridError, SolvePlan, SolveStrategy};
+use np_grid::{GridError, SolvePlan};
 use np_roadmap::TechNode;
 use np_units::Microns;
 use proptest::prelude::*;
@@ -13,8 +13,8 @@ fn any_node() -> impl Strategy<Value = TechNode> {
     prop::sample::select(TechNode::ALL.to_vec())
 }
 
-/// Shard counts the parallel-equivalence properties sweep: serial
-/// fallback, a couple of awkward splits, and the machine's parallelism.
+/// Shard counts the MGCG properties sweep: serial fallback, a couple of
+/// awkward splits, and the machine's parallelism.
 fn any_shards() -> impl Strategy<Value = usize> {
     let ncpu = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     prop::sample::select(vec![1usize, 2, 7, ncpu])
@@ -105,84 +105,24 @@ proptest! {
         }
     }
 
-    // Parallel SOR shares every arithmetic operation with the sequential
-    // sweep (same-color nodes are independent; the convergence reduction
-    // is an associative max) — so equality is exact, well inside the
-    // 1e-9 relative tolerance the contract demands.
-    #[test]
-    fn parallel_sor_matches_sequential(
-        n in 5usize..20,
-        g in 0.1..10.0f64,
-        load in 1e-4..1e-1f64,
-        px in 0usize..20,
-        py in 0usize..20,
-        shards in any_shards(),
-    ) {
-        let m = loaded_mesh(n, g, load, px, py);
-        let seq = m.solve().unwrap();
-        let par = m.solve_parallel(shards).unwrap();
-        for i in 0..seq.len() {
-            prop_assert!(
-                (seq[i] - par[i]).abs() <= 1e-9 * (1.0 + seq[i].abs()),
-                "shards={shards} node {i}: {} vs {}",
-                seq[i],
-                par[i]
-            );
-        }
-    }
-
-    // Parallel PCG re-associates the dot products, so agreement is to
-    // solver tolerance rather than bitwise.
-    #[test]
-    fn parallel_pcg_matches_sequential(
-        n in 5usize..20,
-        g in 0.1..10.0f64,
-        load in 1e-4..1e-1f64,
-        px in 0usize..20,
-        py in 0usize..20,
-        shards in any_shards(),
-    ) {
-        let m = loaded_mesh(n, g, load, px, py);
-        let seq = solve_pcg(&m).unwrap();
-        let par = solve_pcg_parallel(&m, shards).unwrap();
-        for i in 0..seq.len() {
-            prop_assert!(
-                (seq[i] - par[i]).abs() <= 1e-9 * (1.0 + seq[i].abs()),
-                "shards={shards} node {i}: {} vs {}",
-                seq[i],
-                par[i]
-            );
-        }
-    }
-
-    // Every strategy the SolvePlan enum can route to answers the same
-    // physics: all agree with the SOR reference within tolerance.
+    // The plan answers the same physics on and off the 2^k+1 ladder
+    // (5 and 9 run MGCG, the rest Jacobi-PCG), and so does Jacobi-PCG
+    // everywhere: all agree with the SOR reference within tolerance.
     #[test]
     fn every_solve_plan_strategy_agrees(
         n in 5usize..16,
         load in 1e-4..1e-1f64,
-        shards in any_shards(),
     ) {
         let m = loaded_mesh(n, 1.0, load, n / 2, n / 2);
         let reference = m.solve().unwrap();
-        for strategy in [
-            SolveStrategy::Auto,
-            SolveStrategy::ParallelSor,
-            SolveStrategy::SequentialCg,
-            SolveStrategy::ParallelCg,
-        ] {
-            let v = SolvePlan::with_strategy(strategy)
-                .with_shards(shards)
-                .solve(&m)
-                .unwrap();
+        for v in [SolvePlan::auto().solve(&m, None).unwrap(), solve_pcg(&m, None).unwrap()] {
             // Cross-algorithm comparison (CG-family vs the SOR
             // reference): both stop at their own 1e-12-scaled criteria,
-            // so agreement is to solver accuracy, not parallel-vs-
-            // sequential tightness.
+            // so agreement is to solver accuracy.
             for i in 0..reference.len() {
                 prop_assert!(
                     (reference[i] - v[i]).abs() <= 1e-6 * (1.0 + reference[i].abs()),
-                    "{strategy:?} shards={shards} node {i}: {} vs {}",
+                    "n={n} node {i}: {} vs {}",
                     reference[i],
                     v[i]
                 );
@@ -213,9 +153,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // ISSUE 8's equivalence contract: the multigrid family agrees with
-    // PCG to 1e-6 at every ladder size (33/129/257) and shard count
-    // (1/2/NCPU via `any_shards`).
+    // MGCG agrees with Jacobi-PCG to 1e-6 at every ladder size
+    // (33/129/257) and shard count (1/2/NCPU via `any_shards`).
     #[test]
     fn multigrid_family_matches_pcg_across_sizes_and_shards(
         n in prop::sample::select(vec![33usize, 129, 257]),
@@ -224,16 +163,9 @@ proptest! {
         shards in any_shards(),
     ) {
         let m = loaded_mesh(n, g, load, n / 2, n / 2);
-        let pcg = solve_pcg(&m).unwrap();
-        let mg = solve_multigrid_sharded(&m, shards).unwrap();
-        let mgcg = solve_mgcg_sharded(&m, shards).unwrap();
+        let pcg = solve_pcg(&m, None).unwrap();
+        let mgcg = solve_mgcg(&m, &MgHierarchy::new(&m).unwrap(), shards, None).unwrap();
         for i in 0..pcg.len() {
-            prop_assert!(
-                (pcg[i] - mg[i]).abs() <= 1e-6 * (1.0 + pcg[i].abs()),
-                "MG n={n} shards={shards} node {i}: {} vs {}",
-                pcg[i],
-                mg[i]
-            );
             prop_assert!(
                 (pcg[i] - mgcg[i]).abs() <= 1e-6 * (1.0 + pcg[i].abs()),
                 "MGCG n={n} shards={shards} node {i}: {} vs {}",
@@ -252,7 +184,7 @@ fn multigrid_rejects_non_pow2_plus_one_meshes_with_a_typed_error() {
     for n in [20usize, 21] {
         let m = loaded_mesh(n, 1.0, 1e-2, n / 2, n / 2);
         assert!(
-            matches!(solve_multigrid(&m), Err(GridError::BadParameter(_))),
+            matches!(MgHierarchy::new(&m), Err(GridError::BadParameter(_))),
             "n={n} must be a BadParameter"
         );
     }

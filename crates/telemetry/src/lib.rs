@@ -15,7 +15,7 @@
 //! | instrumented path | span / counter names |
 //! |---|---|
 //! | engine job lifecycle | `engine.run`, `engine.worker`, per-artifact spans, `engine.queue_wait_us`, `engine.retries`, `engine.deadline_exceeded` |
-//! | IR-drop CG (`np-grid`) | `grid.cg.solve`, `grid.cg.iterations`, `grid.cg.final_residual` |
+//! | IR-drop PCG / MGCG (`np-grid`) | `grid.pcg.solve`, `grid.pcg.iterations`, `grid.pcg.final_residual`; `grid.mgcg.solve`, `grid.mgcg.iterations`, `grid.mgcg.sweeps_equivalent`, `grid.mgcg.final_residual`, `grid.mg.level#depth` |
 //! | IR-drop SOR (`np-grid`) | `grid.sor.solve`, `grid.sor.iterations` |
 //! | electro-thermal fixed point (`np-thermal`) | `thermal.fixed_point`, `thermal.fixed_point.iterations` |
 //! | thermal-RC settle (`np-thermal`) | `thermal.rc.settle`, `thermal.rc.settle_steps` |

@@ -23,7 +23,10 @@ cd "$(dirname "$0")/.."
 # the figure binaries assert on their own rendered artifacts. Non-test
 # library code is still held to zero unwrap/expect by
 # `deny(clippy::unwrap_used, clippy::expect_used)` in every crate.
-BASELINE=623
+# Lowered 623 -> 569 when the grid solve collapsed to one policy: the
+# tests of the deleted solver paths went with them, and the surviving
+# grid tests return `Result` and use `?`.
+BASELINE=569
 
 count=$(grep -rEo 'unwrap\(|expect\(|panic!' crates/*/src --include='*.rs' | wc -l)
 

@@ -8,7 +8,7 @@ use nanopower::circuit::sta::TimingContext;
 use nanopower::device::mtcmos::MtcmosBlock;
 use nanopower::device::substrate::Substrate;
 use nanopower::device::Mosfet;
-use nanopower::grid::cg::solve_cg;
+use nanopower::grid::cg::solve_pcg;
 use nanopower::grid::decap::DecapPlan;
 use nanopower::grid::solver::MeshProblem;
 use nanopower::grid::transient::WakeUpEvent;
@@ -131,7 +131,7 @@ fn both_mesh_solvers_agree_on_a_grid_problem() {
         m.injection[i] = 2e-3;
     }
     let sor = m.solve().expect("sor");
-    let cg = solve_cg(&m).expect("cg");
+    let cg = solve_pcg(&m, None).expect("pcg");
     for i in 0..sor.len() {
         assert!((sor[i] - cg[i]).abs() < 1e-6, "node {i}");
     }
