@@ -45,7 +45,7 @@ use nanopower::service::{
 use nanopower::spec::{GridSpec, ScenarioSpec, DEFAULT_COST_BUDGET};
 use nanopower::Error;
 use np_bench::registry;
-use np_bench::serve::{DaemonCounters, KindStats, ServeReport};
+use np_bench::serve::{KindStats, ServeReport};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -234,7 +234,7 @@ impl ServerState {
             memo_entries: self.memo.len() as u64,
             memo_bytes: self.memo.approx_bytes() as u64,
             spill_active: self.memo.spill_active(),
-            shed: self.counters.snapshot().overloaded,
+            shed: self.counters.stats().overloaded,
             quarantine_entries: self.quarantine.len() as u64,
         }
     }
@@ -613,27 +613,14 @@ where
         match Request::parse(request.trim_end()) {
             Ok(Request::Run(run)) => handle_run(&run, &writer, state)?,
             Ok(Request::Stats) => {
-                let snap = state.counters.snapshot();
                 writer.send(
                     state,
                     &Response::Stats(StatsMsg {
-                        accepted: snap.accepted,
-                        served: snap.served,
-                        memo_hits: snap.memo_hits,
-                        cancelled: snap.cancelled,
-                        rejected: snap.rejected,
-                        overloaded: snap.overloaded,
-                        conn_rejected: snap.conn_rejected,
-                        write_timeouts: snap.write_timeouts,
-                        protocol_errors: snap.protocol_errors,
-                        invalid_specs: snap.invalid_specs,
-                        too_expensive: snap.too_expensive,
-                        panicked: snap.panicked,
-                        quarantined: snap.quarantined,
                         quarantine_entries: state.quarantine.len() as u64,
                         memo_entries: state.memo.len() as u64,
                         memo_bytes: state.memo.approx_bytes() as u64,
                         memo_evictions: state.memo.evictions(),
+                        ..state.counters.stats()
                     }),
                 )?;
             }
@@ -1194,21 +1181,11 @@ fn run_load(
     });
     let total_wall = start.elapsed();
     // One more connection to collect the daemon's own counters.
-    let (memo_hits, daemon) = match Client::connect(endpoint) {
+    let daemon = match Client::connect(endpoint) {
         Ok((mut client, _)) => {
             client.send(&Request::Stats)?;
             match client.read_response()? {
-                Response::Stats(stats) => (
-                    stats.memo_hits,
-                    DaemonCounters {
-                        memo_entries: stats.memo_entries,
-                        memo_bytes: stats.memo_bytes,
-                        memo_evictions: stats.memo_evictions,
-                        overloaded: stats.overloaded,
-                        conn_rejected: stats.conn_rejected,
-                        write_timeouts: stats.write_timeouts,
-                    },
-                ),
+                Response::Stats(stats) => stats,
                 other => return Err(format!("expected stats, got {other:?}")),
             }
         }
@@ -1222,7 +1199,6 @@ fn run_load(
         errors: tally.errors,
         busy_retries: tally.busy_retries,
         shed_retries: tally.shed_retries,
-        memo_hits,
         daemon,
         quick,
         total_wall,

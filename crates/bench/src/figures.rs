@@ -463,9 +463,9 @@ pub const FIG5_MESH_RESOLUTION: usize = 1025;
 
 /// Regenerates the production-scale Fig. 5 mesh comparison.
 ///
-/// Deterministic to the bit: the multigrid solve is a fixed sequence of
-/// sequential floating-point operations regardless of the shard count,
-/// so the artifact golden-checks with an exact tolerance.
+/// Deterministic to the bit: the multigrid solve runs on one thread as
+/// a fixed sequence of floating-point operations, so the artifact
+/// golden-checks with an exact tolerance.
 ///
 /// # Errors
 ///

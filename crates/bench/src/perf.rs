@@ -9,8 +9,7 @@
 //!   [`np_grid::mesh::MeshCache`] path, across bump-cell mesh sizes from
 //!   33 to 1025 nodes per side (each kernel capped at the largest size
 //!   where it finishes in reasonable time — SOR is O(n⁴) and stops at
-//!   129); plus a first-class shard-count sweep of MGCG's sharded
-//!   smoothing at a fixed mesh;
+//!   129);
 //! * **thermal** — the electro-thermal fixed point of
 //!   [`np_thermal::package::Package::electro_thermal_temperature`];
 //! * **sta** — [`np_circuit::sta::TimingContext::analyze`] over a
@@ -21,7 +20,7 @@
 //! iterations against MGCG fine-grid-sweep equivalents (`mg_vs_pcg` in
 //! the JSON) — a work measure independent of wall-clock noise.
 //!
-//! The report schema (`nanopower-bench/v2`) is documented in
+//! The report schema (`nanopower-bench/v3`) is documented in
 //! `BENCHMARKS.md`; its *shape* is deterministic (same keys, same kernel
 //! entries in the same order for a given configuration) while the timing
 //! values vary run to run.
@@ -35,10 +34,9 @@ use np_circuit::sta::TimingContext;
 use np_device::Mosfet;
 use np_grid::cg::solve_pcg;
 use np_grid::mesh::MeshCache;
-use np_grid::multigrid::{solve_mgcg, MgHierarchy};
-use np_grid::plan::thread_budget;
+use np_grid::multigrid::solve_mgcg;
 use np_grid::solver::MeshProblem;
-use np_grid::GridError;
+use np_opt::parallel::thread_budget;
 use np_roadmap::TechNode;
 use np_thermal::package::Package;
 use np_units::{Celsius, Microns, ThermalResistance, Volts, Watts};
@@ -48,15 +46,6 @@ use std::time::Instant;
 /// kernels cap out earlier (see the gates in [`run`]); the tail sizes
 /// belong to the CG/multigrid families.
 pub const MESH_SIZES: [usize; 6] = [33, 65, 129, 257, 513, 1025];
-
-/// Shard counts MGCG's smoothing sweeps at [`SHARD_SWEEP_MESH`] — the
-/// first-class scaling axis (on a multi-core host the curve shows real
-/// speedup; beyond ncpu it quantifies the sharding overhead).
-pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// The mesh the shard-count sweep runs on in full mode (quick mode
-/// drops to the smallest mesh).
-pub const SHARD_SWEEP_MESH: usize = 257;
 
 /// Configuration for one harness run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -69,13 +58,13 @@ pub struct BenchOptions {
 /// One timed kernel in the report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelResult {
-    /// Kernel identifier, e.g. `grid.mgcg.par`.
+    /// Kernel identifier, e.g. `grid.mgcg.seq`.
     pub name: String,
     /// Mesh nodes per side for grid kernels; `0` for mesh-independent
     /// kernels (thermal, STA).
     pub mesh: usize,
-    /// Shards the kernel ran with (1 for sequential kernels; the
-    /// explicit count for shard-sweep entries).
+    /// Threads the kernel ran with: the scoring fan-out for
+    /// `opt.parallel.round`, 1 for every other (sequential) kernel.
     pub shards: usize,
     /// Mean wall-clock per iteration, nanoseconds.
     pub mean_ns: f64,
@@ -101,8 +90,7 @@ pub struct MgComparison {
 /// A completed harness run, ready to serialize.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
-    /// The thread budget: the shards of the optimizer round's scoring
-    /// fan-out (the shard sweep records its own counts per row).
+    /// The thread budget: the optimizer round's scoring fan-out.
     pub shards: usize,
     /// The machine's available parallelism when the run started.
     pub ncpu: usize,
@@ -115,8 +103,6 @@ pub struct BenchReport {
     pub quick: bool,
     /// Mesh sizes the grid kernels swept.
     pub mesh_sizes: Vec<usize>,
-    /// Shard counts MGCG's smoothing swept.
-    pub shard_counts: Vec<usize>,
     /// The MGCG-vs-PCG work comparison, if the grid sweep ran.
     pub mg_vs_pcg: Option<MgComparison>,
     /// Every timed kernel, in sweep order.
@@ -131,12 +117,6 @@ fn bench_mesh(n: usize) -> MeshProblem {
     let centre = m.index(n / 2, n / 2);
     m.pinned[centre] = true;
     m
-}
-
-/// One cold MGCG solve, hierarchy build included — what
-/// [`np_grid::SolvePlan::solve`] runs on a ladder mesh.
-fn mgcg(m: &MeshProblem, shards: usize) -> Result<Vec<f64>, GridError> {
-    solve_mgcg(m, &MgHierarchy::new(m)?, shards, None)
 }
 
 /// Reads one summed counter out of a collector summary.
@@ -173,11 +153,6 @@ pub fn run(opts: BenchOptions) -> BenchReport {
     } else {
         MESH_SIZES.to_vec()
     };
-    let shard_counts: Vec<usize> = if opts.quick {
-        vec![1, 2]
-    } else {
-        SHARD_COUNTS.to_vec()
-    };
     let mut criterion = Criterion::default();
     let mut kernels = Vec::new();
     // Criterion records consumed into `kernels` so far. Kept separate
@@ -208,7 +183,9 @@ pub fn run(opts: BenchOptions) -> BenchReport {
             group.bench_function("grid.pcg.seq", |b| {
                 b.iter(|| solve_pcg(black_box(&m), None))
             });
-            group.bench_function("grid.mgcg.seq", |b| b.iter(|| mgcg(black_box(&m), 1)));
+            group.bench_function("grid.mgcg.seq", |b| {
+                b.iter(|| solve_mgcg(black_box(&m), None))
+            });
         }
         if n <= 129 {
             // Warm-path cache: prime once, then time the hit + warm-start.
@@ -239,42 +216,6 @@ pub fn run(opts: BenchOptions) -> BenchReport {
         }
     }
 
-    // The first-class shard axis: MGCG across an explicit shard-count
-    // sweep at one fixed mesh, so scaling (or, past the CPU count,
-    // sharding overhead) is measured rather than inferred.
-    {
-        let n = if opts.quick {
-            MESH_SIZES[0]
-        } else {
-            SHARD_SWEEP_MESH
-        };
-        let m = bench_mesh(n);
-        let mut group = criterion.benchmark_group(format!("shards/{n}"));
-        group.sample_size(3);
-        for &s in &shard_counts {
-            group.bench_function(format!("grid.mgcg.par/s{s}"), |b| {
-                b.iter(|| mgcg(black_box(&m), s))
-            });
-        }
-        group.finish();
-        for (r, &s) in criterion.records().iter().skip(consumed).zip(&shard_counts) {
-            let name = r
-                .name
-                .split('/')
-                .next()
-                .unwrap_or(r.name.as_str())
-                .to_string();
-            kernels.push(KernelResult {
-                name,
-                mesh: n,
-                shards: s,
-                mean_ns: r.mean_ns,
-                iterations: r.iterations,
-            });
-        }
-        consumed = criterion.records().len();
-    }
-
     // The algorithmic comparison at the largest mesh: one timed solve
     // per CG-family solver under its own collector (MGCG's coarse-level
     // solves also emit PCG counters, so they must not share one),
@@ -286,7 +227,7 @@ pub fn run(opts: BenchOptions) -> BenchReport {
             let _ = solve_pcg(&m, None);
         });
         let (mgcg_ns, mgcg_sweeps) = timed_counted("grid.mgcg.sweeps_equivalent", || {
-            let _ = mgcg(&m, 1);
+            let _ = solve_mgcg(&m, None);
         });
         if !opts.quick && n > 513 {
             // The 1025 tail is too expensive for repeated criterion
@@ -406,15 +347,13 @@ pub fn run(opts: BenchOptions) -> BenchReport {
         arch: std::env::consts::ARCH,
         quick: opts.quick,
         mesh_sizes,
-        shard_counts,
         mg_vs_pcg,
         kernels,
     }
 }
 
 impl BenchReport {
-    /// Mean time of `name` at mesh size `mesh`, if that kernel ran —
-    /// the first such row (for `grid.mgcg.par`, the lowest shard count).
+    /// Mean time of `name` at mesh size `mesh`, if that kernel ran.
     pub fn mean_ns(&self, name: &str, mesh: usize) -> Option<f64> {
         self.kernels
             .iter()
@@ -422,10 +361,10 @@ impl BenchReport {
             .map(|k| k.mean_ns)
     }
 
-    /// Serializes the report as `nanopower-bench/v2` JSON.
+    /// Serializes the report as `nanopower-bench/v3` JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"nanopower-bench/v2\",\n");
+        out.push_str("  \"schema\": \"nanopower-bench/v3\",\n");
         out.push_str(&format!("  \"ncpu\": {},\n", self.ncpu));
         out.push_str(&format!("  \"os\": \"{}\",\n", self.os));
         out.push_str(&format!("  \"arch\": \"{}\",\n", self.arch));
@@ -433,11 +372,6 @@ impl BenchReport {
         out.push_str(&format!("  \"quick\": {},\n", self.quick));
         let sizes: Vec<String> = self.mesh_sizes.iter().map(ToString::to_string).collect();
         out.push_str(&format!("  \"mesh_sizes\": [{}],\n", sizes.join(", ")));
-        let shard_axis: Vec<String> = self.shard_counts.iter().map(ToString::to_string).collect();
-        out.push_str(&format!(
-            "  \"shard_counts\": [{}],\n",
-            shard_axis.join(", ")
-        ));
         if let Some(c) = &self.mg_vs_pcg {
             out.push_str(&format!(
                 "  \"mg_vs_pcg\": {{\"mesh\": {}, \"pcg_iterations\": {}, \"mgcg_sweeps_equivalent\": {}, \"fine_sweep_ratio\": {:.2}}},\n",
@@ -667,7 +601,6 @@ mod tests {
     fn quick_run_times_every_kernel_and_serializes() {
         let report = run(BenchOptions { quick: true });
         assert_eq!(report.mesh_sizes, vec![33]);
-        assert_eq!(report.shard_counts, vec![1, 2]);
         for name in [
             "grid.sor.seq",
             "grid.pcg.seq",
@@ -696,16 +629,12 @@ mod tests {
             .kernels
             .iter()
             .any(|k| k.name == "opt.parallel.round" && k.shards == report.shards));
-        // The shard sweep ran MGCG at every count.
-        for &s in &[1usize, 2] {
-            assert!(
-                report
-                    .kernels
-                    .iter()
-                    .any(|k| k.name == "grid.mgcg.par" && k.shards == s && k.mean_ns > 0.0),
-                "grid.mgcg.par missing at shards={s}"
-            );
-        }
+        // Every grid kernel runs on one thread.
+        assert!(report
+            .kernels
+            .iter()
+            .filter(|k| k.name.starts_with("grid."))
+            .all(|k| k.shards == 1));
         // The comparison block proves the acceptance ratio even in
         // quick mode (the margin grows with mesh size; 33 is its floor).
         let cmp = report.mg_vs_pcg.expect("comparison must run");
@@ -714,11 +643,11 @@ mod tests {
         assert!(cmp.mgcg_sweeps_equivalent > 0);
         assert!(cmp.fine_sweep_ratio > 0.0);
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"nanopower-bench/v2\""));
+        assert!(json.contains("\"schema\": \"nanopower-bench/v3\""));
         assert!(!json.contains("\"speedup\""));
-        assert!(json.contains("\"shard_counts\": [1, 2]"));
+        assert!(!json.contains("\"shard_counts\""));
         assert!(json.contains("\"mg_vs_pcg\""));
-        assert!(json.contains("\"grid.mgcg.par\""));
+        assert!(!json.contains("\"grid.mgcg.par\""));
         assert!(json.contains("\"quick\": true"));
         // Host metadata pins where the numbers came from.
         assert_eq!(report.os, std::env::consts::OS);

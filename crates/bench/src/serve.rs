@@ -9,6 +9,7 @@
 //! service-level numbers (throughput, percentiles in milliseconds,
 //! memo hits).
 
+use nanopower::proto::StatsMsg;
 use std::time::Duration;
 
 /// One load run against a `nanopowerd` daemon: configuration, outcome
@@ -28,12 +29,10 @@ pub struct ServeReport {
     pub busy_retries: u64,
     /// `overloaded` sheds observed (each retried with backoff).
     pub shed_retries: u64,
-    /// Memo-served records accumulated by the daemon over the run
-    /// (from its stats response).
-    pub memo_hits: u64,
-    /// Daemon-side counters captured from the final stats response:
-    /// memo occupancy and the overload/degradation tallies.
-    pub daemon: DaemonCounters,
+    /// The daemon's `stats` response after the run: its memo hits, memo
+    /// occupancy and overload/degradation tallies (all zero when the
+    /// stats probe was skipped).
+    pub daemon: StatsMsg,
     /// Whether this was a `--quick` run.
     pub quick: bool,
     /// Wall-clock of the whole load run.
@@ -88,24 +87,6 @@ impl KindStats {
             self.p99_ms()
         )
     }
-}
-
-/// The daemon-side resilience counters a load run records alongside its
-/// client-side latencies (all zero when the stats probe was skipped).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DaemonCounters {
-    /// Entries resident in the artifact memo after the run.
-    pub memo_entries: u64,
-    /// Approximate bytes resident in the artifact memo.
-    pub memo_bytes: u64,
-    /// Memo entries evicted by the entry/byte caps.
-    pub memo_evictions: u64,
-    /// Requests shed with a typed `overloaded` response.
-    pub overloaded: u64,
-    /// Connections turned away at the max-connections gate.
-    pub conn_rejected: u64,
-    /// Record writes abandoned at the per-connection write deadline.
-    pub write_timeouts: u64,
 }
 
 /// Linear-interpolated percentile (`p` in 0..=100) of an unsorted
@@ -182,7 +163,7 @@ impl ServeReport {
             self.errors,
             self.busy_retries,
             self.shed_retries,
-            self.memo_hits,
+            self.daemon.memo_hits,
             self.throughput_rps(),
             self.p50_ms(),
             self.p99_ms(),
@@ -231,7 +212,7 @@ impl ServeReport {
             self.throughput_rps(),
             self.p50_ms(),
             self.p99_ms(),
-            self.memo_hits,
+            self.daemon.memo_hits,
         )
     }
 }
@@ -259,14 +240,13 @@ mod tests {
             errors: 2,
             busy_retries: 3,
             shed_retries: 1,
-            memo_hits: 40,
-            daemon: DaemonCounters {
+            daemon: StatsMsg {
+                memo_hits: 40,
                 memo_entries: 6,
                 memo_bytes: 4096,
                 memo_evictions: 2,
                 overloaded: 1,
-                conn_rejected: 0,
-                write_timeouts: 0,
+                ..StatsMsg::default()
             },
             quick: false,
             total_wall: Duration::from_secs(2),

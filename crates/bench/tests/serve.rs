@@ -11,6 +11,7 @@ use nanopower::proto::{
 };
 use nanopower::roadmap::TechNode;
 use nanopower::spec::{GridSpec, ScenarioSpec};
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -196,15 +197,23 @@ fn serves_artifacts_and_memoizes_repeats() {
     assert_eq!(report.ok, 2, "fresh run succeeds: {report:?}");
     assert_eq!(report.memo_hits, 0);
     assert!(records.iter().all(|r| !r.memo && r.status == "ok"));
-    let fresh_digests: Vec<_> = records.iter().map(|r| r.digest.clone()).collect();
+    // Fresh records stream in completion order, memo hits in request
+    // order: pair them by name.
+    let by_name = |records: &[RecordMsg]| {
+        records
+            .iter()
+            .map(|r| (r.name.clone(), r.digest.clone()))
+            .collect::<BTreeMap<_, _>>()
+    };
+    let fresh_digests = by_name(&records);
 
     // The repeat is served from the memo — same digests, no execution.
     let (report, records) = conn.run(run_names(&["fig5", "table2"]));
     assert_eq!(report.ok, 2);
     assert_eq!(report.memo_hits, 2, "repeat hits the memo: {report:?}");
     assert!(records.iter().all(|r| r.memo && r.status == "ok"));
-    let memo_digests: Vec<_> = records.iter().map(|r| r.digest.clone()).collect();
-    assert_eq!(fresh_digests, memo_digests, "memo preserves digests");
+    // Equal maps: the same names, each with the same digest.
+    assert_eq!(fresh_digests, by_name(&records), "memo preserves digests");
 
     // Unknown artifacts surface as typed error records, not hangups.
     let (report, records) = conn.run(run_names(&["no-such-artifact"]));

@@ -566,12 +566,13 @@ fn run_session(jobs: Vec<Job>, workers: usize, policy: RunPolicy, hooks: RunHook
         };
     }
     let workers = workers.clamp(1, total);
-    // Split the machine between engine workers and the grid solver's
-    // shards: with W workers each running jobs that may call a parallel
-    // solve, give every job cores/W solver threads so the two layers of
-    // parallelism don't oversubscribe. Restored when the run ends.
+    // Split the machine between engine workers and the optimizer's
+    // scoring workers: with W workers each running jobs that may call
+    // `np_opt::optimize_parallel`, give every job cores/W scoring threads
+    // so the two layers of parallelism don't oversubscribe. Restored
+    // when the run ends.
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let _solver_budget = np_grid::plan::scoped_thread_budget((cores / workers).max(1));
+    let _scoring_budget = np_opt::parallel::scoped_thread_budget((cores / workers).max(1));
     let run_span = np_telemetry::span("engine.run");
     // Slots the workers take jobs from; `next` hands out indices in
     // submission order.
@@ -1110,7 +1111,7 @@ mod tests {
                 Job::new(format!("probe{i}"), move || {
                     seen.lock()
                         .unwrap_or_else(PoisonError::into_inner)
-                        .push(np_grid::plan::thread_budget());
+                        .push(np_opt::parallel::thread_budget());
                     Ok("ok\n".into())
                 })
             })
@@ -1119,7 +1120,7 @@ mod tests {
         assert!(report.all_ok());
         // The budget is process-global, so concurrent engine runs from
         // other tests may briefly adjust it; assert the invariant (a
-        // worker never sees more solver threads than the machine has)
+        // worker never sees more scoring threads than the machine has)
         // rather than the exact cores/workers split.
         let seen = seen.lock().unwrap_or_else(PoisonError::into_inner);
         assert_eq!(seen.len(), 4);

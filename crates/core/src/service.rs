@@ -38,12 +38,13 @@
 //!   typed `quarantined` record instead of burning a worker slot on a
 //!   panic the daemon already caught once.
 //! - [`ServiceCounters`] — the accepted/served/memo-hit/cancelled/
-//!   rejected/shed/spec-rejection counters surfaced by the
-//!   `{"stats": {}}` request.
+//!   rejected/shed/spec-rejection counters, which
+//!   [`ServiceCounters::stats`] turns into the `{"stats": {}}` response.
 
 use crate::engine::fnv1a64;
 use crate::error::Error;
 use crate::jsonio::{self, Json};
+use crate::proto::StatsMsg;
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
 use std::io::Write;
@@ -739,37 +740,6 @@ pub struct ServiceCounters {
     pub quarantined: AtomicU64,
 }
 
-/// A point-in-time copy of [`ServiceCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CounterSnapshot {
-    /// Requests admitted past the gate and executed.
-    pub accepted: u64,
-    /// Requests fully served.
-    pub served: u64,
-    /// Records served from the artifact memo.
-    pub memo_hits: u64,
-    /// Requests whose deadline cancelled the run.
-    pub cancelled: u64,
-    /// Requests rejected with `busy`.
-    pub rejected: u64,
-    /// Requests shed with `overloaded`.
-    pub overloaded: u64,
-    /// Connections turned away at the max-connections gate.
-    pub conn_rejected: u64,
-    /// Writes abandoned at the per-connection write deadline.
-    pub write_timeouts: u64,
-    /// Malformed request lines.
-    pub protocol_errors: u64,
-    /// Scenario specs rejected at validation.
-    pub invalid_specs: u64,
-    /// Requests rejected by the static spec cost gate.
-    pub too_expensive: u64,
-    /// Spec evaluations that panicked.
-    pub panicked: u64,
-    /// Spec records answered from the panic quarantine.
-    pub quarantined: u64,
-}
-
 impl ServiceCounters {
     /// Fresh zeroed counters.
     pub fn new() -> Self {
@@ -781,23 +751,27 @@ impl ServiceCounters {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A consistent-enough copy for reporting (individual loads are
-    /// relaxed; counters only ever grow).
-    pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            served: self.served.load(Ordering::Relaxed),
-            memo_hits: self.memo_hits.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            overloaded: self.overloaded.load(Ordering::Relaxed),
-            conn_rejected: self.conn_rejected.load(Ordering::Relaxed),
-            write_timeouts: self.write_timeouts.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            invalid_specs: self.invalid_specs.load(Ordering::Relaxed),
-            too_expensive: self.too_expensive.load(Ordering::Relaxed),
-            panicked: self.panicked.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
+    /// The counters as a `stats` response (individual loads are
+    /// relaxed; counters only ever grow). The memo and quarantine
+    /// occupancy fields are left at zero for the caller, which owns
+    /// those structures, to fill in.
+    pub fn stats(&self) -> StatsMsg {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        StatsMsg {
+            accepted: load(&self.accepted),
+            served: load(&self.served),
+            memo_hits: load(&self.memo_hits),
+            cancelled: load(&self.cancelled),
+            rejected: load(&self.rejected),
+            overloaded: load(&self.overloaded),
+            conn_rejected: load(&self.conn_rejected),
+            write_timeouts: load(&self.write_timeouts),
+            protocol_errors: load(&self.protocol_errors),
+            invalid_specs: load(&self.invalid_specs),
+            too_expensive: load(&self.too_expensive),
+            panicked: load(&self.panicked),
+            quarantined: load(&self.quarantined),
+            ..StatsMsg::default()
         }
     }
 }
@@ -1176,12 +1150,14 @@ mod tests {
         counters.bump(&counters.overloaded);
         counters.bump(&counters.write_timeouts);
         counters.bump(&counters.conn_rejected);
-        let snap = counters.snapshot();
-        assert_eq!(snap.accepted, 2);
-        assert_eq!(snap.rejected, 1);
-        assert_eq!(snap.overloaded, 1);
-        assert_eq!(snap.write_timeouts, 1);
-        assert_eq!(snap.conn_rejected, 1);
-        assert_eq!(snap.served, 0);
+        let stats = counters.stats();
+        assert_eq!(stats.accepted, 2);
+        assert_eq!(stats.rejected, 1);
+        assert_eq!(stats.overloaded, 1);
+        assert_eq!(stats.write_timeouts, 1);
+        assert_eq!(stats.conn_rejected, 1);
+        assert_eq!(stats.served, 0);
+        // Occupancy belongs to the memo and quarantine, not the counters.
+        assert_eq!((stats.memo_entries, stats.quarantine_entries), (0, 0));
     }
 }

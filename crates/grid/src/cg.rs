@@ -18,8 +18,10 @@
 //! * [`crate::multigrid::solve_mgcg`] — the same iteration with one
 //!   multigrid V-cycle as the preconditioner.
 //!
-//! Callers normally pick a method through [`crate::plan::SolvePlan`]
-//! rather than calling a specific solver directly.
+//! Both take the same arguments (the mesh and an optional warm start)
+//! and run on the calling thread. Callers normally pick a method through
+//! [`crate::plan::SolvePlan`] rather than calling a specific solver
+//! directly.
 
 use crate::error::GridError;
 use crate::solver::MeshProblem;
@@ -27,8 +29,8 @@ use np_units::convergence::{Breakdown, ResidualTrace};
 
 /// Applies the mesh Laplacian `G·v` (pinned nodes held at zero).
 ///
-/// Shared with [`crate::multigrid`], whose warm starts evaluate the same
-/// mat-vec.
+/// Shared with [`crate::multigrid`], whose V-cycle residuals evaluate
+/// the same mat-vec.
 pub(crate) fn apply(m: &MeshProblem, v: &[f64], out: &mut [f64]) {
     let (nx, ny, g) = (m.nx, m.ny, m.edge_conductance);
     for y in 0..ny {

@@ -14,13 +14,13 @@
 //!   mesh, built on the preconditioned-CG kernel MGCG shares;
 //! * [`multigrid`] — multigrid-preconditioned CG (MGCG): the O(N)
 //!   geometric V-cycle (red-black smoothing, full-weighting restriction,
-//!   bilinear prolongation) as the CG preconditioner, with smoothing
-//!   sharded across row bands ([`shard`]);
+//!   bilinear prolongation) as the CG preconditioner;
 //! * [`plan`] — the Fig. 5 study: required rail width (normalized to the
 //!   minimum top-metal width) and routing-resource share per node, under
 //!   (a) minimum attainable bump pitch and (b) ITRS pad counts — and the
 //!   [`plan::SolvePlan`] policy that sends every mesh on the 2^k+1
-//!   ladder to MGCG and every other mesh to Jacobi-PCG;
+//!   ladder to MGCG and every other mesh to Jacobi-PCG, each solve
+//!   running on the calling thread;
 //! * [`transient`] — `L·di/dt` noise from sleep-mode wake-up;
 //! * [`mcml`] — MOS current-mode logic as a current-transient-free
 //!   alternative (ref. \[42\]).
@@ -55,7 +55,6 @@ pub mod mcml;
 pub mod mesh;
 pub mod multigrid;
 pub mod plan;
-pub mod shard;
 pub mod solver;
 pub mod transient;
 

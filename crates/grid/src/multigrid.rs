@@ -23,10 +23,9 @@
 //! solve) preconditions the shared CG kernel in [`solve_mgcg`] (MGCG),
 //! whose iteration count is essentially mesh-independent — the solve is
 //! O(N) where Jacobi-PCG is O(N^1.5). [`crate::plan::SolvePlan`] runs it
-//! on every mesh that fits the ladder. Smoothing shards across row bands
-//! perform the same arithmetic as the sequential pass and every
-//! reduction is sequential, so the result is bitwise identical for every
-//! shard count.
+//! on every mesh that fits the ladder. The cycle runs sequentially on the
+//! calling thread, so the result is a pure function of the problem and
+//! the warm start.
 //!
 //! Dirichlet pins coarsen conservatively: a coarse node is pinned when
 //! *any* fine pin falls in the 3×3 fine neighborhood it represents, so
@@ -36,12 +35,9 @@
 //! correctness — acceptance is always the fine-grid residual reaching
 //! the CG-family tolerance `1e-12·‖b‖`.
 
-use crate::cg::{check_warm_len, pcg_kernel, solve_pcg};
+use crate::cg::{apply, check_warm_len, pcg_kernel, solve_pcg};
 use crate::error::GridError;
-use crate::shard::{self, AtomicF64Vec};
 use crate::solver::MeshProblem;
-use std::ops::Range;
-use std::sync::Barrier;
 
 /// Coarsening stops once a level reaches this many nodes per side; the
 /// resulting ≤ 9×9 system is handed to the (near-exact) PCG coarse
@@ -56,10 +52,6 @@ const PRE_SWEEPS: usize = 2;
 /// therefore a valid CG preconditioner).
 const POST_SWEEPS: usize = 2;
 
-/// Levels below this node count (128²) always smooth sequentially:
-/// barrier overhead beats the work saved on small grids.
-const LEVEL_PARALLEL_MIN: usize = 16_384;
-
 /// The full-weighting restriction stencil, `[dy+1][dx+1]`-indexed.
 const FW_WEIGHTS: [[f64; 3]; 3] = [
     [1.0 / 16.0, 1.0 / 8.0, 1.0 / 16.0],
@@ -67,122 +59,70 @@ const FW_WEIGHTS: [[f64; 3]; 3] = [
     [1.0 / 16.0, 1.0 / 8.0, 1.0 / 16.0],
 ];
 
-/// Whether an `n`-node-per-side dimension fits the 2^k+1 coarsening
-/// ladder.
-fn is_pow2_plus_one(n: usize) -> bool {
-    n >= 3 && (n - 1).is_power_of_two()
+/// Whether a `nx × ny` mesh fits the geometric coarsening ladder (both
+/// dimensions of the form `2^k+1`) — the meshes [`solve_mgcg`] accepts.
+pub(crate) fn compatible(nx: usize, ny: usize) -> bool {
+    let fits = |n: usize| n >= 3 && (n - 1).is_power_of_two();
+    fits(nx) && fits(ny)
 }
 
-/// One level's shape: grid dimensions plus the coarsened pin mask.
-#[derive(Debug, Clone)]
-struct LevelShape {
-    nx: usize,
-    ny: usize,
-    pinned: Vec<bool>,
+/// One level of the V-cycle: its correction problem (the `injection`
+/// rewritten every cycle; level 0 starts as the caller's problem), the
+/// level solution, and a residual scratch vector.
+struct Level {
+    m: MeshProblem,
+    x: Vec<f64>,
+    r: Vec<f64>,
 }
 
-/// The precomputed level ladder for one mesh shape — dimensions and
-/// coarsened pin masks per level, finest first.
-///
-/// Building the hierarchy costs one pass over the mesh. It depends only
-/// on the mesh shape, pins and conductance — not the injection — so
-/// repeated solves of one geometry at different loads can share it
-/// across [`solve_mgcg`] calls.
-///
-/// ```
-/// use np_grid::multigrid::{solve_mgcg, MgHierarchy};
-/// use np_grid::solver::MeshProblem;
-///
-/// let mut m = MeshProblem::new(33, 33, 1.0);
-/// m.injection = vec![1e-4; 33 * 33];
-/// let centre = m.index(16, 16);
-/// m.pinned[centre] = true;
-/// let hier = MgHierarchy::new(&m)?;
-/// assert_eq!(hier.levels(), 3); // 33 -> 17 -> 9
-/// let cold = solve_mgcg(&m, &hier, 1, None)?;
-/// let warm = solve_mgcg(&m, &hier, 1, Some(&cold))?;
-/// assert_eq!(cold, warm); // warm start from the solution is a no-op
-/// # Ok::<(), np_grid::GridError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct MgHierarchy {
-    levels: Vec<LevelShape>,
-    edge_conductance: f64,
-}
-
-impl MgHierarchy {
-    /// Whether a `nx × ny` mesh fits the geometric coarsening ladder
-    /// (both dimensions of the form `2^k+1`).
-    pub fn compatible(nx: usize, ny: usize) -> bool {
-        is_pow2_plus_one(nx) && is_pow2_plus_one(ny)
+impl Level {
+    fn new(m: MeshProblem) -> Self {
+        let n = m.nx * m.ny;
+        Self {
+            m,
+            x: vec![0.0; n],
+            r: vec![0.0; n],
+        }
     }
+}
 
-    /// Builds the level ladder for `m`, coarsening until a side reaches
-    /// [`MG_COARSEST_SIDE`].
-    ///
-    /// # Errors
-    ///
-    /// Those of [`MeshProblem::validate`], plus
-    /// [`GridError::BadParameter`] when either dimension is not `2^k+1`.
-    pub fn new(m: &MeshProblem) -> Result<Self, GridError> {
-        m.validate()?;
-        if !Self::compatible(m.nx, m.ny) {
-            return Err(GridError::BadParameter(
-                "multigrid needs 2^k+1 nodes per side",
-            ));
+/// Builds the level ladder for `m`, finest first, coarsening until a side
+/// reaches [`MG_COARSEST_SIDE`].
+///
+/// # Errors
+///
+/// Those of [`MeshProblem::validate`], plus
+/// [`GridError::BadParameter`] when either dimension is not `2^k+1`.
+fn build_levels(m: &MeshProblem) -> Result<Vec<Level>, GridError> {
+    m.validate()?;
+    if !compatible(m.nx, m.ny) {
+        return Err(GridError::BadParameter(
+            "multigrid needs 2^k+1 nodes per side",
+        ));
+    }
+    let mut levels = vec![Level::new(m.clone())];
+    loop {
+        let last = &levels[levels.len() - 1].m;
+        if last.nx <= MG_COARSEST_SIDE || last.ny <= MG_COARSEST_SIDE {
+            break;
         }
-        let mut levels = vec![LevelShape {
-            nx: m.nx,
-            ny: m.ny,
-            pinned: m.pinned.clone(),
-        }];
-        loop {
-            let last = &levels[levels.len() - 1];
-            if last.nx <= MG_COARSEST_SIDE || last.ny <= MG_COARSEST_SIDE {
-                break;
-            }
-            let (nxc, nyc) = ((last.nx - 1) / 2 + 1, (last.ny - 1) / 2 + 1);
-            let pinned = coarsen_pins(last, nxc, nyc);
-            levels.push(LevelShape {
-                nx: nxc,
-                ny: nyc,
-                pinned,
-            });
-        }
-        Ok(Self {
-            levels,
+        let (nxc, nyc) = ((last.nx - 1) / 2 + 1, (last.ny - 1) / 2 + 1);
+        let coarse = MeshProblem {
+            nx: nxc,
+            ny: nyc,
             edge_conductance: m.edge_conductance,
-        })
-    }
-
-    /// Number of levels in the ladder (≥ 1; the finest counts).
-    pub fn levels(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// Rejects a hierarchy built for a different mesh: the level ladder
-    /// bakes in the pin masks, so shape *and* pins must match exactly.
-    fn check_matches(&self, m: &MeshProblem) -> Result<(), GridError> {
-        let Some(fine) = self.levels.first() else {
-            return Err(GridError::BadParameter("multigrid hierarchy is empty"));
+            injection: vec![0.0; nxc * nyc],
+            pinned: coarsen_pins(last, nxc, nyc),
         };
-        if fine.nx != m.nx
-            || fine.ny != m.ny
-            || fine.pinned != m.pinned
-            || self.edge_conductance.to_bits() != m.edge_conductance.to_bits()
-        {
-            return Err(GridError::BadParameter(
-                "multigrid hierarchy does not match the mesh",
-            ));
-        }
-        Ok(())
+        levels.push(Level::new(coarse));
     }
+    Ok(levels)
 }
 
 /// A coarse node is pinned when any fine pin falls in the 3×3 fine
 /// neighborhood of its image `(2x, 2y)` — conservative, so every pin
 /// survives coarsening and each level keeps at least one Dirichlet node.
-fn coarsen_pins(fine: &LevelShape, nxc: usize, nyc: usize) -> Vec<bool> {
+fn coarsen_pins(fine: &MeshProblem, nxc: usize, nyc: usize) -> Vec<bool> {
     let mut pinned = vec![false; nxc * nyc];
     for yc in 0..nyc {
         for xc in 0..nxc {
@@ -199,92 +139,23 @@ fn coarsen_pins(fine: &LevelShape, nxc: usize, nyc: usize) -> Vec<bool> {
     pinned
 }
 
-/// Per-solve mutable state of one level: the correction problem (its
-/// `injection` rewritten every cycle), the level solution, and a
-/// residual scratch vector.
-struct LevelState {
-    m: MeshProblem,
-    x: AtomicF64Vec,
-    r: Vec<f64>,
-}
-
-/// Materializes the per-level solve state from a hierarchy; level 0
-/// carries the caller's problem verbatim.
-fn make_workspace(m: &MeshProblem, hier: &MgHierarchy) -> Vec<LevelState> {
-    let mut levels = Vec::with_capacity(hier.levels.len());
-    let n0 = m.nx * m.ny;
-    levels.push(LevelState {
-        m: m.clone(),
-        x: AtomicF64Vec::zeros(n0),
-        r: vec![0.0; n0],
-    });
-    for shape in &hier.levels[1..] {
-        let n = shape.nx * shape.ny;
-        levels.push(LevelState {
-            m: MeshProblem {
-                nx: shape.nx,
-                ny: shape.ny,
-                edge_conductance: hier.edge_conductance,
-                injection: vec![0.0; n],
-                pinned: shape.pinned.clone(),
-            },
-            x: AtomicF64Vec::zeros(n),
-            r: vec![0.0; n],
-        });
-    }
-    levels
-}
-
 /// `sweeps` Gauss-Seidel sweeps over `m`, each visiting `colors[0]` then
-/// `colors[1]`, sharded across row bands when `shards > 1`.
-///
-/// Same-color nodes are independent, so the sharded schedule performs
-/// exactly the sequential arithmetic — the result is bitwise identical
-/// for every shard count.
-fn smooth(m: &MeshProblem, x: &AtomicF64Vec, sweeps: usize, colors: [usize; 2], shards: usize) {
-    if sweeps == 0 {
-        return;
-    }
-    let shards = shard::clamp_shards(shards, m.ny);
-    if shards == 1 {
-        for _ in 0..sweeps {
-            for color in colors {
-                gauss_seidel_pass(m, x, 0..m.ny, color);
-            }
+/// `colors[1]`.
+fn smooth(m: &MeshProblem, x: &mut [f64], sweeps: usize, colors: [usize; 2]) {
+    for _ in 0..sweeps {
+        for color in colors {
+            gauss_seidel_pass(m, x, color);
         }
-        return;
     }
-    let bands = shard::row_bands(m.ny, shards);
-    let barrier = Barrier::new(shards);
-    std::thread::scope(|scope| {
-        for band in bands {
-            let (barrier, x) = (&barrier, x);
-            scope.spawn(move || {
-                for _ in 0..sweeps {
-                    for color in colors {
-                        gauss_seidel_pass(m, x, band.clone(), color);
-                        // Cross-band reads of this color's values happen
-                        // in the next half-sweep; the final barrier's
-                        // happens-before is subsumed by the scope join.
-                        barrier.wait();
-                    }
-                }
-            });
-        }
-    });
 }
 
-/// One red-black Gauss-Seidel half-sweep over the rows in `band`,
-/// updating only nodes of `color` — the `ω = 1` case of the SOR sweep in
-/// [`MeshProblem::solve`].
-///
-/// Same-color nodes never neighbor each other, so every update in this
-/// pass reads only opposite-color values: concurrent band updates of the
-/// same color are independent, and the arithmetic matches the sequential
-/// sweep exactly.
-fn gauss_seidel_pass(m: &MeshProblem, v: &AtomicF64Vec, band: Range<usize>, color: usize) {
+/// One red-black Gauss-Seidel half-sweep updating only nodes of `color`
+/// — the `ω = 1` case of the SOR sweep in [`MeshProblem::solve`].
+/// Same-color nodes never neighbor each other, so every update in the
+/// pass reads only opposite-color values.
+fn gauss_seidel_pass(m: &MeshProblem, v: &mut [f64], color: usize) {
     let (nx, ny, g) = (m.nx, m.ny, m.edge_conductance);
-    for y in band {
+    for y in 0..ny {
         for x in 0..nx {
             if (x + y) % 2 != color {
                 continue;
@@ -296,69 +167,39 @@ fn gauss_seidel_pass(m: &MeshProblem, v: &AtomicF64Vec, band: Range<usize>, colo
             let mut sum = 0.0;
             let mut deg = 0.0;
             if x > 0 {
-                sum += v.get(i - 1);
+                sum += v[i - 1];
                 deg += 1.0;
             }
             if x + 1 < nx {
-                sum += v.get(i + 1);
+                sum += v[i + 1];
                 deg += 1.0;
             }
             if y > 0 {
-                sum += v.get(i - nx);
+                sum += v[i - nx];
                 deg += 1.0;
             }
             if y + 1 < ny {
-                sum += v.get(i + nx);
+                sum += v[i + nx];
                 deg += 1.0;
             }
             // KCL: deg*g*v_i = g*sum - I_i  (I positive = draw). The
             // update is written as a relaxation step at ω = 1, which
             // rounds differently from storing `target` directly.
             let target = (g * sum - m.injection[i]) / (deg * g);
-            let cur = v.get(i);
-            v.set(i, cur + (target - cur));
+            let cur = v[i];
+            v[i] = cur + (target - cur);
         }
     }
-}
-
-/// One row of the mesh Laplacian `(G·v)_i`, reading `v` through the
-/// shared atomic vector; mirrors [`crate::cg`]'s sequential mat-vec
-/// exactly.
-fn apply_row_atomic(m: &MeshProblem, v: &AtomicF64Vec, i: usize) -> f64 {
-    let (nx, ny, g) = (m.nx, m.ny, m.edge_conductance);
-    if m.pinned[i] {
-        return v.get(i); // identity row for pinned nodes
-    }
-    let (x, y) = (i % nx, i / nx);
-    let mut acc = 0.0;
-    let mut deg = 0.0;
-    if x > 0 {
-        acc += if m.pinned[i - 1] { 0.0 } else { v.get(i - 1) };
-        deg += 1.0;
-    }
-    if x + 1 < nx {
-        acc += if m.pinned[i + 1] { 0.0 } else { v.get(i + 1) };
-        deg += 1.0;
-    }
-    if y > 0 {
-        acc += if m.pinned[i - nx] { 0.0 } else { v.get(i - nx) };
-        deg += 1.0;
-    }
-    if y + 1 < ny {
-        acc += if m.pinned[i + nx] { 0.0 } else { v.get(i + nx) };
-        deg += 1.0;
-    }
-    g * (deg * v.get(i) - acc)
 }
 
 /// `r = b − A·x` for the level problem (`b` being `−injection` at free
 /// nodes, `0` at pinned ones — where `x` is held at `0`, so `r` is `0`
 /// there too).
-fn residual(m: &MeshProblem, x: &AtomicF64Vec, r: &mut [f64]) {
-    let n = m.nx * m.ny;
-    for (i, ri) in r.iter_mut().enumerate().take(n) {
+fn residual(m: &MeshProblem, x: &[f64], r: &mut [f64]) {
+    apply(m, x, r);
+    for (i, ri) in r.iter_mut().enumerate() {
         let b = if m.pinned[i] { 0.0 } else { -m.injection[i] };
-        *ri = b - apply_row_atomic(m, x, i);
+        *ri = b - *ri;
     }
 }
 
@@ -401,9 +242,9 @@ fn restrict_residual(fine: &MeshProblem, r: &[f64], coarse: &mut MeshProblem) {
 
 /// Adds the bilinear interpolation of the coarse correction into the
 /// fine solution; pinned fine nodes stay exactly at the rail.
-fn prolong_add(coarse: &MeshProblem, xc: &AtomicF64Vec, fine: &MeshProblem, x: &AtomicF64Vec) {
+fn prolong_add(coarse: &MeshProblem, xc: &[f64], fine: &MeshProblem, x: &mut [f64]) {
     let nxc = coarse.nx;
-    let at = |cx: usize, cy: usize| xc.get(cy * nxc + cx);
+    let at = |cx: usize, cy: usize| xc[cy * nxc + cx];
     for fy in 0..fine.ny {
         for fx in 0..fine.nx {
             let i = fy * fine.nx + fx;
@@ -417,7 +258,7 @@ fn prolong_add(coarse: &MeshProblem, xc: &AtomicF64Vec, fine: &MeshProblem, x: &
                 (0, 1) => 0.5 * (at(cx, cy) + at(cx, cy + 1)),
                 _ => 0.25 * (at(cx, cy) + at(cx + 1, cy) + at(cx, cy + 1) + at(cx + 1, cy + 1)),
             };
-            x.set(i, x.get(i) + corr);
+            x[i] += corr;
         }
     }
 }
@@ -430,9 +271,8 @@ fn prolong_add(coarse: &MeshProblem, xc: &AtomicF64Vec, fine: &MeshProblem, x: &
 /// passes — the currency the bench harness compares against PCG
 /// iteration counts.
 fn v_cycle(
-    levels: &mut [LevelState],
+    levels: &mut [Level],
     depth: usize,
-    shards: usize,
     fine_nodes: f64,
     work: &mut f64,
 ) -> Result<(), GridError> {
@@ -441,31 +281,20 @@ fn v_cycle(
     };
     let _level_span = np_telemetry::shard_span("grid.mg.level", depth);
     let nodes = (cur.m.nx * cur.m.ny) as f64;
-    if rest.is_empty() {
+    let Some(next) = rest.first_mut() else {
         // Coarsest grid: a ≤ 9×9 system, solved near-exactly.
-        let v = solve_pcg(&cur.m, None)?;
-        for (i, value) in v.iter().enumerate() {
-            cur.x.set(i, *value);
-        }
+        cur.x = solve_pcg(&cur.m, None)?;
         *work += nodes / fine_nodes;
         return Ok(());
-    }
-    let level_shards = if nodes as usize >= LEVEL_PARALLEL_MIN {
-        shards
-    } else {
-        1
     };
-    smooth(&cur.m, &cur.x, PRE_SWEEPS, [0, 1], level_shards);
+    smooth(&cur.m, &mut cur.x, PRE_SWEEPS, [0, 1]);
     residual(&cur.m, &cur.x, &mut cur.r);
-    let next = &mut rest[0];
     restrict_residual(&cur.m, &cur.r, &mut next.m);
-    for i in 0..next.x.len() {
-        next.x.set(i, 0.0);
-    }
-    v_cycle(rest, depth + 1, shards, fine_nodes, work)?;
+    next.x.fill(0.0);
+    v_cycle(rest, depth + 1, fine_nodes, work)?;
     let next = &rest[0];
-    prolong_add(&next.m, &next.x, &cur.m, &cur.x);
-    smooth(&cur.m, &cur.x, POST_SWEEPS, [1, 0], level_shards);
+    prolong_add(&next.m, &next.x, &cur.m, &mut cur.x);
+    smooth(&cur.m, &mut cur.x, POST_SWEEPS, [1, 0]);
     *work += ((PRE_SWEEPS + POST_SWEEPS) as f64 + 2.0) * nodes / fine_nodes;
     Ok(())
 }
@@ -476,49 +305,39 @@ fn v_cycle(
 /// diagonal.
 ///
 /// Converges to the same `1e-12·‖b‖` tolerance in a near-mesh-independent
-/// number of iterations, each O(N). `hier` is the level ladder of `m`
-/// (built once per mesh shape and reusable across loads); `shards` row
-/// bands smooth the levels large enough to profit; `x0` warm-starts the
-/// iteration (pinned entries forced to zero). Bitwise deterministic: the
-/// result is a pure function of the problem and `x0`, whatever the shard
-/// count.
+/// number of iterations, each O(N). Both sides of `m` must be `2^k+1`;
+/// the level ladder is built per call. `x0` warm-starts the iteration
+/// (pinned entries forced to zero), exactly as in [`solve_pcg`].
 ///
 /// ```
-/// use np_grid::multigrid::{solve_mgcg, MgHierarchy};
+/// use np_grid::multigrid::solve_mgcg;
 /// use np_grid::solver::MeshProblem;
 ///
 /// let mut m = MeshProblem::new(17, 17, 1.0);
 /// m.injection = vec![1e-4; 17 * 17];
 /// let centre = m.index(8, 8);
 /// m.pinned[centre] = true;
-/// let hier = MgHierarchy::new(&m)?;
-/// let v = solve_mgcg(&m, &hier, 1, None)?;
-/// assert_eq!(v.len(), 17 * 17);
-/// assert_eq!(v[centre], 0.0); // the bump stays at the rail
-/// assert_eq!(v, solve_mgcg(&m, &hier, 4, None)?); // any shard count
+/// let cold = solve_mgcg(&m, None)?;
+/// assert_eq!(cold.len(), 17 * 17);
+/// assert_eq!(cold[centre], 0.0); // the bump stays at the rail
+/// let warm = solve_mgcg(&m, Some(&cold))?;
+/// assert_eq!(cold, warm); // warm start from the solution is a no-op
 /// # Ok::<(), np_grid::GridError>(())
 /// ```
 ///
 /// # Errors
 ///
 /// Those of [`MeshProblem::validate`]; [`GridError::BadParameter`] when
-/// `hier` was built for another mesh or `x0` does not have `nx·ny`
-/// entries; [`GridError::NoConvergence`] when the iteration stalls.
-pub fn solve_mgcg(
-    m: &MeshProblem,
-    hier: &MgHierarchy,
-    shards: usize,
-    x0: Option<&[f64]>,
-) -> Result<Vec<f64>, GridError> {
-    m.validate()?;
-    hier.check_matches(m)?;
+/// a side of `m` is not `2^k+1` or `x0` does not have `nx·ny` entries;
+/// [`GridError::NoConvergence`] when the iteration stalls.
+pub fn solve_mgcg(m: &MeshProblem, x0: Option<&[f64]>) -> Result<Vec<f64>, GridError> {
+    let mut levels = build_levels(m)?;
     check_warm_len(m, x0)?;
     let _span = np_telemetry::span("grid.mgcg.solve");
-    let mut levels = make_workspace(m, hier);
     let fine_nodes = (m.nx * m.ny) as f64;
     let mut work = 0.0f64;
     let run = pcg_kernel(m, x0, |r, z| {
-        apply_preconditioner(&mut levels, r, z, shards, fine_nodes, &mut work)
+        apply_preconditioner(&mut levels, r, z, fine_nodes, &mut work)
     });
     // Each mat-vec plus its iteration's vector updates costs about two
     // fine-grid sweeps.
@@ -535,29 +354,21 @@ pub fn solve_mgcg(
 /// and near-exact coarse solve make `M` symmetric positive-definite, as
 /// CG requires of its preconditioner.
 fn apply_preconditioner(
-    levels: &mut [LevelState],
+    levels: &mut [Level],
     r: &[f64],
     z: &mut [f64],
-    shards: usize,
     fine_nodes: f64,
     work: &mut f64,
 ) -> Result<(), GridError> {
-    {
-        let Some(fine) = levels.first_mut() else {
-            return Err(GridError::BadParameter("multigrid hierarchy is empty"));
-        };
-        for (i, ri) in r.iter().enumerate() {
-            fine.m.injection[i] = -ri; // level convention: A·v = −injection
-            fine.x.set(i, 0.0);
-        }
-    }
-    v_cycle(levels, 0, shards, fine_nodes, work)?;
-    let Some(fine) = levels.first() else {
+    let Some(fine) = levels.first_mut() else {
         return Err(GridError::BadParameter("multigrid hierarchy is empty"));
     };
-    for (i, zi) in z.iter_mut().enumerate() {
-        *zi = fine.x.get(i);
+    for (inj, ri) in fine.m.injection.iter_mut().zip(r) {
+        *inj = -ri; // level convention: A·v = −injection
     }
+    fine.x.fill(0.0);
+    v_cycle(levels, 0, fine_nodes, work)?;
+    z.copy_from_slice(&levels[0].x);
     Ok(())
 }
 
@@ -576,11 +387,6 @@ mod tests {
         m
     }
 
-    /// A one-shot MGCG solve at `shards` shards.
-    fn mgcg(m: &MeshProblem, shards: usize) -> Result<Vec<f64>, GridError> {
-        solve_mgcg(m, &MgHierarchy::new(m)?, shards, None)
-    }
-
     /// Reads one summed counter out of a collector summary.
     fn counter(summary: &np_telemetry::Summary, name: &str) -> Option<u64> {
         summary
@@ -592,12 +398,10 @@ mod tests {
 
     #[test]
     fn hierarchy_ladder_has_the_expected_depth() -> Result<(), GridError> {
-        let h = MgHierarchy::new(&loaded(33))?;
-        assert_eq!(h.levels(), 3, "33 -> 17 -> 9");
-        let h = MgHierarchy::new(&loaded(9))?;
-        assert_eq!(h.levels(), 1, "9 is already the coarsest");
-        let h = MgHierarchy::new(&loaded(129))?;
-        assert_eq!(h.levels(), 5, "129 -> 65 -> 33 -> 17 -> 9");
+        let depth = |n| build_levels(&loaded(n)).map(|levels| levels.len());
+        assert_eq!(depth(33)?, 3, "33 -> 17 -> 9");
+        assert_eq!(depth(9)?, 1, "9 is already the coarsest");
+        assert_eq!(depth(129)?, 5, "129 -> 65 -> 33 -> 17 -> 9");
         Ok(())
     }
 
@@ -608,19 +412,19 @@ mod tests {
             let pin = m.index(n / 2, n / 2);
             m.pinned[pin] = true;
             m.injection = vec![1e-3; n * n];
+            assert!(!compatible(n, n), "n={n} is off the ladder");
             assert!(
-                matches!(MgHierarchy::new(&m), Err(GridError::BadParameter(_))),
-                "n={n} must be rejected"
-            );
-            assert!(
-                matches!(mgcg(&m, 1), Err(GridError::BadParameter(_))),
-                "n={n} must be rejected for MGCG too"
+                matches!(solve_mgcg(&m, None), Err(GridError::BadParameter(_))),
+                "n={n} must be rejected for MGCG"
             );
         }
         // 2x2 passes MeshProblem::new but not the coarsening ladder.
         let mut m = MeshProblem::new(2, 2, 1.0);
         m.pinned[0] = true;
-        assert!(matches!(mgcg(&m, 1), Err(GridError::BadParameter(_))));
+        assert!(matches!(
+            solve_mgcg(&m, None),
+            Err(GridError::BadParameter(_))
+        ));
     }
 
     #[test]
@@ -628,7 +432,7 @@ mod tests {
         for n in [9usize, 17, 33] {
             let m = loaded(n);
             let sor = m.solve()?;
-            let mg = mgcg(&m, 1)?;
+            let mg = solve_mgcg(&m, None)?;
             for i in 0..sor.len() {
                 assert!(
                     (sor[i] - mg[i]).abs() < 1e-6 * (1.0 + sor[i].abs()),
@@ -646,7 +450,7 @@ mod tests {
         for n in [17usize, 33] {
             let m = loaded(n);
             let pcg = solve_pcg(&m, None)?;
-            let mgcg = mgcg(&m, 1)?;
+            let mgcg = solve_mgcg(&m, None)?;
             for i in 0..pcg.len() {
                 assert!(
                     (pcg[i] - mgcg[i]).abs() < 1e-6 * (1.0 + pcg[i].abs()),
@@ -654,20 +458,6 @@ mod tests {
                     pcg[i],
                     mgcg[i]
                 );
-            }
-        }
-        Ok(())
-    }
-
-    #[test]
-    fn sharded_smoothing_is_bitwise_identical() -> Result<(), GridError> {
-        // 129² puts the finest level over LEVEL_PARALLEL_MIN, so the
-        // sharded smoother really runs.
-        for n in [33usize, 129] {
-            let m = loaded(n);
-            let seq = mgcg(&m, 1)?;
-            for shards in [2usize, 3, 7] {
-                assert_eq!(seq, mgcg(&m, shards)?, "n={n} shards={shards}");
             }
         }
         Ok(())
@@ -682,7 +472,7 @@ mod tests {
                 m.pinned[i] = true;
             }
             m.injection = vec![1e-3; 33 * 33];
-            let mg = mgcg(&m, 1)?;
+            let mg = solve_mgcg(&m, None)?;
             let pcg = solve_pcg(&m, None)?;
             for i in 0..mg.len() {
                 assert!(
@@ -700,7 +490,7 @@ mod tests {
         let pin = m.index(8, 16);
         m.pinned[pin] = true;
         m.injection = vec![1e-3; 17 * 33];
-        let mg = mgcg(&m, 1)?;
+        let mg = solve_mgcg(&m, None)?;
         let pcg = solve_pcg(&m, None)?;
         for i in 0..mg.len() {
             assert!((pcg[i] - mg[i]).abs() < 1e-6 * (1.0 + pcg[i].abs()));
@@ -711,12 +501,11 @@ mod tests {
     #[test]
     fn warm_start_from_the_solution_takes_zero_cycles() -> Result<(), GridError> {
         let m = loaded(33);
-        let hier = MgHierarchy::new(&m)?;
-        let cold = solve_mgcg(&m, &hier, 1, None)?;
+        let cold = solve_mgcg(&m, None)?;
         let collector = np_telemetry::Collector::new();
         let warm = {
             let _guard = np_telemetry::install(&collector);
-            solve_mgcg(&m, &hier, 1, Some(&cold))?
+            solve_mgcg(&m, Some(&cold))?
         };
         assert_eq!(cold, warm);
         assert_eq!(
@@ -732,33 +521,20 @@ mod tests {
         let mut m = MeshProblem::new(17, 17, 1.0);
         let pin = m.index(8, 8);
         m.pinned[pin] = true;
-        assert_eq!(mgcg(&m, 1)?, vec![0.0; 17 * 17]);
+        assert_eq!(solve_mgcg(&m, None)?, vec![0.0; 17 * 17]);
         Ok(())
     }
 
     #[test]
-    fn mismatched_hierarchy_and_warm_starts_are_rejected() -> Result<(), GridError> {
+    fn mismatched_warm_starts_are_rejected() {
         let m = loaded(17);
-        let other = MgHierarchy::new(&loaded(33))?;
-        assert!(matches!(
-            solve_mgcg(&m, &other, 1, None),
-            Err(GridError::BadParameter(_))
-        ));
-        // Same shape, different pins: still a mismatch.
-        let mut repinned = m.clone();
-        let extra = repinned.index(0, 0);
-        repinned.pinned[extra] = true;
-        let hier = MgHierarchy::new(&m)?;
-        assert!(matches!(
-            solve_mgcg(&repinned, &hier, 1, None),
-            Err(GridError::BadParameter(_))
-        ));
-        let short = vec![0.0; 3];
-        assert!(matches!(
-            solve_mgcg(&m, &hier, 1, Some(&short)),
-            Err(GridError::BadParameter(_))
-        ));
-        Ok(())
+        for len in [0usize, 3, 17 * 17 + 1] {
+            let x0 = vec![0.0; len];
+            assert!(
+                matches!(solve_mgcg(&m, Some(&x0)), Err(GridError::BadParameter(_))),
+                "a {len}-entry warm start must be rejected"
+            );
+        }
     }
 
     #[test]
@@ -779,7 +555,7 @@ mod tests {
         let mgcg_collector = np_telemetry::Collector::new();
         {
             let _guard = np_telemetry::install(&mgcg_collector);
-            mgcg(&m, 1)?;
+            solve_mgcg(&m, None)?;
         }
         let pcg_iters = counter(&pcg_collector.summary(), "grid.pcg.iterations").unwrap_or(0);
         let mgcg_sweeps =

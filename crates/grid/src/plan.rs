@@ -1,16 +1,15 @@
 //! The Fig. 5 study — per-node grid plans under minimum bump pitch
 //! versus ITRS pad counts — plus the [`SolvePlan`] policy that routes a
-//! mesh problem to its solver under the process-wide [`thread_budget`].
+//! mesh problem to its solver.
 
 use crate::analytic::{rail_routing_fraction, required_rail_width, IrBudget};
 use crate::cg::solve_pcg;
 use crate::error::GridError;
-use crate::multigrid::{solve_mgcg, MgHierarchy};
+use crate::multigrid::{self, solve_mgcg};
 use crate::solver::MeshProblem;
 use np_roadmap::{PackagingRoadmap, TechNode};
 use np_units::Microns;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Which bump-provisioning assumption a plan uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -136,76 +135,35 @@ pub fn fig5_series() -> Result<Vec<(GridPlan, GridPlan)>, GridError> {
         .collect()
 }
 
-/// The process-wide solver thread budget; `0` means "unset", which
-/// resolves to the machine's available parallelism.
-static THREAD_BUDGET: AtomicUsize = AtomicUsize::new(0);
-
-/// The number of threads a parallel solve may use right now.
-///
-/// Defaults to [`std::thread::available_parallelism`]; the engine caps
-/// it while worker threads are running (via [`scoped_thread_budget`]) so
-/// engine workers and solver shards don't oversubscribe the machine.
-pub fn thread_budget() -> usize {
-    match THREAD_BUDGET.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        n => n,
-    }
-}
-
-/// Caps [`thread_budget`] at `budget` (at least 1) until the returned
-/// guard is dropped, which restores the previous setting.
-///
-/// The budget is process-global: the engine installs one guard around a
-/// whole run, dividing the machine between its own workers and each
-/// worker's solver shards. Nested guards restore in LIFO drop order.
-pub fn scoped_thread_budget(budget: usize) -> ThreadBudgetGuard {
-    let previous = THREAD_BUDGET.swap(budget.max(1), Ordering::Relaxed);
-    ThreadBudgetGuard { previous }
-}
-
-/// Restores the prior [`thread_budget`] on drop; created by
-/// [`scoped_thread_budget`].
-#[derive(Debug)]
-pub struct ThreadBudgetGuard {
-    previous: usize,
-}
-
-impl Drop for ThreadBudgetGuard {
-    fn drop(&mut self) {
-        THREAD_BUDGET.store(self.previous, Ordering::Relaxed);
-    }
-}
-
 /// Which algorithm a [`SolvePlan`] runs on a mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolveStrategy {
     /// Jacobi-preconditioned CG ([`solve_pcg`]), sequential: meshes off
     /// the 2^k+1 ladder.
     JacobiPcg,
-    /// Multigrid-preconditioned CG ([`solve_mgcg`]), smoothing sharded
-    /// across the [`thread_budget`]: every mesh on the 2^k+1 ladder.
+    /// Multigrid-preconditioned CG ([`solve_mgcg`]), sequential: every
+    /// mesh on the 2^k+1 ladder.
     MultigridCg,
 }
 
 /// The solver policy for an `nx × ny` mesh: MGCG exactly when both sides
-/// fit the 2^k+1 coarsening ladder ([`MgHierarchy::compatible`]),
-/// Jacobi-PCG otherwise.
+/// fit the 2^k+1 coarsening ladder, Jacobi-PCG otherwise.
 ///
 /// There is no size threshold: on the ladder MGCG does O(N) work against
 /// Jacobi-PCG's O(N^1.5), and `BENCH_grid.json` has it ahead from 65²
-/// up (4.3× at 129²). At 33² it is ~1.2× slower, but that solve takes
+/// up (3.9× at 129²). At 33² it is ~1.2× slower, but that solve takes
 /// about a millisecond either way. The spec cost gate prices a grid leg
 /// with the same function, so it charges for the solver that runs.
 pub fn strategy_for(nx: usize, ny: usize) -> SolveStrategy {
-    if MgHierarchy::compatible(nx, ny) {
+    if multigrid::compatible(nx, ny) {
         SolveStrategy::MultigridCg
     } else {
         SolveStrategy::JacobiPcg
     }
 }
 
-/// The one solve policy: [`strategy_for`] picks the algorithm, and the
-/// [`thread_budget`] sets MGCG's smoothing shards.
+/// The one solve policy: [`strategy_for`] picks the algorithm, which
+/// runs on the calling thread.
 ///
 /// ```
 /// use np_grid::solver::MeshProblem;
@@ -236,13 +194,10 @@ impl SolvePlan {
         Self
     }
 
-    /// The (strategy, shards) pair this plan runs `m` with: MGCG smooths
-    /// across [`thread_budget`] shards, Jacobi-PCG runs on one.
+    /// The (strategy, threads) pair this plan runs `m` with. Both
+    /// algorithms are sequential, so the thread count is always 1.
     pub fn resolve_for(&self, m: &MeshProblem) -> (SolveStrategy, usize) {
-        match strategy_for(m.nx, m.ny) {
-            SolveStrategy::MultigridCg => (SolveStrategy::MultigridCg, thread_budget()),
-            SolveStrategy::JacobiPcg => (SolveStrategy::JacobiPcg, 1),
-        }
+        (strategy_for(m.nx, m.ny), 1)
     }
 
     /// Solves `m` with the resolved strategy, warm-started from `x0`
@@ -252,11 +207,9 @@ impl SolvePlan {
     ///
     /// Those of [`solve_pcg`] / [`solve_mgcg`].
     pub fn solve(&self, m: &MeshProblem, x0: Option<&[f64]>) -> Result<Vec<f64>, GridError> {
-        match self.resolve_for(m) {
-            (SolveStrategy::JacobiPcg, _) => solve_pcg(m, x0),
-            (SolveStrategy::MultigridCg, shards) => {
-                solve_mgcg(m, &MgHierarchy::new(m)?, shards, x0)
-            }
+        match strategy_for(m.nx, m.ny) {
+            SolveStrategy::JacobiPcg => solve_pcg(m, x0),
+            SolveStrategy::MultigridCg => solve_mgcg(m, x0),
         }
     }
 }
@@ -335,41 +288,12 @@ mod tests {
         m
     }
 
-    // One test owns every THREAD_BUDGET mutation: the budget is
-    // process-global, and the test runner is multi-threaded.
-    #[test]
-    fn auto_resolves_by_size_and_budget_and_guard_restores() {
-        let outer = thread_budget();
-        let (on_ladder, off_ladder) = (loaded_mesh(9, 9), loaded_mesh(10, 10));
-        {
-            let _guard = scoped_thread_budget(8);
-            assert_eq!(thread_budget(), 8);
-            let plan = SolvePlan::auto();
-            assert_eq!(
-                plan.resolve_for(&on_ladder),
-                (SolveStrategy::MultigridCg, 8)
-            );
-            assert_eq!(plan.resolve_for(&off_ladder), (SolveStrategy::JacobiPcg, 1));
-            {
-                // A budget of 1 keeps the algorithm and drops MGCG's
-                // smoothing to one shard.
-                let _inner = scoped_thread_budget(1);
-                assert_eq!(
-                    plan.resolve_for(&on_ladder),
-                    (SolveStrategy::MultigridCg, 1)
-                );
-            }
-            assert_eq!(thread_budget(), 8);
-        }
-        assert_eq!(thread_budget(), outer);
-    }
-
     #[test]
     fn auto_picks_mgcg_exactly_on_the_ladder() {
         let strategy = |nx, ny| {
-            SolvePlan::auto()
-                .resolve_for(&MeshProblem::new(nx, ny, 1.0))
-                .0
+            let (strategy, threads) = SolvePlan::auto().resolve_for(&MeshProblem::new(nx, ny, 1.0));
+            assert_eq!(threads, 1, "{nx}x{ny} solves on one thread");
+            strategy
         };
         for k in 2..=10 {
             let side = (1 << k) + 1; // 5, 9, 17, ..., 1025
@@ -389,8 +313,8 @@ mod tests {
             let m = loaded_mesh(n, n);
             let reference = m.solve()?;
             let mut answers = vec![SolvePlan::auto().solve(&m, None)?, solve_pcg(&m, None)?];
-            if MgHierarchy::compatible(n, n) {
-                answers.push(solve_mgcg(&m, &MgHierarchy::new(&m)?, 3, None)?);
+            if multigrid::compatible(n, n) {
+                answers.push(solve_mgcg(&m, None)?);
             }
             for v in &answers {
                 for (a, b) in v.iter().zip(&reference) {

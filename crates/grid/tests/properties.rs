@@ -2,7 +2,7 @@
 
 use np_grid::analytic::{required_rail_width, worst_case_drop, IrBudget};
 use np_grid::cg::solve_pcg;
-use np_grid::multigrid::{solve_mgcg, MgHierarchy};
+use np_grid::multigrid::solve_mgcg;
 use np_grid::solver::MeshProblem;
 use np_grid::{GridError, SolvePlan};
 use np_roadmap::TechNode;
@@ -13,22 +13,43 @@ fn any_node() -> impl Strategy<Value = TechNode> {
     prop::sample::select(TechNode::ALL.to_vec())
 }
 
-/// Shard counts the MGCG properties sweep: serial fallback, a couple of
-/// awkward splits, and the machine's parallelism.
-fn any_shards() -> impl Strategy<Value = usize> {
-    let ncpu = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    prop::sample::select(vec![1usize, 2, 7, ncpu])
+/// Mesh shapes on the 2^k+1 ladder the MGCG property draws: squares and
+/// rectangles in both orientations, so each side coarsens on its own.
+fn any_ladder_shape() -> impl Strategy<Value = (usize, usize)> {
+    prop::sample::select(vec![
+        (33usize, 33usize),
+        (129, 129),
+        (257, 257),
+        (33, 129),
+        (129, 33),
+        (65, 257),
+    ])
 }
 
-/// A loaded mesh: uniform injection, pin at `(px, py)`.
-fn loaded_mesh(n: usize, g: f64, load: f64, px: usize, py: usize) -> MeshProblem {
-    let mut m = MeshProblem::new(n, n, g);
-    let pin = m.index(px.min(n - 1), py.min(n - 1));
+/// A pin coordinate along a side of `n` nodes: `edge` 0 and 1 put it on
+/// the near and far edge, any other value `frac` of the way across.
+fn pin_coord(edge: usize, frac: f64, n: usize) -> usize {
+    match edge {
+        0 => 0,
+        1 => n - 1,
+        _ => ((n - 1) as f64 * frac) as usize,
+    }
+}
+
+/// A loaded `nx × ny` mesh: uniform injection, pin at `(px, py)`.
+fn loaded_rect(nx: usize, ny: usize, g: f64, load: f64, px: usize, py: usize) -> MeshProblem {
+    let mut m = MeshProblem::new(nx, ny, g);
+    let pin = m.index(px.min(nx - 1), py.min(ny - 1));
     m.pinned[pin] = true;
     for i in 0..m.injection.len() {
-        m.injection[i] = load / (n * n) as f64;
+        m.injection[i] = load / (nx * ny) as f64;
     }
     m
+}
+
+/// A loaded square mesh: uniform injection, pin at `(px, py)`.
+fn loaded_mesh(n: usize, g: f64, load: f64, px: usize, py: usize) -> MeshProblem {
+    loaded_rect(n, n, g, load, px, py)
 }
 
 proptest! {
@@ -148,27 +169,32 @@ proptest! {
 }
 
 // A separate block with a lower case count: 257×257 solves are real
-// work, and the property holds per (size, shards) cell rather than
-// needing a dense random sweep.
+// work, and the property holds per (shape, pin) cell rather than needing
+// a dense random sweep.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // MGCG agrees with Jacobi-PCG to 1e-6 at every ladder size
-    // (33/129/257) and shard count (1/2/NCPU via `any_shards`).
+    // MGCG agrees with Jacobi-PCG to 1e-6 on every ladder shape, square
+    // or not, whether the pin sits inside, on an edge or in a corner.
     #[test]
-    fn multigrid_family_matches_pcg_across_sizes_and_shards(
-        n in prop::sample::select(vec![33usize, 129, 257]),
+    fn mgcg_matches_jacobi_pcg_on_rectangular_ladders_and_any_pin(
+        shape in any_ladder_shape(),
+        edge_x in 0usize..3,
+        frac_x in 0.0..1.0f64,
+        edge_y in 0usize..3,
+        frac_y in 0.0..1.0f64,
         g in 0.1..10.0f64,
         load in 1e-4..1e-1f64,
-        shards in any_shards(),
     ) {
-        let m = loaded_mesh(n, g, load, n / 2, n / 2);
+        let (nx, ny) = shape;
+        let (px, py) = (pin_coord(edge_x, frac_x, nx), pin_coord(edge_y, frac_y, ny));
+        let m = loaded_rect(nx, ny, g, load, px, py);
         let pcg = solve_pcg(&m, None).unwrap();
-        let mgcg = solve_mgcg(&m, &MgHierarchy::new(&m).unwrap(), shards, None).unwrap();
+        let mgcg = solve_mgcg(&m, None).unwrap();
         for i in 0..pcg.len() {
             prop_assert!(
                 (pcg[i] - mgcg[i]).abs() <= 1e-6 * (1.0 + pcg[i].abs()),
-                "MGCG n={n} shards={shards} node {i}: {} vs {}",
+                "MGCG {nx}x{ny} pin ({px}, {py}) node {i}: {} vs {}",
                 pcg[i],
                 mgcg[i]
             );
@@ -184,7 +210,7 @@ fn multigrid_rejects_non_pow2_plus_one_meshes_with_a_typed_error() {
     for n in [20usize, 21] {
         let m = loaded_mesh(n, 1.0, 1e-2, n / 2, n / 2);
         assert!(
-            matches!(MgHierarchy::new(&m), Err(GridError::BadParameter(_))),
+            matches!(solve_mgcg(&m, None), Err(GridError::BadParameter(_))),
             "n={n} must be a BadParameter"
         );
     }

@@ -37,13 +37,54 @@ use np_circuit::netlist::{GateId, Netlist};
 use np_circuit::power::{level_converter_count, netlist_power, PowerReport};
 use np_circuit::sta::{TimingContext, TimingReport};
 use np_units::{Hertz, Microns};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// How often the scoring loop polls the cancel closure, in gates.
 const SCORE_CANCEL_STRIDE: usize = 1024;
 
 /// How often the accept loop polls the cancel closure, in proposals.
 const ACCEPT_CANCEL_STRIDE: usize = 256;
+
+/// The process-wide scoring thread budget; `0` means "unset", which
+/// resolves to the machine's available parallelism.
+static THREAD_BUDGET: AtomicUsize = AtomicUsize::new(0);
+
+/// The scoring workers an optimizer run uses when
+/// [`ParallelOptions::workers`] is `None`.
+///
+/// Defaults to [`std::thread::available_parallelism`]; the engine caps
+/// it while its worker threads run (via [`scoped_thread_budget`]), so
+/// engine workers and scoring workers don't oversubscribe the machine.
+pub fn thread_budget() -> usize {
+    match THREAD_BUDGET.load(Ordering::Relaxed) {
+        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        n => n,
+    }
+}
+
+/// Caps [`thread_budget`] at `budget` (at least 1) until the returned
+/// guard is dropped, which restores the previous setting.
+///
+/// The budget is process-global: the engine installs one guard around a
+/// whole run, dividing the machine between its own workers and each
+/// worker's scoring fan-out. Nested guards restore in LIFO drop order.
+pub fn scoped_thread_budget(budget: usize) -> ThreadBudgetGuard {
+    let previous = THREAD_BUDGET.swap(budget.max(1), Ordering::Relaxed);
+    ThreadBudgetGuard { previous }
+}
+
+/// Restores the prior [`thread_budget`] on drop; created by
+/// [`scoped_thread_budget`].
+#[derive(Debug)]
+pub struct ThreadBudgetGuard {
+    previous: usize,
+}
+
+impl Drop for ThreadBudgetGuard {
+    fn drop(&mut self) {
+        THREAD_BUDGET.store(self.previous, Ordering::Relaxed);
+    }
+}
 
 /// The kinds of single-gate moves the optimizer proposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,8 +117,8 @@ pub struct ParallelOptions {
     /// context's clock.
     pub frequency: Option<Hertz>,
     /// Worker threads for the scoring phase; `None` uses the process
-    /// [thread budget](np_grid::plan::thread_budget). Results are
-    /// bitwise identical at any worker count.
+    /// [`thread_budget`]. Results are bitwise identical at any worker
+    /// count.
     pub workers: Option<usize>,
     /// Maximum optimization rounds (each round is one full-STA freeze +
     /// parallel scoring + sequential accept pass).
@@ -474,10 +515,7 @@ where
     let before = netlist_power(netlist, ctx, options.activity, freq)?;
     let area_before = cell_area_units(netlist);
     let original_drives: Vec<f64> = netlist.ids().map(|id| netlist.gate(id).drive).collect();
-    let workers = options
-        .workers
-        .unwrap_or_else(np_grid::plan::thread_budget)
-        .max(1);
+    let workers = options.workers.unwrap_or_else(thread_budget).max(1);
     let leak = LeakModel::build(ctx);
     let af = options.activity * freq.0;
 
@@ -682,6 +720,25 @@ mod tests {
         let ctx = TimingContext::for_node(TechNode::N100).unwrap();
         let crit = ctx.analyze(&nl).unwrap().critical_delay();
         (nl, ctx.with_clock(crit * clock_factor))
+    }
+
+    // The only test that sets the thread budget: it is process-global,
+    // and the test runner is multi-threaded.
+    #[test]
+    fn thread_budget_defaults_to_the_machine_and_guards_restore() {
+        let outer = thread_budget();
+        let ncpu = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        assert_eq!(outer, ncpu, "unset, the budget is the machine's");
+        {
+            let _guard = scoped_thread_budget(8);
+            assert_eq!(thread_budget(), 8);
+            {
+                let _inner = scoped_thread_budget(0);
+                assert_eq!(thread_budget(), 1, "a zero budget clamps to one");
+            }
+            assert_eq!(thread_budget(), 8);
+        }
+        assert_eq!(thread_budget(), outer);
     }
 
     #[test]

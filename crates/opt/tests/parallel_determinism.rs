@@ -46,7 +46,7 @@ proptest! {
     /// into the accepted assignment.
     #[test]
     fn digests_agree_across_worker_counts_at_1k(seed in 0u64..500) {
-        let ncpu = np_grid::plan::thread_budget().max(1);
+        let ncpu = np_opt::parallel::thread_budget().max(1);
         let one = digest_at(seed, 1000, 1, 2);
         let two = digest_at(seed, 1000, 2, 2);
         prop_assert_eq!(one, two, "workers 1 vs 2 diverged");
