@@ -34,19 +34,20 @@
 //! (There is also a hidden `chaos-proxy` subcommand exposing
 //! `np_bench::chaos` for the chaos-serve CI job.)
 
-use nanopower::engine::{CancelToken, Job, JobRecord, Session};
+use nanopower::engine::{CancelToken, Job, JobRecord, RunReport, Session};
+use nanopower::grid::mesh::MeshCache;
 use nanopower::proto::{
     HealthMsg, Hello, RecordMsg, ReportMsg, Request, Response, RunRequest, StatsMsg,
 };
 use nanopower::roadmap::TechNode;
 use nanopower::service::{
-    Admission, AdmissionGate, ArtifactMemo, MemoConfig, Quarantine, ServiceCounters,
+    Admission, AdmissionGate, ArtifactMemo, InFlight, InFlightClaim, MemoConfig, MemoEntry,
+    Quarantine, ServiceCounters,
 };
 use nanopower::spec::{GridSpec, ScenarioSpec, DEFAULT_COST_BUDGET};
 use nanopower::Error;
 use np_bench::registry;
 use np_bench::serve::{KindStats, ServeReport};
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -191,6 +192,13 @@ fn parse_flag_opt(rest: &[String], flag: &str) -> Result<Option<String>, String>
 /// Everything the connection handlers share.
 struct ServerState {
     memo: ArtifactMemo,
+    /// Memo keys being rendered right now: an identical request waits
+    /// for that render instead of repeating it.
+    inflight: Arc<InFlight>,
+    /// Unit bump-cell worst drops by mesh side, shared by every spec grid
+    /// leg for the daemon's lifetime. Kept apart from the memo: it holds
+    /// at most one number per odd side the spec validation admits.
+    mesh: MeshCache,
     gate: AdmissionGate,
     counters: ServiceCounters,
     /// Digests of specs that panicked a worker: repeats are rejected
@@ -309,6 +317,8 @@ fn cmd_serve(args: &[String]) -> i32 {
     };
     let state = Arc::new(ServerState {
         memo,
+        inflight: Arc::new(InFlight::new()),
+        mesh: MeshCache::new(),
         gate: AdmissionGate::new(max_inflight, queue_depth),
         counters: ServiceCounters::new(),
         quarantine: Quarantine::new(quarantine_max),
@@ -724,147 +734,75 @@ where
         std::thread::sleep(Duration::from_millis(state.hold_ms));
     }
 
-    // Memo pass: serve already-rendered artifacts without burning an
-    // engine slot; only the misses become jobs.
-    let mut jobs = Vec::new();
-    let mut ok = 0u64;
-    let mut memo_hits = 0u64;
-    for name in &run.names {
-        let key = ArtifactMemo::request_key(name, run.csv);
-        if let Some(entry) = state.memo.get(key) {
-            memo_hits += 1;
-            ok += 1;
-            state.counters.bump(&state.counters.memo_hits);
-            writer.send(
-                state,
-                &Response::Record(RecordMsg {
-                    name: name.clone(),
-                    status: "ok".into(),
-                    duration_ms: 0.0,
-                    memo: true,
-                    bytes: Some(entry.output.len() as u64),
-                    digest: Some(entry.digest),
-                    error: None,
-                }),
-            )?;
-        } else {
-            jobs.push(match registry::find(name) {
-                Some(artifact) => artifact.job(run.csv),
-                None => {
-                    let name = name.clone();
-                    Job::new(name.clone(), move || {
-                        Err(Error::UnknownArtifact { name: name.clone() })
-                    })
-                }
-            });
+    // Memo pass: serve already-rendered artifacts (and quarantined
+    // specs) without burning an engine slot. A miss claims its key and
+    // becomes a job; a miss whose key another request is rendering waits
+    // for that render instead.
+    let deadline = run.deadline_ms.map(|ms| start + Duration::from_millis(ms));
+    let items = run
+        .names
+        .iter()
+        .map(|name| Item::Name(name))
+        .chain(run.specs.iter().map(Item::Spec));
+    let mut tally = Tally::default();
+    let mut renders = Vec::new();
+    let mut awaited = Vec::new();
+    for item in items {
+        match lookup(item, run.csv, state, writer, &mut tally)? {
+            Lookup::Served => {}
+            Lookup::Claimed(claim) => renders.push(item.render(run.csv, state, Some(claim))),
+            Lookup::Elsewhere => awaited.push(item),
         }
     }
+    tally.add(render(renders, run.csv, &token, writer, state));
 
-    // Spec pass: quarantined digests are rejected O(1) with the original
-    // panic message; memoized digests are served like registry hits; the
-    // rest become render jobs keyed by their canonical digest.
-    let mut pre_failures = 0u64;
-    let mut spec_digests: HashMap<String, u64> = HashMap::new();
-    for spec in &run.specs {
-        let digest = spec.digest();
-        let name = spec.job_name();
-        if let Some(message) = state.quarantine.check(digest) {
-            state.counters.bump(&state.counters.quarantined);
-            pre_failures += 1;
-            writer.send(
-                state,
-                &Response::Record(RecordMsg {
-                    name,
-                    status: "quarantined".into(),
-                    duration_ms: 0.0,
-                    memo: false,
-                    bytes: None,
-                    digest: None,
-                    error: Some(message),
-                }),
-            )?;
+    // Wait pass. This request's claims are all released by now, and it
+    // takes no new one until every wait is over, so no two requests can
+    // wait on each other. A wait past the deadline is a `cancelled`
+    // record.
+    let mut ready = Vec::new();
+    for item in awaited {
+        let key = ArtifactMemo::request_key(&item.name(), run.csv);
+        if state.inflight.wait(key, deadline) {
+            ready.push(item);
             continue;
         }
-        let key = ArtifactMemo::request_key(&name, run.csv);
-        if let Some(entry) = state.memo.get(key) {
-            memo_hits += 1;
-            ok += 1;
-            state.counters.bump(&state.counters.memo_hits);
-            writer.send(
-                state,
-                &Response::Record(RecordMsg {
-                    name,
-                    status: "ok".into(),
-                    duration_ms: 0.0,
-                    memo: true,
-                    bytes: Some(entry.output.len() as u64),
-                    digest: Some(entry.digest),
-                    error: None,
-                }),
-            )?;
-        } else {
-            spec_digests.insert(name.clone(), digest);
-            let spec = spec.clone();
-            let csv = run.csv;
-            jobs.push(Job::new(name, move || spec.render(csv)));
-        }
+        tally.cancelled += 1;
+        tally.interrupted = true;
+        writer.send(
+            state,
+            &Response::Record(RecordMsg {
+                name: item.name(),
+                status: "cancelled".into(),
+                duration_ms: 0.0,
+                memo: false,
+                bytes: None,
+                digest: None,
+                error: Some(Error::Cancelled.to_string()),
+            }),
+        )?;
     }
-
-    let report = if jobs.is_empty() {
-        None
-    } else {
-        let writer = Arc::clone(writer);
-        let shared = Arc::clone(state);
-        let csv = run.csv;
-        let report = Session::new(jobs)
-            .workers(state.workers)
-            .cancel(token.clone())
-            .on_record(move |_, record: &JobRecord| {
-                match &record.outcome {
-                    Ok(output) => shared
-                        .memo
-                        .insert(ArtifactMemo::request_key(&record.name, csv), output.clone()),
-                    // A spec that panicked its worker is quarantined by
-                    // digest: the engine already caught the panic, and
-                    // every later identical spec is rejected O(1).
-                    Err(Error::Panic(message)) => {
-                        if let Some(&digest) = spec_digests.get(&record.name) {
-                            shared.counters.bump(&shared.counters.panicked);
-                            shared.quarantine.insert(digest, message.clone());
-                        }
-                    }
-                    Err(_) => {}
-                }
-                // Record streaming runs on the engine's shared workers;
-                // `send` bounds a stalled client to one write deadline
-                // and then drops it, so the pool stays live.
-                let _ = writer.send(
-                    &shared,
-                    &Response::Record(RecordMsg::from_record(record, false)),
-                );
-            })
-            .run();
-        Some(report)
-    };
+    // Each awaited key is looked up once more and never waited for
+    // again: memoized (a memo record), quarantined (its render panicked),
+    // or still missing because that render failed or was cancelled; then
+    // this request renders it, unclaimed when the key was claimed again
+    // meanwhile (by another request or by a repeat of it in this one).
+    let mut renders = Vec::new();
+    for item in ready {
+        let claim = match lookup(item, run.csv, state, writer, &mut tally)? {
+            Lookup::Served => continue,
+            Lookup::Claimed(claim) => Some(claim),
+            Lookup::Elsewhere => None,
+        };
+        renders.push(item.render(run.csv, state, claim));
+    }
+    tally.add(render(renders, run.csv, &token, writer, state));
     if let Some((done_tx, handle)) = watcher {
         let _ = done_tx.send(());
         let _ = handle.join();
     }
 
-    let mut failures = pre_failures;
-    let mut cancelled = 0u64;
-    let mut interrupted = false;
-    if let Some(report) = &report {
-        interrupted = report.interrupted;
-        for record in &report.records {
-            match record.status() {
-                "ok" => ok += 1,
-                "cancelled" => cancelled += 1,
-                _ => failures += 1,
-            }
-        }
-    }
-    if interrupted {
+    if tally.interrupted {
         state.counters.bump(&state.counters.cancelled);
     }
     state.counters.bump(&state.counters.served);
@@ -874,14 +812,255 @@ where
     writer.send(
         state,
         &Response::Report(ReportMsg {
-            ok,
-            failures,
-            cancelled,
-            memo_hits,
+            ok: tally.ok,
+            failures: tally.failures,
+            cancelled: tally.cancelled,
+            memo_hits: tally.memo_hits,
             total_ms: start.elapsed().as_secs_f64() * 1e3,
-            interrupted,
+            interrupted: tally.interrupted,
         }),
     )
+}
+
+/// One requested artifact: a registry name or a scenario spec.
+#[derive(Clone, Copy)]
+enum Item<'a> {
+    Name(&'a str),
+    Spec(&'a ScenarioSpec),
+}
+
+impl Item<'_> {
+    /// The name its record carries.
+    fn name(self) -> String {
+        match self {
+            Item::Name(name) => name.to_owned(),
+            Item::Spec(spec) => spec.job_name(),
+        }
+    }
+
+    /// Its render job, holding `claim` when this request won the key. A
+    /// spec's grid leg reads the daemon's unit-solve table.
+    fn render(self, csv: bool, state: &Arc<ServerState>, claim: Option<InFlightClaim>) -> Render {
+        let (job, spec_digest) = match self {
+            Item::Name(name) => match registry::find(name) {
+                Some(artifact) => (artifact.job(csv), None),
+                None => {
+                    let name = name.to_owned();
+                    let job = Job::new(name.clone(), move || {
+                        Err(Error::UnknownArtifact { name: name.clone() })
+                    });
+                    (job, None)
+                }
+            },
+            Item::Spec(spec) => {
+                let (job_spec, shared) = (spec.clone(), Arc::clone(state));
+                let job = Job::new(spec.job_name(), move || {
+                    job_spec.render_in(&shared.mesh, csv)
+                });
+                (job, Some(spec.digest()))
+            }
+        };
+        Render {
+            job,
+            claim,
+            spec_digest,
+        }
+    }
+}
+
+/// Where a requested item stands.
+enum Lookup {
+    /// Answered from the quarantine or the memo; its record is sent.
+    Served,
+    /// Claimed by this request, which renders it.
+    Claimed(InFlightClaim),
+    /// Claimed already: by another request, or by an earlier copy of
+    /// the key in this one.
+    Elsewhere,
+}
+
+/// Answers `item` from the quarantine (a spec whose render panicked is
+/// rejected O(1) with the original message) or the memo, sending its
+/// record; on a miss, claims its key. A render that finished between
+/// the miss and the claim memoized its output before releasing its
+/// claim, so the memo is read once more under the claim.
+fn lookup<W>(
+    item: Item,
+    csv: bool,
+    state: &ServerState,
+    writer: &ConnWriter<W>,
+    tally: &mut Tally,
+) -> std::io::Result<Lookup>
+where
+    W: Write,
+{
+    // A spec's name hashes its canonical form: computed once, it gives
+    // both the memo key and the record's name.
+    let name = item.name();
+    if let Item::Spec(spec) = item {
+        if let Some(message) = state.quarantine.check(spec.digest()) {
+            tally.quarantined(state);
+            writer.send(state, &quarantined_record(name, message))?;
+            return Ok(Lookup::Served);
+        }
+    }
+    let key = ArtifactMemo::request_key(&name, csv);
+    let entry = match state.memo.get(key) {
+        Some(entry) => entry,
+        None => match state.inflight.claim(key) {
+            None => return Ok(Lookup::Elsewhere),
+            Some(claim) => match state.memo.get(key) {
+                Some(entry) => entry,
+                None => return Ok(Lookup::Claimed(claim)),
+            },
+        },
+    };
+    tally.memo_hit(state);
+    writer.send(state, &memo_record(name, entry))?;
+    Ok(Lookup::Served)
+}
+
+/// A `run` request's outcome counts, summed over its memo hits,
+/// quarantine rejections, waits and renders.
+#[derive(Default)]
+struct Tally {
+    ok: u64,
+    failures: u64,
+    cancelled: u64,
+    memo_hits: u64,
+    interrupted: bool,
+}
+
+impl Tally {
+    fn memo_hit(&mut self, state: &ServerState) {
+        self.ok += 1;
+        self.memo_hits += 1;
+        state.counters.bump(&state.counters.memo_hits);
+    }
+
+    fn quarantined(&mut self, state: &ServerState) {
+        self.failures += 1;
+        state.counters.bump(&state.counters.quarantined);
+    }
+
+    fn add(&mut self, report: Option<RunReport>) {
+        let Some(report) = report else {
+            return;
+        };
+        self.interrupted |= report.interrupted;
+        for record in &report.records {
+            match record.status() {
+                "ok" => self.ok += 1,
+                "cancelled" => self.cancelled += 1,
+                _ => self.failures += 1,
+            }
+        }
+    }
+}
+
+/// One render job, with the in-flight claim its completion releases
+/// (when it holds one) and, for a spec, the digest a panic quarantines.
+struct Render {
+    job: Job,
+    claim: Option<InFlightClaim>,
+    spec_digest: Option<u64>,
+}
+
+/// Runs `renders` on the engine, streaming each record as it lands.
+/// A success is memoized and a spec panic quarantined before the
+/// record's claim is released, so a waiter woken by the release finds
+/// the outcome. `None` when there is nothing to render.
+fn render<W>(
+    renders: Vec<Render>,
+    csv: bool,
+    token: &CancelToken,
+    writer: &Arc<ConnWriter<W>>,
+    state: &Arc<ServerState>,
+) -> Option<RunReport>
+where
+    W: Write + Send + 'static,
+{
+    if renders.is_empty() {
+        return None;
+    }
+    let mut jobs = Vec::with_capacity(renders.len());
+    let mut claims = Vec::with_capacity(renders.len());
+    let mut spec_digests = Vec::with_capacity(renders.len());
+    for r in renders {
+        jobs.push(r.job);
+        claims.push(r.claim);
+        spec_digests.push(r.spec_digest);
+    }
+    let claims = Arc::new(Mutex::new(claims));
+    let report = {
+        let (writer, shared, claims) = (Arc::clone(writer), Arc::clone(state), Arc::clone(&claims));
+        Session::new(jobs)
+            .workers(state.workers)
+            .cancel(token.clone())
+            .on_record(move |index, record: &JobRecord| {
+                match &record.outcome {
+                    Ok(output) => shared
+                        .memo
+                        .insert(ArtifactMemo::request_key(&record.name, csv), output.clone()),
+                    // A spec that panicked its worker is quarantined by
+                    // digest: the engine already caught the panic, and
+                    // every later identical spec is rejected O(1).
+                    Err(Error::Panic(message)) => {
+                        if let Some(digest) = spec_digests[index] {
+                            shared.counters.bump(&shared.counters.panicked);
+                            shared.quarantine.insert(digest, message.clone());
+                        }
+                    }
+                    Err(_) => {}
+                }
+                let claim = claims
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .get_mut(index)
+                    .and_then(Option::take);
+                drop(claim);
+                // Record streaming runs on the engine's shared workers;
+                // `send` bounds a stalled client to one write deadline
+                // and then drops it, so the pool stays live.
+                let _ = writer.send(
+                    &shared,
+                    &Response::Record(RecordMsg::from_record(record, false)),
+                );
+            })
+            .run()
+    };
+    // Claims whose record never reached the observer are released here.
+    claims
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clear();
+    Some(report)
+}
+
+/// The record of a memo-served key.
+fn memo_record(name: String, entry: MemoEntry) -> Response {
+    Response::Record(RecordMsg {
+        name,
+        status: "ok".into(),
+        duration_ms: 0.0,
+        memo: true,
+        bytes: Some(entry.output.len() as u64),
+        digest: Some(entry.digest),
+        error: None,
+    })
+}
+
+/// The record of a spec rejected from the panic quarantine.
+fn quarantined_record(name: String, message: String) -> Response {
+    Response::Record(RecordMsg {
+        name,
+        status: "quarantined".into(),
+        duration_ms: 0.0,
+        memo: false,
+        bytes: None,
+        digest: None,
+        error: Some(message),
+    })
 }
 
 // ---------------------------------------------------------------------

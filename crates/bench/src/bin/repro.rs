@@ -8,6 +8,7 @@
 //! repro table2 fig5        # selected artifacts
 //! repro --list             # the artifact registry
 //! repro --csv fig1 fig2    # CSV form (figures only)
+//! repro --csv              # CSV form of every artifact that has one
 //! repro --json             # machine-readable run report
 //! repro --jobs 4           # worker-thread count (default: all cores)
 //! repro --timeout-secs 30  # per-artifact deadline (watchdog)
@@ -16,6 +17,7 @@
 //! repro --journal r.jsonl  # crash-safe run journal (one line/artifact)
 //! repro --resume r.jsonl   # resume: replay completed, run the rest
 //! repro --check            # drift gate: compare against golden/
+//! repro --check --csv      # drift gate over the CSV goldens
 //! repro --golden DIR       # golden reference directory (default golden)
 //! repro --bench            # perf harness: grid/thermal/STA/opt kernels
 //! repro --bench --bench-quick          # smallest mesh only (CI smoke)
@@ -452,8 +454,15 @@ fn apply_drift_gate(report: &mut RunReport, store: &GoldenStore, csv: bool) {
 }
 
 fn run_artifacts(opts: &Options) -> Result<ExitCode, Error> {
+    // No names means the whole registry; under `--csv`, every artifact
+    // that has a CSV form. A text-only artifact named explicitly still
+    // fails with "has no csv form".
     let requested: Vec<String> = if opts.names.is_empty() && !opts.chaos {
-        registry::names().iter().map(|n| n.to_string()).collect()
+        registry::REGISTRY
+            .iter()
+            .filter(|a| !opts.csv || a.has_csv())
+            .map(|a| a.name.to_string())
+            .collect()
     } else {
         opts.names.clone()
     };

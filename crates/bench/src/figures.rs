@@ -450,8 +450,10 @@ pub struct Fig5MeshRow {
 
 /// F5 at production scale — the Fig. 5 min-pitch geometries re-solved on
 /// a 1025×1025 mesh (the grid the analytic model was built to
-/// approximate), via the multigrid-preconditioned CG solver
-/// ([`np_grid::SolveStrategy::MultigridCg`]).
+/// approximate). Every node's cell is the same linear mesh up to its
+/// conductance and load, so one multigrid-preconditioned CG solve
+/// ([`np_grid::SolveStrategy::MultigridCg`]) of the unit cell, scaled
+/// per node through [`np_grid::mesh::MeshCache`], answers all six rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig5MeshReport {
     /// One row per node, roadmap order.
@@ -463,9 +465,10 @@ pub const FIG5_MESH_RESOLUTION: usize = 1025;
 
 /// Regenerates the production-scale Fig. 5 mesh comparison.
 ///
-/// Deterministic to the bit: the multigrid solve runs on one thread as
-/// a fixed sequence of floating-point operations, so the artifact
-/// golden-checks with an exact tolerance.
+/// Deterministic to the bit: the one multigrid solve runs on one thread
+/// as a fixed sequence of floating-point operations, and each row scales
+/// it by its own `i/g`, so the artifact golden-checks with an exact
+/// tolerance.
 ///
 /// # Errors
 ///
@@ -477,8 +480,9 @@ pub fn fig5_mesh() -> Result<Fig5MeshReport, Error> {
 /// [`fig5_mesh`] at an arbitrary mesh resolution (tests use a coarse
 /// one; the artifact is always [`FIG5_MESH_RESOLUTION`]).
 fn fig5_mesh_at(resolution: usize) -> Result<Fig5MeshReport, Error> {
-    // 1025 sits on the 2^k+1 ladder, so the solve plan runs MGCG.
-    let mut cache = np_grid::mesh::MeshCache::new();
+    // 1025 sits on the 2^k+1 ladder, so the solve plan runs MGCG, once:
+    // the other five nodes read the unit drop from the cache.
+    let cache = np_grid::mesh::MeshCache::new();
     let mut rows = Vec::new();
     for node in TechNode::ALL {
         let plan = GridPlan::min_pitch(node)?;
@@ -771,6 +775,26 @@ mod tests {
         assert_eq!(csv.lines().count(), TechNode::ALL.len() + 1);
         assert!(f.render().contains("Figure 5 (mesh)"));
         assert!(f.render().contains("mesh/analytic"));
+    }
+
+    #[test]
+    fn fig5_mesh_over_analytic_is_one_constant_per_resolution() -> Result<(), Error> {
+        // Both models scale as (i/g) times a per-resolution constant, so
+        // their ratio may not vary across nodes beyond rounding. A change
+        // to either model shows up here as a drift between rows.
+        for resolution in [17, 33] {
+            let f = fig5_mesh_at(resolution)?;
+            let ratios: Vec<f64> = f.rows.iter().map(|r| r.mesh.0 / r.analytic.0).collect();
+            let (lo, hi) = ratios.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &r| {
+                (lo.min(r), hi.max(r))
+            });
+            assert!(
+                (hi - lo) <= 1e-14 * lo,
+                "resolution {resolution}: mesh/analytic spread {:e} over {ratios:?}",
+                (hi - lo) / lo
+            );
+        }
+        Ok(())
     }
 
     #[test]

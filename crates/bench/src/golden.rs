@@ -93,9 +93,9 @@ fn delta_of(e: Option<f64>, a: Option<f64>) -> f64 {
 /// [`Tolerance::Relative`] at `1e-9`; `fig5` runs the iterative grid
 /// solver whose worst-drop cells sit near zero volts, so it gets an
 /// [`Tolerance::Absolute`] floor at `1e-12` instead. `fig5-mesh` is
-/// the multigrid solve, which runs on one thread as a fixed sequence
-/// of floating-point operations — bitwise reproducible, so its CSV is
-/// held to [`Tolerance::Exact`].
+/// one multigrid unit solve, run on one thread as a fixed sequence of
+/// floating-point operations and scaled per node — bitwise
+/// reproducible, so its CSV is held to [`Tolerance::Exact`].
 /// `fig34-mgate` is the parallel optimizer, whose frozen-round scoring
 /// and fixed-order accepts are bitwise identical at any worker count —
 /// its CSV is likewise held to [`Tolerance::Exact`].

@@ -5,8 +5,7 @@
 //! harness times three kernel families:
 //!
 //! * **grid** — the three solvers behind [`np_grid::SolvePlan`] (the
-//!   reference SOR, Jacobi-PCG and MGCG) and the warm
-//!   [`np_grid::mesh::MeshCache`] path, across bump-cell mesh sizes from
+//!   reference SOR, Jacobi-PCG and MGCG), across bump-cell mesh sizes from
 //!   33 to 1025 nodes per side (each kernel capped at the largest size
 //!   where it finishes in reasonable time — SOR is O(n⁴) and stops at
 //!   129);
@@ -33,7 +32,6 @@ use np_circuit::netlist::{GateId, Netlist};
 use np_circuit::sta::TimingContext;
 use np_device::Mosfet;
 use np_grid::cg::solve_pcg;
-use np_grid::mesh::MeshCache;
 use np_grid::multigrid::solve_mgcg;
 use np_grid::solver::MeshProblem;
 use np_opt::parallel::thread_budget;
@@ -180,28 +178,8 @@ pub fn run(opts: BenchOptions) -> BenchReport {
             group.bench_function("grid.sor.seq", |b| b.iter(|| black_box(&m).solve()));
         }
         if n <= 513 {
-            group.bench_function("grid.pcg.seq", |b| {
-                b.iter(|| solve_pcg(black_box(&m), None))
-            });
-            group.bench_function("grid.mgcg.seq", |b| {
-                b.iter(|| solve_mgcg(black_box(&m), None))
-            });
-        }
-        if n <= 129 {
-            // Warm-path cache: prime once, then time the hit + warm-start.
-            let mut cache = MeshCache::new();
-            let _prime =
-                cache.worst_drop_with_resolution(TechNode::N35, Microns(80.0), Microns(4.0), n);
-            group.bench_function("grid.cache.warm", |b| {
-                b.iter(|| {
-                    cache.worst_drop_with_resolution(
-                        TechNode::N35,
-                        Microns(80.0),
-                        black_box(Microns(4.0)),
-                        n,
-                    )
-                })
-            });
+            group.bench_function("grid.pcg.seq", |b| b.iter(|| solve_pcg(black_box(&m))));
+            group.bench_function("grid.mgcg.seq", |b| b.iter(|| solve_mgcg(black_box(&m))));
         }
         group.finish();
         for r in criterion.records().iter().skip(consumed) {
@@ -224,10 +202,10 @@ pub fn run(opts: BenchOptions) -> BenchReport {
         let n = *mesh_sizes.iter().max().unwrap_or(&MESH_SIZES[0]);
         let m = bench_mesh(n);
         let (pcg_ns, pcg_iters) = timed_counted("grid.pcg.iterations", || {
-            let _ = solve_pcg(&m, None);
+            let _ = solve_pcg(&m);
         });
         let (mgcg_ns, mgcg_sweeps) = timed_counted("grid.mgcg.sweeps_equivalent", || {
-            let _ = solve_mgcg(&m, None);
+            let _ = solve_mgcg(&m);
         });
         if !opts.quick && n > 513 {
             // The 1025 tail is too expensive for repeated criterion
@@ -601,12 +579,7 @@ mod tests {
     fn quick_run_times_every_kernel_and_serializes() {
         let report = run(BenchOptions { quick: true });
         assert_eq!(report.mesh_sizes, vec![33]);
-        for name in [
-            "grid.sor.seq",
-            "grid.pcg.seq",
-            "grid.mgcg.seq",
-            "grid.cache.warm",
-        ] {
+        for name in ["grid.sor.seq", "grid.pcg.seq", "grid.mgcg.seq"] {
             assert!(
                 report.mean_ns(name, 33).is_some_and(|ns| ns > 0.0),
                 "{name} missing or unmeasured"

@@ -12,6 +12,7 @@ use nanopower::proto::{Hello, RecordMsg, ReportMsg, Request, Response, RunReques
 use nanopower::roadmap::TechNode;
 use nanopower::spec::ScenarioSpec;
 use np_bench::chaos::{ChaosProxy, ChaosSchedule, Fault};
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -212,7 +213,9 @@ fn kill_nine_mid_load_then_restart_rehydrates_the_memo() {
     let mut conn = daemon.connect();
     let (report, records) = conn.run(run_names(&["fig5", "table2"]));
     assert_eq!(report.ok, 2, "{report:?}");
-    let pre_crash: Vec<(String, Option<String>)> = records
+    // Keyed by name: fresh records stream in completion order, memo
+    // hits in request order.
+    let pre_crash: BTreeMap<String, Option<String>> = records
         .iter()
         .map(|r| (r.name.clone(), r.digest.clone()))
         .collect();
@@ -251,7 +254,7 @@ fn kill_nine_mid_load_then_restart_rehydrates_the_memo() {
         "first post-restart pass must hit the rehydrated memo: {report:?}"
     );
     assert!(records.iter().all(|r| r.memo), "{records:?}");
-    let post_crash: Vec<(String, Option<String>)> = records
+    let post_crash: BTreeMap<String, Option<String>> = records
         .iter()
         .map(|r| (r.name.clone(), r.digest.clone()))
         .collect();

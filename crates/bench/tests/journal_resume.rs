@@ -231,3 +231,38 @@ fn check_passes_against_the_committed_golden_tree() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+#[test]
+fn csv_check_passes_against_the_committed_golden_tree() {
+    // With no names, `--check --csv` gates every artifact that has a CSV
+    // form, and only those, against the committed CSV goldens.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .expect("workspace root");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .current_dir(&root)
+        .args(["--check", "--csv"])
+        .output()
+        .expect("repro binary runs");
+    assert!(
+        out.status.success(),
+        "CSV forms drifted from golden/: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    let checked: Vec<&str> = stdout
+        .lines()
+        .filter_map(|line| line.strip_prefix("# "))
+        .collect();
+    let with_csv: Vec<&str> = np_bench::registry::REGISTRY
+        .iter()
+        .filter(|a| a.has_csv())
+        .map(|a| a.name)
+        .collect();
+    assert_eq!(
+        checked, with_csv,
+        "exactly the CSV-capable artifacts, in order"
+    );
+    assert!(checked.contains(&"fig5-mesh") && checked.contains(&"fig34-mgate"));
+}

@@ -138,7 +138,7 @@ proptest! {
         m.injection[slot] = p;
         prop_assert!(m.validate().is_err());
         prop_assert!(m.solve().is_err(), "SOR must reject poison injection");
-        prop_assert!(solve_pcg(&m, None).is_err(), "PCG must reject poison injection");
+        prop_assert!(solve_pcg(&m).is_err(), "PCG must reject poison injection");
     }
 
     #[test]
@@ -147,7 +147,7 @@ proptest! {
         m.pinned[0] = true;
         m.edge_conductance = g;
         let sor = m.solve();
-        let cg = solve_pcg(&m, None);
+        let cg = solve_pcg(&m);
         if !(g.is_finite() && g > 0.0) {
             prop_assert!(sor.is_err() && cg.is_err(), "conductance {g} must be rejected");
         }
@@ -162,7 +162,7 @@ proptest! {
         m.pinned[4] = true;
         m.injection[slot] = i;
         let sor = m.solve();
-        let cg = solve_pcg(&m, None);
+        let cg = solve_pcg(&m);
         prop_assert!(sor.is_ok() && cg.is_ok());
         if let (Ok(a), Ok(b)) = (sor, cg) {
             for (x, y) in a.iter().zip(&b) {

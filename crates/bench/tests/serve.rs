@@ -10,7 +10,7 @@ use nanopower::proto::{
     HealthMsg, Hello, RecordMsg, ReportMsg, Request, Response, RunRequest, StatsMsg,
 };
 use nanopower::roadmap::TechNode;
-use nanopower::spec::{GridSpec, ScenarioSpec};
+use nanopower::spec::{GridSpec, NetlistTier, ScenarioSpec};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -500,6 +500,175 @@ fn panicking_spec_is_quarantined_and_the_daemon_stays_ready() {
     assert_eq!(stats.quarantined, 1, "{stats:?}");
     assert_eq!(stats.quarantine_entries, 1, "{stats:?}");
     assert_eq!(conn.health().quarantine_entries, 1);
+    daemon.shutdown();
+}
+
+/// A spec whose render takes long enough (a 257² mesh leg and a
+/// 20k-cell netlist leg) that concurrent requests for it overlap.
+fn slow_spec(node: TechNode) -> ScenarioSpec {
+    let mut spec = ScenarioSpec::at_node(node);
+    spec.grid = Some(GridSpec { resolution: 257 });
+    spec.netlist = Some(NetlistTier {
+        cells: 20_000,
+        seed: 1,
+    });
+    spec
+}
+
+/// Sends every request on its own connection at the same instant and
+/// collects each one's report and records, in request order.
+fn run_at_once(daemon: &Daemon, requests: Vec<RunRequest>) -> Vec<(ReportMsg, Vec<RecordMsg>)> {
+    let start = std::sync::Barrier::new(requests.len());
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = requests
+            .into_iter()
+            .map(|request| {
+                let mut conn = daemon.connect();
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    conn.run(request)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .collect()
+    })
+}
+
+#[test]
+fn identical_concurrent_requests_render_once() {
+    let daemon = Daemon::spawn("flight", &["--workers", "2"]);
+    let request = || run_specs(vec![slow_spec(TechNode::N70)]);
+    let results = run_at_once(&daemon, vec![request(), request()]);
+    let records: Vec<&RecordMsg> = results.iter().flat_map(|(_, r)| r).collect();
+    assert_eq!(records.len(), 2, "{records:?}");
+    assert!(records.iter().all(|r| r.status == "ok"), "{records:?}");
+    // One request rendered; the other waited for that render and was
+    // served its memoized output.
+    assert_eq!(records.iter().filter(|r| !r.memo).count(), 1, "{records:?}");
+    assert_eq!(records[0].digest, records[1].digest);
+    let hits: u64 = results.iter().map(|(report, _)| report.memo_hits).sum();
+    assert_eq!(hits, 1, "{results:?}");
+    let stats = daemon.connect().stats();
+    assert_eq!(stats.memo_hits, 1, "{stats:?}");
+    assert_eq!(stats.memo_entries, 1, "{stats:?}");
+    daemon.shutdown();
+}
+
+#[test]
+fn opposite_order_requests_both_complete() {
+    // Each request renders the key it claims first, then waits for the
+    // one the other request claimed: neither waits while holding a key
+    // the other needs, so both finish well inside their deadline.
+    let daemon = Daemon::spawn("crossed", &["--workers", "2"]);
+    let (a, b) = (slow_spec(TechNode::N70), slow_spec(TechNode::N50));
+    let results = run_at_once(
+        &daemon,
+        vec![run_specs(vec![a.clone(), b.clone()]), run_specs(vec![b, a])],
+    );
+    for (report, records) in &results {
+        assert!(!report.interrupted, "{report:?}");
+        assert_eq!(
+            (report.ok, report.failures, report.cancelled),
+            (2, 0, 0),
+            "{report:?}"
+        );
+        assert_eq!(records.len(), 2, "{records:?}");
+    }
+    // Two distinct keys: rendered once each, the repeats memo-served.
+    let renders = results
+        .iter()
+        .flat_map(|(_, records)| records)
+        .filter(|r| !r.memo)
+        .count();
+    assert_eq!(renders, 2, "{results:?}");
+    let stats = daemon.connect().stats();
+    assert_eq!(stats.memo_hits, 2, "{stats:?}");
+    assert_eq!(stats.memo_entries, 2, "{stats:?}");
+    daemon.shutdown();
+}
+
+#[test]
+fn repeats_of_a_failing_key_each_report_their_own_error() {
+    // A repeat waits for the first copy's render. When that render fails,
+    // each repeat renders the key itself and reports its own typed error.
+    // No deadline: a repeat waiting on a claim its own request took again
+    // would hang, so the read gives up instead.
+    let daemon = Daemon::spawn("repeat-fail", &["--workers", "2"]);
+    let mut conn = daemon.connect();
+    conn.reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("set read timeout");
+    // An unknown name, and a text-only artifact asked for as CSV.
+    for (name, csv) in [("nope", false), ("table1", true)] {
+        let mut request = run_names(&[name; 3]);
+        request.csv = csv;
+        request.deadline_ms = None;
+        let (report, records) = conn.run(request);
+        assert_eq!(
+            (
+                report.ok,
+                report.failures,
+                report.cancelled,
+                report.memo_hits
+            ),
+            (0, 3, 0, 0),
+            "{name}: {report:?}"
+        );
+        assert!(!report.interrupted, "{name}: {report:?}");
+        assert_eq!(records.len(), 3, "{name}: {records:?}");
+        assert!(
+            records
+                .iter()
+                .all(|r| r.name == name && r.status == "error" && r.error.is_some()),
+            "{name}: {records:?}"
+        );
+    }
+    assert!(conn.health().ready);
+    daemon.shutdown();
+}
+
+#[test]
+fn waiters_of_a_cancelled_render_take_its_keys_up_in_any_order() {
+    // The first request claims A and B, queued on its one worker behind
+    // a blocker (the daemon's first 1025² unit solve, about a second),
+    // and its deadline cancels them before they start, which releases
+    // both claims. Two requests waiting for A and B in opposite order
+    // then take the keys up. Neither may wait on a key the other claimed
+    // after the release, so both finish with every record ok, well
+    // inside their deadline.
+    let daemon = Daemon::spawn("reclaim", &["--workers", "1", "--max-inflight", "3"]);
+    let mut blocker = ScenarioSpec::at_node(TechNode::N100);
+    blocker.grid = Some(GridSpec { resolution: 1025 });
+    let (a, b) = (slow_spec(TechNode::N70), slow_spec(TechNode::N50));
+    let mut first = daemon.connect();
+    let mut doomed = run_specs(vec![blocker, a.clone(), b.clone()]);
+    doomed.deadline_ms = Some(100);
+    first.send(&Request::Run(doomed));
+    // The first request claims A and B at once; the waiters arrive while
+    // its blocker renders.
+    std::thread::sleep(Duration::from_millis(200));
+    let results = run_at_once(
+        &daemon,
+        vec![run_specs(vec![a.clone(), b.clone()]), run_specs(vec![b, a])],
+    );
+    let (report, records) = first.finish_run();
+    assert!(report.interrupted, "{report:?}");
+    assert_eq!(report.cancelled, 2, "A and B never started: {records:?}");
+    for (report, records) in &results {
+        assert!(!report.interrupted, "{report:?}");
+        assert_eq!(
+            (report.ok, report.failures, report.cancelled),
+            (2, 0, 0),
+            "{report:?}"
+        );
+        assert_eq!(records.len(), 2, "{records:?}");
+    }
+    assert!(daemon.connect().health().ready);
     daemon.shutdown();
 }
 

@@ -33,6 +33,9 @@
 //!   admitted request has been executing
 //!   ([`AdmissionGate::oldest_inflight_age`]), which is what the
 //!   daemon's stuck-worker watchdog and `health` endpoint read.
+//! - [`InFlight`] — the memo keys whose render is in progress, so an
+//!   identical request that arrives meanwhile waits for that one render
+//!   (and is then served from the memo) instead of repeating it.
 //! - [`Quarantine`] — a bounded LRU of scenario-spec digests whose
 //!   evaluation panicked, so a repeat offender is rejected O(1) with a
 //!   typed `quarantined` record instead of burning a worker slot on a
@@ -45,12 +48,12 @@ use crate::engine::fnv1a64;
 use crate::error::Error;
 use crate::jsonio::{self, Json};
 use crate::proto::StatsMsg;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The memo spill-file schema identifier (header line), following the
@@ -604,6 +607,96 @@ impl Drop for AdmissionPermit<'_> {
     }
 }
 
+/// The memo keys whose render is in progress, shared by every
+/// connection of a daemon so identical concurrent requests render once.
+///
+/// The first request to miss the memo on a key [`claim`](Self::claim)s
+/// it and renders. The claim is an RAII [`InFlightClaim`]: the renderer
+/// memoizes (or quarantines) the outcome and then drops it, and a render
+/// that fails, panics or is cancelled drops it all the same. Dropping
+/// releases the key and wakes every waiter. A request that finds a key
+/// claimed [`wait`](Self::wait)s for the release, within its own
+/// deadline, and then reads the memo — a hit when the render succeeded —
+/// or renders the key itself.
+///
+/// A request must hold no claim while it waits: it renders its own
+/// claims first, waits for every key it found claimed, and only then
+/// claims again, with no further waiting. A key claimed once more
+/// meanwhile is rendered unclaimed. No request then waits on its own
+/// claim, and no two requests, whatever order they name their keys in,
+/// wait on each other.
+#[derive(Debug, Default)]
+pub struct InFlight {
+    keys: Mutex<HashSet<u64>>,
+    released: Condvar,
+}
+
+impl InFlight {
+    /// An empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Claims `key` for the caller's render; `None` while another claim
+    /// on it is live.
+    pub fn claim(self: &Arc<Self>, key: u64) -> Option<InFlightClaim> {
+        let mut keys = self.keys.lock().unwrap_or_else(PoisonError::into_inner);
+        keys.insert(key).then(|| InFlightClaim {
+            table: Arc::clone(self),
+            key,
+        })
+    }
+
+    /// Blocks until `key` is not claimed or `deadline` passes, whichever
+    /// comes first; `true` when the key is free. A key nobody claimed is
+    /// free at once.
+    pub fn wait(&self, key: u64, deadline: Option<Instant>) -> bool {
+        let mut keys = self.keys.lock().unwrap_or_else(PoisonError::into_inner);
+        while keys.contains(&key) {
+            match deadline {
+                None => {
+                    keys = self
+                        .released
+                        .wait(keys)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                Some(deadline) => {
+                    let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                        return false;
+                    };
+                    keys = self
+                        .released
+                        .wait_timeout(keys, left)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0;
+                }
+            }
+        }
+        true
+    }
+}
+
+/// A live claim on one [`InFlight`] key; dropping it releases the key
+/// and wakes every request waiting for it.
+#[derive(Debug)]
+pub struct InFlightClaim {
+    table: Arc<InFlight>,
+    key: u64,
+}
+
+impl Drop for InFlightClaim {
+    fn drop(&mut self) {
+        let mut keys = self
+            .table
+            .keys
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        keys.remove(&self.key);
+        drop(keys);
+        self.table.released.notify_all();
+    }
+}
+
 /// Everything behind the quarantine's one lock: the offending digests
 /// (keyed like the memo, FNV-1a over the spec's canonical form), each
 /// with the panic message it earned, plus their LRU order
@@ -1139,6 +1232,88 @@ mod tests {
         q.insert(2, "b".into());
         assert_eq!(q.len(), 1);
         assert!(q.check(2).is_some(), "newest digest survives");
+    }
+
+    /// Claims `key`, or names the key that was already claimed.
+    fn claimed(table: &Arc<InFlight>, key: u64) -> Result<InFlightClaim, String> {
+        table
+            .claim(key)
+            .ok_or_else(|| format!("key {key} was already claimed"))
+    }
+
+    #[test]
+    fn inflight_claims_are_exclusive_until_dropped() -> Result<(), String> {
+        let table = Arc::new(InFlight::new());
+        let claim = claimed(&table, 7)?;
+        assert!(
+            table.claim(7).is_none(),
+            "a claimed key cannot be claimed again"
+        );
+        let other = claimed(&table, 8)?;
+        drop(claim);
+        assert!(table.wait(7, None), "a released key is free at once");
+        let again = claimed(&table, 7)?;
+        assert!(
+            !table.wait(8, Some(Instant::now())),
+            "the other claim is still live"
+        );
+        drop((again, other));
+        assert!(table.wait(7, None) && table.wait(8, None));
+        Ok(())
+    }
+
+    #[test]
+    fn inflight_waiters_wake_when_the_claim_drops() -> Result<(), String> {
+        let table = Arc::new(InFlight::new());
+        let claim = claimed(&table, 1)?;
+        let started = Arc::new(std::sync::Barrier::new(2));
+        let waiter = {
+            let (table, started) = (Arc::clone(&table), Arc::clone(&started));
+            std::thread::spawn(move || {
+                started.wait();
+                let freed = table.wait(1, Some(Instant::now() + Duration::from_secs(30)));
+                (freed, Instant::now())
+            })
+        };
+        started.wait();
+        std::thread::sleep(Duration::from_millis(50));
+        let dropped_at = Instant::now();
+        drop(claim);
+        let (freed, woke_at) = waiter.join().map_err(|_| "waiter thread panicked")?;
+        // Freed well before the deadline, and not before the claim dropped.
+        assert!(freed);
+        assert!(woke_at >= dropped_at);
+        Ok(())
+    }
+
+    #[test]
+    fn inflight_wait_gives_up_at_the_deadline() -> Result<(), String> {
+        let table = Arc::new(InFlight::new());
+        let _claim = claimed(&table, 3)?;
+        let start = Instant::now();
+        assert!(!table.wait(3, Some(start + Duration::from_millis(30))));
+        assert!(start.elapsed() >= Duration::from_millis(30));
+        assert!(
+            !table.wait(3, Some(start)),
+            "a passed deadline returns at once"
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn inflight_claim_is_released_when_its_holder_unwinds() -> Result<(), String> {
+        let table = Arc::new(InFlight::new());
+        let held = claimed(&table, 9)?;
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _held = held;
+            std::panic::resume_unwind(Box::new("render panicked"));
+        }));
+        assert!(unwound.is_err());
+        assert!(
+            table.wait(9, Some(Instant::now())),
+            "unwinding dropped the claim"
+        );
+        Ok(())
     }
 
     #[test]

@@ -25,7 +25,11 @@
 //!
 //! Evaluation ([`ScenarioSpec::evaluate`]) is deterministic, so spec
 //! outputs are memoizable and digest-checkable exactly like registry
-//! artifacts.
+//! artifacts. [`ScenarioSpec::evaluate_in`] takes the
+//! [`np_grid::mesh::MeshCache`] the grid leg reads its unit solve from,
+//! so a caller that keeps one cache (the daemon keeps one for its
+//! lifetime) solves each mesh resolution once; the bytes are the same
+//! either way.
 
 use crate::chip::{Chip, PowerBudget, ThermalClosure};
 use crate::engine::fnv1a64;
@@ -405,6 +409,10 @@ impl ScenarioSpec {
     /// mesh solve and netlist STA + power when the optional legs are
     /// present. Deterministic, so the output is memoizable by digest.
     ///
+    /// The grid leg reads its unit solve from a fresh
+    /// [`np_grid::mesh::MeshCache`]; [`evaluate_in`](Self::evaluate_in)
+    /// shares one across specs.
+    ///
     /// # Errors
     ///
     /// Propagates model errors ([`Error::InvalidParameter`] from the
@@ -415,6 +423,22 @@ impl ScenarioSpec {
     /// When the hidden `chaos: "panic"` hook is set — the deterministic
     /// trigger the quarantine tests and fuzzer rely on.
     pub fn evaluate(&self) -> Result<SpecReport, Error> {
+        self.evaluate_in(&np_grid::mesh::MeshCache::new())
+    }
+
+    /// [`evaluate`](Self::evaluate) with the grid leg's unit solve read
+    /// from (or added to) `mesh`, so specs at one mesh resolution share a
+    /// single solve. The report is bitwise the same as `evaluate`'s:
+    /// both scale the same deterministic unit solve.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`evaluate`](Self::evaluate).
+    ///
+    /// # Panics
+    ///
+    /// Same as [`evaluate`](Self::evaluate).
+    pub fn evaluate_in(&self, mesh: &np_grid::mesh::MeshCache) -> Result<SpecReport, Error> {
         if self.chaos.as_deref() == Some("panic") {
             panic!(
                 "spec chaos hook: panic requested by spec {}",
@@ -443,17 +467,15 @@ impl ScenarioSpec {
                 ))?;
                 let analytic =
                     np_grid::analytic::worst_case_drop(self.node, plan.bump_pitch, rail_width)?;
-                let mut cache = np_grid::mesh::MeshCache::new();
-                let mesh = cache.worst_drop_with_resolution(
-                    self.node,
-                    plan.bump_pitch,
-                    rail_width,
-                    g.resolution,
-                )?;
                 Some(GridResult {
                     resolution: g.resolution,
                     analytic,
-                    mesh,
+                    mesh: mesh.worst_drop_with_resolution(
+                        self.node,
+                        plan.bump_pitch,
+                        rail_width,
+                        g.resolution,
+                    )?,
                 })
             }
         };
@@ -492,7 +514,18 @@ impl ScenarioSpec {
     ///
     /// Same as [`evaluate`](Self::evaluate).
     pub fn render(&self, csv: bool) -> Result<String, Error> {
-        let report = self.evaluate()?;
+        self.render_in(&np_grid::mesh::MeshCache::new(), csv)
+    }
+
+    /// [`render`](Self::render) through [`evaluate_in`](Self::evaluate_in):
+    /// the same bytes, with the grid leg's unit solve shared through
+    /// `mesh`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`evaluate`](Self::evaluate).
+    pub fn render_in(&self, mesh: &np_grid::mesh::MeshCache, csv: bool) -> Result<String, Error> {
+        let report = self.evaluate_in(mesh)?;
         Ok(if csv { report.csv() } else { report.render() })
     }
 }
@@ -862,6 +895,27 @@ mod tests {
         assert_eq!(spec.render(false).unwrap(), spec.render(false).unwrap());
         assert_eq!(spec.render(true).unwrap(), spec.render(true).unwrap());
         assert_ne!(spec.render(false).unwrap(), spec.render(true).unwrap());
+    }
+
+    #[test]
+    fn evaluate_in_solves_each_resolution_once_with_evaluate_bits() -> Result<(), Error> {
+        let bits = |report: SpecReport| {
+            report
+                .grid
+                .map(|g| (g.resolution, g.analytic.0.to_bits(), g.mesh.0.to_bits()))
+        };
+        let mesh = np_grid::mesh::MeshCache::new();
+        for node in [TechNode::N70, TechNode::N35] {
+            let mut spec = ScenarioSpec::at_node(node);
+            spec.grid = Some(GridSpec { resolution: 33 });
+            let shared = bits(spec.evaluate_in(&mesh)?);
+            assert!(shared.is_some(), "{node:?} has a grid leg");
+            assert_eq!(shared, bits(spec.evaluate()?), "{node:?}");
+        }
+        // The second node at the same resolution read the first one's
+        // unit solve.
+        assert_eq!((mesh.misses(), mesh.hits()), (1, 1));
+        Ok(())
     }
 
     #[test]

@@ -12,14 +12,14 @@
 //! the preconditioner as a parameter:
 //!
 //! * [`solve_pcg`] — Jacobi-preconditioned CG (the inverse Laplacian
-//!   diagonal), optionally warm-started. [`crate::plan::SolvePlan`]
-//!   routes meshes off the 2^k+1 ladder here, and the multigrid V-cycle
-//!   solves its ≤ 9×9 coarsest level with it;
+//!   diagonal). [`crate::plan::SolvePlan`] routes meshes off the 2^k+1
+//!   ladder here, and the multigrid V-cycle solves its ≤ 9×9 coarsest
+//!   level with it;
 //! * [`crate::multigrid::solve_mgcg`] — the same iteration with one
 //!   multigrid V-cycle as the preconditioner.
 //!
-//! Both take the same arguments (the mesh and an optional warm start)
-//! and run on the calling thread. Callers normally pick a method through
+//! Both take the mesh alone, start from zero, and run on the calling
+//! thread. Callers normally pick a method through
 //! [`crate::plan::SolvePlan`] rather than calling a specific solver
 //! directly.
 
@@ -82,39 +82,25 @@ fn inverse_diagonal(m: &MeshProblem) -> Vec<f64> {
         .collect()
 }
 
-/// Rejects a warm-start vector of the wrong length before iterating.
-pub(crate) fn check_warm_len(m: &MeshProblem, x0: Option<&[f64]>) -> Result<(), GridError> {
-    match x0 {
-        Some(x0) if x0.len() != m.nx * m.ny => Err(GridError::BadParameter(
-            "warm-start vector must have nx*ny entries",
-        )),
-        _ => Ok(()),
-    }
-}
-
 /// Solves the mesh by Jacobi-preconditioned conjugate gradients.
 ///
 /// Returns node voltages identical (to solver tolerance) to
-/// [`MeshProblem::solve`]. `x0` seeds the iteration (its pinned entries
-/// are forced to zero); a start near the solution — the previous solve of
-/// the same mesh at another load — converges in a handful of iterations
-/// instead of `O(nx)`.
+/// [`MeshProblem::solve`], iterating from zero.
 ///
 /// # Errors
 ///
 /// [`GridError::BadParameter`]/[`GridError::NonFinite`] when
-/// [`MeshProblem::validate`] rejects the problem or `x0` does not have
-/// `nx·ny` entries; [`GridError::NoConvergence`] if the iteration stalls,
+/// [`MeshProblem::validate`] rejects the problem;
+/// [`GridError::NoConvergence`] if the iteration stalls,
 /// with a diagnostic whose reason distinguishes a plain budget exhaustion
 /// from a loss of positive-definiteness
 /// ([`Breakdown::IndefiniteOperator`]) — the latter means the system is
 /// singular/indefinite and re-running cannot help.
-pub fn solve_pcg(m: &MeshProblem, x0: Option<&[f64]>) -> Result<Vec<f64>, GridError> {
+pub fn solve_pcg(m: &MeshProblem) -> Result<Vec<f64>, GridError> {
     m.validate()?;
-    check_warm_len(m, x0)?;
     let _span = np_telemetry::span("grid.pcg.solve");
     let inv_diag = inverse_diagonal(m);
-    let run = pcg_kernel(m, x0, |r, z| {
+    let run = pcg_kernel(m, |r, z| {
         for ((zi, ri), di) in z.iter_mut().zip(r).zip(&inv_diag) {
             *zi = ri * di;
         }
@@ -142,7 +128,7 @@ pub(crate) struct CgRun {
 /// The preconditioned CG iteration behind [`solve_pcg`] and
 /// [`crate::multigrid::solve_mgcg`], after the caller has validated the
 /// inputs: solves `G·x = b` (`b = −injection` at free nodes, `0` at
-/// pinned ones) from `x0`, with `precondition(r, z)` writing `z = M⁻¹·r`
+/// pinned ones) from `x = 0`, with `precondition(r, z)` writing `z = M⁻¹·r`
 /// for an SPD `M`.
 ///
 /// Stops once `‖r‖ ≤ 1e-12·‖b‖`, within `10·n` iterations (accepting up
@@ -151,7 +137,6 @@ pub(crate) struct CgRun {
 /// exercised on inputs `validate` would reject.
 pub(crate) fn pcg_kernel(
     m: &MeshProblem,
-    x0: Option<&[f64]>,
     mut precondition: impl FnMut(&[f64], &mut [f64]) -> Result<(), GridError>,
 ) -> CgRun {
     let mut run = CgRun {
@@ -175,27 +160,12 @@ pub(crate) fn pcg_kernel(
         .collect();
     if b.iter().all(|&v| v == 0.0) {
         // x = 0 is the exact solution of the pinned SPD system with zero
-        // injection. Iterating a warm start toward it instead chases a
-        // tolerance of ~1e-312 (b_norm clamps at 1e-300) into denormal
-        // territory until p·Ap underflows to an indefinite 0.
+        // injection; iterating toward it would chase a tolerance of
+        // ~1e-312 (b_norm clamps at 1e-300) into denormal territory.
         run.result = Ok(vec![0.0; n]);
         return run;
     }
-    let (mut x, mut r) = match x0 {
-        Some(seed) => {
-            let mut x = seed.to_vec();
-            for (i, xi) in x.iter_mut().enumerate() {
-                if m.pinned[i] {
-                    *xi = 0.0; // pinned nodes stay exactly at the bump rail
-                }
-            }
-            let mut ax = vec![0.0; n];
-            apply(m, &x, &mut ax);
-            let r: Vec<f64> = b.iter().zip(&ax).map(|(b, ax)| b - ax).collect();
-            (x, r)
-        }
-        None => (vec![0.0; n], b.clone()),
-    };
+    let (mut x, mut r) = (vec![0.0; n], b.clone());
     let b_norm = b.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-300);
     let tol = 1e-12 * b_norm;
     let max_iters = 10 * n;
@@ -294,7 +264,7 @@ mod tests {
         for n in [5usize, 9, 16] {
             let m = loaded_mesh(n);
             let sor = m.solve()?;
-            let cg = solve_pcg(&m, None)?;
+            let cg = solve_pcg(&m)?;
             for i in 0..sor.len() {
                 assert!(
                     (sor[i] - cg[i]).abs() < 1e-6,
@@ -310,7 +280,7 @@ mod tests {
     #[test]
     fn cg_satisfies_kcl() -> Result<(), GridError> {
         let m = loaded_mesh(9);
-        let v = solve_pcg(&m, None)?;
+        let v = solve_pcg(&m)?;
         let mut gv = vec![0.0; v.len()];
         apply(&m, &v, &mut gv);
         for (i, g) in gv.iter().enumerate() {
@@ -328,7 +298,7 @@ mod tests {
     #[test]
     fn pinned_nodes_stay_at_zero() -> Result<(), GridError> {
         let m = loaded_mesh(11);
-        let v = solve_pcg(&m, None)?;
+        let v = solve_pcg(&m)?;
         for (i, vi) in v.iter().enumerate() {
             if m.pinned[i] {
                 assert_eq!(*vi, 0.0);
@@ -340,27 +310,21 @@ mod tests {
     #[test]
     fn unpinned_rejected() {
         let m = MeshProblem::new(4, 4, 1.0);
-        assert!(matches!(
-            solve_pcg(&m, None),
-            Err(GridError::BadParameter(_))
-        ));
+        assert!(matches!(solve_pcg(&m), Err(GridError::BadParameter(_))));
     }
 
     #[test]
     fn non_finite_injection_rejected_with_typed_error() {
         let mut m = loaded_mesh(5);
         m.injection[3] = f64::NAN;
-        assert!(matches!(solve_pcg(&m, None), Err(GridError::NonFinite(_))));
+        assert!(matches!(solve_pcg(&m), Err(GridError::NonFinite(_))));
     }
 
     #[test]
     fn mismatched_injection_length_rejected_not_panicking() {
         let mut m = loaded_mesh(5);
         m.injection.truncate(3);
-        assert!(matches!(
-            solve_pcg(&m, None),
-            Err(GridError::BadParameter(_))
-        ));
+        assert!(matches!(solve_pcg(&m), Err(GridError::BadParameter(_))));
     }
 
     #[test]
@@ -371,7 +335,7 @@ mod tests {
         // structural cause rather than a generic budget exhaustion.
         let mut m = loaded_mesh(5);
         m.edge_conductance = -1.0;
-        match pcg_kernel(&m, None, identity).result {
+        match pcg_kernel(&m, identity).result {
             Err(GridError::NoConvergence { diag }) => {
                 assert!(
                     matches!(diag.reason, Breakdown::IndefiniteOperator { curvature } if curvature < 0.0),
@@ -389,7 +353,7 @@ mod tests {
         let extra = m.index(0, 0);
         m.pinned[extra] = true;
         let sor = m.solve()?;
-        let cg = solve_pcg(&m, None)?;
+        let cg = solve_pcg(&m)?;
         for i in 0..sor.len() {
             assert!((sor[i] - cg[i]).abs() < 1e-6);
         }
@@ -409,11 +373,11 @@ mod tests {
             pinned: vec![],
         };
         assert!(matches!(
-            pcg_kernel(&empty, None, identity).result,
+            pcg_kernel(&empty, identity).result,
             Err(GridError::BadParameter("mesh needs at least 2x2 nodes"))
         ));
         assert!(matches!(
-            solve_pcg(&empty, None),
+            solve_pcg(&empty),
             Err(GridError::BadParameter("mesh needs at least 2x2 nodes"))
         ));
         // A 1-wide strip is singular without pins; the guard must fire
@@ -426,7 +390,7 @@ mod tests {
             pinned: vec![false; 4],
         };
         assert!(matches!(
-            pcg_kernel(&strip, None, identity).result,
+            pcg_kernel(&strip, identity).result,
             Err(GridError::BadParameter("mesh needs at least 2x2 nodes"))
         ));
     }
@@ -438,8 +402,8 @@ mod tests {
         for n in [5usize, 9, 16] {
             let m = loaded_mesh(n);
             let sor = m.solve()?;
-            let pcg = solve_pcg(&m, None)?;
-            let cg = pcg_kernel(&m, None, identity).result?;
+            let pcg = solve_pcg(&m)?;
+            let cg = pcg_kernel(&m, identity).result?;
             for i in 0..sor.len() {
                 assert!(
                     (sor[i] - pcg[i]).abs() < 1e-6,
@@ -456,27 +420,6 @@ mod tests {
             }
         }
         Ok(())
-    }
-
-    #[test]
-    fn warm_start_from_the_solution_converges_immediately() -> Result<(), GridError> {
-        let m = loaded_mesh(17);
-        let cold = solve_pcg(&m, None)?;
-        let warm = solve_pcg(&m, Some(&cold))?;
-        for i in 0..cold.len() {
-            assert!((warm[i] - cold[i]).abs() <= 1e-9 * (1.0 + cold[i].abs()));
-        }
-        Ok(())
-    }
-
-    #[test]
-    fn warm_inputs_are_validated() {
-        let m = loaded_mesh(5);
-        let short = vec![0.0; 3];
-        assert!(matches!(
-            solve_pcg(&m, Some(&short)),
-            Err(GridError::BadParameter(_))
-        ));
     }
 
     #[test]

@@ -1,112 +1,46 @@
-//! Hot-spot power-density model (Section 4, footnote 7).
+//! Hot-spot power-density factor (Section 4, footnote 7).
 //!
 //! "A hot-spot is defined to have a localized power density four times
 //! larger than a uniform power density approximation … The factor of four
 //! stems from estimating that half the chip area is consumed by memory
 //! (having about 1/10th the power density of logic) and that certain logic
 //! areas may have twice the power density of others."
+//!
+//! [`crate::analytic::hotspot_current_density`] applies the factor to a
+//! node's uniform `Pchip/Achip` density.
 
-use crate::error::GridError;
-use np_roadmap::TechNode;
-use np_units::WattsPerCm2;
-
-/// Floorplan composition used to derive the hot-spot factor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FloorplanMix {
-    /// Fraction of die area that is memory.
-    pub memory_fraction: f64,
-    /// Memory power density relative to average logic.
-    pub memory_density_ratio: f64,
-    /// Peak logic density relative to average logic.
-    pub logic_peak_ratio: f64,
-}
-
-impl Default for FloorplanMix {
-    fn default() -> Self {
-        // The paper's estimates.
-        Self {
-            memory_fraction: 0.5,
-            memory_density_ratio: 0.1,
-            logic_peak_ratio: 2.0,
-        }
-    }
-}
-
-impl FloorplanMix {
-    /// The hot-spot factor: peak local density over the uniform
-    /// (chip-average) density.
-    ///
-    /// With the paper's numbers: average = 0.5·ρ_logic·(1 + 0.1) ≈
-    /// 0.55·ρ_logic; peak = 2·ρ_logic; factor ≈ 3.6 ≈ 4.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GridError::BadParameter`] for fractions outside `[0, 1)`
-    /// or non-positive ratios.
-    pub fn hotspot_factor(&self) -> Result<f64, GridError> {
-        if !(0.0..1.0).contains(&self.memory_fraction) {
-            return Err(GridError::BadParameter("memory fraction must be in [0, 1)"));
-        }
-        if !(self.memory_density_ratio > 0.0 && self.logic_peak_ratio > 0.0) {
-            return Err(GridError::BadParameter("density ratios must be positive"));
-        }
-        let average =
-            self.memory_fraction * self.memory_density_ratio + (1.0 - self.memory_fraction) * 1.0;
-        Ok(self.logic_peak_ratio / average)
-    }
-}
-
-/// The paper's round hot-spot factor.
+/// The paper's round hot-spot factor: peak local density over the
+/// uniform (chip-average) density. With the footnote's floorplan,
+/// average = 0.5·ρ_logic·(1 + 0.1) ≈ 0.55·ρ_logic and peak = 2·ρ_logic,
+/// so the factor is ≈ 3.6, rounded to 4.
 pub const HOTSPOT_FACTOR: f64 = 4.0;
-
-/// Hot-spot power density of a node: the ×4 factor on the uniform
-/// `Pchip/Achip` density.
-pub fn hotspot_density(node: TechNode) -> WattsPerCm2 {
-    node.params().average_power_density() * HOTSPOT_FACTOR
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use np_roadmap::TechNode;
 
     #[test]
     fn paper_mix_gives_about_four() {
-        let f = FloorplanMix::default().hotspot_factor().unwrap();
-        assert!((3.2..=4.2).contains(&f), "got {f}");
-    }
-
-    #[test]
-    fn all_logic_chip_has_smaller_factor() {
-        let mix = FloorplanMix {
-            memory_fraction: 0.0,
-            ..FloorplanMix::default()
-        };
-        assert!((mix.hotspot_factor().unwrap() - 2.0).abs() < 1e-9);
+        // Half the die memory at a tenth of logic's density, peak logic
+        // at twice the average logic density.
+        let (memory_fraction, memory_density, logic_peak) = (0.5f64, 0.1, 2.0);
+        let average = memory_fraction * memory_density + (1.0 - memory_fraction);
+        let factor = logic_peak / average;
+        assert!((3.2..=4.2).contains(&factor), "got {factor}");
+        assert_eq!(factor.round(), HOTSPOT_FACTOR);
     }
 
     #[test]
     fn hotspot_density_is_over_100w_per_cm2_midroadmap() {
         // Section 2.2 footnote 2: "power densities can exceed 100 W/cm²".
-        let d = hotspot_density(TechNode::N100);
-        assert!(d.0 > 100.0, "got {d}");
+        let d = TechNode::N100.params().average_power_density().0 * HOTSPOT_FACTOR;
+        assert!(d > 100.0, "got {d} W/cm²");
     }
 
     #[test]
     fn density_falls_from_50_to_35() {
-        assert!(hotspot_density(TechNode::N35) < hotspot_density(TechNode::N50));
-    }
-
-    #[test]
-    fn bad_mix_rejected() {
-        let mix = FloorplanMix {
-            memory_fraction: 1.0,
-            ..FloorplanMix::default()
-        };
-        assert!(mix.hotspot_factor().is_err());
-        let mix = FloorplanMix {
-            memory_density_ratio: 0.0,
-            ..FloorplanMix::default()
-        };
-        assert!(mix.hotspot_factor().is_err());
+        let density = |node: TechNode| node.params().average_power_density().0 * HOTSPOT_FACTOR;
+        assert!(density(TechNode::N35) < density(TechNode::N50));
     }
 }

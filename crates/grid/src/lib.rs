@@ -4,12 +4,14 @@
 //! Challenges in Nanometer Design* (Sylvester & Kaul, DAC 2001) — a
 //! BACPAC-style \[41\] top-level power-grid analysis:
 //!
-//! * [`hotspot`] — the ×4 hot-spot power-density model (footnote 7);
+//! * [`hotspot`] — the ×4 hot-spot power-density factor (footnote 7);
 //! * [`analytic`] — closed-form worst-case IR drop in a bump cell and the
 //!   rail width required for a <10 % drop budget;
 //! * [`solver`] / [`mesh`] — an independent resistive-mesh field solver
 //!   (red-black successive over-relaxation) used to validate the
 //!   analytic model, and the reference oracle for the faster solvers;
+//!   [`mesh::MeshCache`] solves the unit bump cell once per mesh side
+//!   and scales it to every node's conductance and load;
 //! * [`cg`] — Jacobi-preconditioned conjugate gradients over the same
 //!   mesh, built on the preconditioned-CG kernel MGCG shares;
 //! * [`multigrid`] — multigrid-preconditioned CG (MGCG): the O(N)

@@ -6,14 +6,23 @@
 //! pitch, the hot-spot current is spread uniformly over the cell, and the
 //! bump pins the centre node. The worst mesh drop validates the analytic
 //! `k_geo` factor.
+//!
+//! The cell is linear, with one edge conductance `g = (w/P)/ρ_s` and one
+//! per-node injection `i = j·h²`, so its solution is exactly `(i/g)·u_n`,
+//! where `u_n` solves the unit cell (`g = 1`, `i = 1`) on the same `n × n`
+//! mesh. [`MeshCache`] solves that unit cell once per side `n` and scales
+//! its worst drop for every node, pitch and width. The free functions
+//! [`mesh_worst_drop`] and [`mesh_worst_drop_with_resolution`] solve the
+//! physical cell directly with the reference SOR, as the cache's oracle.
 
 use crate::analytic::hotspot_current_density;
 use crate::error::GridError;
 use crate::plan::SolvePlan;
 use crate::solver::MeshProblem;
 use np_roadmap::TechNode;
-use np_units::{Microns, Volts};
+use np_units::{guard, Microns, Volts};
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Default mesh resolution per bump cell (nodes per side).
 pub const DEFAULT_RESOLUTION: usize = 33;
@@ -24,7 +33,9 @@ pub const DEFAULT_RESOLUTION: usize = 33;
 ///
 /// # Errors
 ///
-/// Propagates solver errors; rejects non-positive geometry.
+/// Propagates solver errors; rejects non-positive geometry and geometry
+/// whose edge conductance or injection is not finite
+/// ([`GridError::NonFinite`]).
 pub fn mesh_worst_drop(
     node: TechNode,
     pitch: Microns,
@@ -45,50 +56,81 @@ pub fn mesh_worst_drop_with_resolution(
     rail_width: Microns,
     resolution: usize,
 ) -> Result<Volts, GridError> {
-    let (m, _i_per_node) = assemble_bump_cell(node, pitch, rail_width, resolution)?;
-    let v = m.solve()?;
+    let cell = BumpCell::new(node, pitch, rail_width, resolution)?;
+    let v = cell_problem(cell.side, cell.conductance, cell.i_per_node).solve()?;
     Ok(worst_drop_of(&v))
 }
 
-/// Builds the bump-cell [`MeshProblem`] — effective sheet conductance
-/// from rail geometry, uniform hot-spot injection, centre node pinned —
-/// returning it together with the per-node injection current.
-///
-/// # Errors
-///
-/// Rejects non-positive geometry and resolutions < 5.
-fn assemble_bump_cell(
-    node: TechNode,
-    pitch: Microns,
-    rail_width: Microns,
-    resolution: usize,
-) -> Result<(MeshProblem, f64), GridError> {
-    if !(pitch.0 > 0.0 && rail_width.0 > 0.0) {
-        return Err(GridError::BadParameter("pitch and width must be positive"));
+/// The three numbers a bump cell depends on: its mesh side, its edge
+/// conductance and its per-node injection current.
+#[derive(Debug)]
+struct BumpCell {
+    side: usize,
+    conductance: f64,
+    i_per_node: f64,
+}
+
+impl BumpCell {
+    /// The cell of `node` at `pitch` with rails of `rail_width`, on a
+    /// mesh of `resolution` nodes per side (an even resolution rounds up
+    /// to the next odd side, so the bump sits on a node).
+    ///
+    /// # Errors
+    ///
+    /// Rejects non-positive geometry, resolutions < 5, and geometry whose
+    /// edge conductance or per-node injection is not finite and positive
+    /// (an infinite pitch or width, or a pitch whose `h²` overflows).
+    fn new(
+        node: TechNode,
+        pitch: Microns,
+        rail_width: Microns,
+        resolution: usize,
+    ) -> Result<Self, GridError> {
+        if !(pitch.0 > 0.0 && rail_width.0 > 0.0) {
+            return Err(GridError::BadParameter("pitch and width must be positive"));
+        }
+        if resolution < 5 {
+            return Err(GridError::BadParameter("resolution must be at least 5"));
+        }
+        let side = resolution | 1;
+        let rho_s = node.params().top_metal_sheet_resistance().0; // Ω/sq
+        let j = hotspot_current_density(node); // A/µm²
+        let h = pitch.0 / (side as f64 - 1.0); // µm per mesh step
+        Ok(Self {
+            side,
+            // Rails of width w at pitch P give the sheet an effective
+            // sheet conductivity of (w/P)/ρ_s per routing direction; a
+            // square mesh edge then has that conductance.
+            conductance: guard::finite_positive(
+                (rail_width.0 / pitch.0) / rho_s,
+                "edge conductance",
+                "bump cell",
+            )?,
+            i_per_node: guard::finite_positive(j * h * h, "injection", "bump cell")?,
+        })
     }
-    if resolution < 5 {
-        return Err(GridError::BadParameter("resolution must be at least 5"));
+
+    /// This cell's worst drop from the worst drop `unit` of the unit cell
+    /// of the same side: `(i/g)·unit`. Every [`MeshCache`] answer, fresh
+    /// or tabled, goes through here.
+    ///
+    /// # Errors
+    ///
+    /// [`GridError::NonFinite`] when the product overflows.
+    fn scale(&self, unit: f64) -> Result<Volts, GridError> {
+        let drop = (self.i_per_node / self.conductance) * unit;
+        Ok(Volts(guard::finite(drop, "worst drop", "bump cell")?))
     }
-    let n = if resolution.is_multiple_of(2) {
-        resolution + 1
-    } else {
-        resolution
-    };
-    let rho_s = node.params().top_metal_sheet_resistance().0; // Ω/sq
-                                                              // Rails of width w at pitch P give the sheet an effective sheet
-                                                              // conductivity of (w/P)/ρ_s per routing direction; a square mesh edge
-                                                              // then has that conductance.
-    let sheet_conductance = (rail_width.0 / pitch.0) / rho_s;
-    let mut m = MeshProblem::new(n, n, sheet_conductance);
-    let j = hotspot_current_density(node); // A/µm²
-    let h = pitch.0 / (n as f64 - 1.0); // µm per mesh step
-    let i_per_node = j * h * h;
-    for v in m.injection.iter_mut() {
-        *v = i_per_node;
-    }
-    let centre = m.index(n / 2, n / 2);
+}
+
+/// The `side × side` bump-cell mesh with edge conductance `g`, injection
+/// `i` at every node, and the centre node pinned.
+fn cell_problem(side: usize, g: f64, i: f64) -> MeshProblem {
+    let mut m = MeshProblem::new(side, side, g);
+    m.injection.fill(i);
+    let centre = m.index(side / 2, side / 2);
     m.pinned[centre] = true;
-    Ok((m, i_per_node))
+    m
 }
 
 /// The worst (most negative) node voltage, reported as a positive drop.
@@ -96,51 +138,45 @@ fn worst_drop_of(v: &[f64]) -> Volts {
     Volts(-v.iter().copied().fold(f64::INFINITY, f64::min))
 }
 
-/// Cache key: everything `assemble_bump_cell` depends on, with
-/// geometry keyed by exact bit pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CacheKey {
-    node: TechNode,
-    pitch_bits: u64,
-    width_bits: u64,
-    resolution: usize,
+/// Everything behind the cache's one lock.
+#[derive(Debug, Default)]
+struct CacheState {
+    /// Worst drop of the unit cell, keyed by mesh side.
+    unit_drops: HashMap<usize, f64>,
+    hits: u64,
+    misses: u64,
 }
 
-/// One memoized mesh: the assembled problem at unit load, and the last
-/// solution, which warm-starts the next solve.
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    problem: MeshProblem,
-    warm: Option<Vec<f64>>,
-    i_per_node: f64,
-}
-
-/// Memoizes bump-cell mesh assembly across repeated solves of one
-/// geometry.
+/// A table of unit bump-cell worst drops, one per mesh side, from which
+/// every node's drop is a scaling.
 ///
-/// The cache keeps the assembled [`MeshProblem`] per distinct
-/// `(node, pitch, width, resolution)` key and solves it through
-/// [`SolvePlan::solve`], warm-started from the entry's previous
-/// solution, so a repeat solve — at the same load or a scaled one
-/// ([`MeshCache::worst_drop_scaled`]) — converges in a few iterations.
+/// A lookup at a side not yet tabled assembles the unit cell and solves
+/// it once through [`SolvePlan::auto`]; every later lookup at that side,
+/// for any node, pitch or width, is a table read. Fresh or tabled, the
+/// answer is the same scaling of the same unit solve, so it carries the
+/// same bits. The table sits behind one lock that is never held across a
+/// solve, so one cache can serve concurrent callers; two callers that
+/// miss the same side at once both solve it, with identical results.
 ///
 /// ```
-/// use np_grid::mesh::MeshCache;
+/// use np_grid::mesh::{mesh_worst_drop, MeshCache};
 /// use np_roadmap::TechNode;
 /// use np_units::Microns;
 ///
-/// let mut cache = MeshCache::new();
-/// let cold = cache.worst_drop(TechNode::N50, Microns(90.0), Microns(3.0))?;
-/// let warm = cache.worst_drop(TechNode::N50, Microns(90.0), Microns(3.0))?;
-/// assert!((cold.0 - warm.0).abs() <= 1e-9 * cold.0.abs());
+/// let cache = MeshCache::new();
+/// let n50 = cache.worst_drop(TechNode::N50, Microns(90.0), Microns(3.0))?;
+/// // Another node and geometry at the same resolution is a table read.
+/// let n35 = cache.worst_drop(TechNode::N35, Microns(80.0), Microns(4.0))?;
 /// assert_eq!((cache.misses(), cache.hits()), (1, 1));
+/// assert!(n50.0 > 0.0);
+/// // The reference SOR solves the physical cell directly.
+/// let direct = mesh_worst_drop(TechNode::N35, Microns(80.0), Microns(4.0))?;
+/// assert!((n35.0 - direct.0).abs() <= 1e-6 * direct.0);
 /// # Ok::<(), np_grid::GridError>(())
 /// ```
 #[derive(Debug, Default)]
 pub struct MeshCache {
-    entries: HashMap<CacheKey, CacheEntry>,
-    hits: u64,
-    misses: u64,
+    state: Mutex<CacheState>,
 }
 
 impl MeshCache {
@@ -155,7 +191,7 @@ impl MeshCache {
     ///
     /// Same as [`mesh_worst_drop`].
     pub fn worst_drop(
-        &mut self,
+        &self,
         node: TechNode,
         pitch: Microns,
         rail_width: Microns,
@@ -163,95 +199,70 @@ impl MeshCache {
         self.worst_drop_with_resolution(node, pitch, rail_width, DEFAULT_RESOLUTION)
     }
 
-    /// Cached counterpart of [`mesh_worst_drop_with_resolution`].
+    /// Cached counterpart of [`mesh_worst_drop_with_resolution`]: the
+    /// unit drop at the cell's side, scaled by `i/g`.
     ///
     /// # Errors
     ///
-    /// Same as [`mesh_worst_drop_with_resolution`].
+    /// The same input errors as [`mesh_worst_drop_with_resolution`],
+    /// checked on the physical cell before any table lookup; the unit
+    /// solve's errors on a miss; [`GridError::NonFinite`] when the
+    /// scaled drop overflows.
     pub fn worst_drop_with_resolution(
-        &mut self,
+        &self,
         node: TechNode,
         pitch: Microns,
         rail_width: Microns,
         resolution: usize,
     ) -> Result<Volts, GridError> {
-        self.worst_drop_scaled(node, pitch, rail_width, resolution, 1.0)
+        let cell = BumpCell::new(node, pitch, rail_width, resolution)?;
+        cell.scale(self.unit_drop(cell.side)?)
     }
 
-    /// [`MeshCache::worst_drop_with_resolution`] with the hot-spot
-    /// injection scaled by `scale`: a load sweep over one geometry, where
-    /// the current changes and the mesh does not.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`mesh_worst_drop_with_resolution`]; additionally rejects
-    /// a non-finite or negative `scale`.
-    pub fn worst_drop_scaled(
-        &mut self,
-        node: TechNode,
-        pitch: Microns,
-        rail_width: Microns,
-        resolution: usize,
-        scale: f64,
-    ) -> Result<Volts, GridError> {
-        if !scale.is_finite() || scale < 0.0 {
-            return Err(GridError::BadParameter(
-                "injection scale must be finite and non-negative",
-            ));
+    /// The unit cell's worst drop at `side`: a table read on a hit, one
+    /// solve on a miss.
+    fn unit_drop(&self, side: usize) -> Result<f64, GridError> {
+        {
+            let mut state = self.lock();
+            if let Some(&unit) = state.unit_drops.get(&side) {
+                state.hits += 1;
+                drop(state);
+                np_telemetry::counter("grid.mesh_cache.hit", 1);
+                return Ok(unit);
+            }
+            state.misses += 1;
         }
-        let key = CacheKey {
-            node,
-            pitch_bits: pitch.0.to_bits(),
-            width_bits: rail_width.0.to_bits(),
-            resolution,
-        };
-        if let std::collections::hash_map::Entry::Vacant(slot) = self.entries.entry(key) {
-            let (problem, i_per_node) = assemble_bump_cell(node, pitch, rail_width, resolution)?;
-            slot.insert(CacheEntry {
-                problem,
-                warm: None,
-                i_per_node,
-            });
-            self.misses += 1;
-            np_telemetry::counter("grid.mesh_cache.miss", 1);
-        } else {
-            self.hits += 1;
-            np_telemetry::counter("grid.mesh_cache.hit", 1);
-        }
-        // Entry exists by construction; avoid unwrap to satisfy the
-        // crate-wide unwrap ban.
-        let Some(entry) = self.entries.get_mut(&key) else {
-            return Err(GridError::BadParameter("mesh cache entry vanished"));
-        };
-        let n_nodes = entry.problem.nx * entry.problem.ny;
-        let m = MeshProblem {
-            injection: vec![entry.i_per_node * scale; n_nodes],
-            ..entry.problem.clone()
-        };
-        let v = SolvePlan::auto().solve(&m, entry.warm.as_deref())?;
-        let drop = worst_drop_of(&v);
-        entry.warm = Some(v);
-        Ok(drop)
+        np_telemetry::counter("grid.mesh_cache.miss", 1);
+        let unit = worst_drop_of(&SolvePlan::auto().solve(&cell_problem(side, 1.0, 1.0))?).0;
+        self.lock().unit_drops.insert(side, unit);
+        Ok(unit)
     }
 
-    /// Solves served from a memoized mesh.
+    /// The table lock. A panic elsewhere cannot leave the table
+    /// half-written (each update is one insert or one increment), so a
+    /// poisoned lock is recovered.
+    fn lock(&self) -> MutexGuard<'_, CacheState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Lookups answered from the table.
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.lock().hits
     }
 
-    /// Solves that had to assemble the mesh first.
+    /// Lookups that had to solve the unit cell first.
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.lock().misses
     }
 
-    /// Number of distinct meshes currently memoized.
+    /// Number of mesh sides whose unit drop is tabled.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.lock().unit_drops.len()
     }
 
-    /// Whether the cache holds no meshes yet.
+    /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 }
 
@@ -310,12 +321,39 @@ mod tests {
     }
 
     #[test]
+    fn cache_and_oracle_reject_unbounded_geometry() {
+        // An infinite pitch zeroes the edge conductance, an infinite width
+        // makes it infinite, and a huge pitch overflows h²: the cache must
+        // return the oracle's typed error, not a scaled inf, 0 or NaN.
+        let cache = MeshCache::new();
+        for (pitch, width) in [
+            (f64::INFINITY, 3.0),
+            (90.0, f64::INFINITY),
+            (f64::INFINITY, f64::INFINITY),
+            (1e200, 3.0),
+        ] {
+            let (pitch, width) = (Microns(pitch), Microns(width));
+            for (who, got) in [
+                ("cache", cache.worst_drop(TechNode::N50, pitch, width)),
+                ("oracle", mesh_worst_drop(TechNode::N50, pitch, width)),
+            ] {
+                assert!(
+                    matches!(got, Err(GridError::NonFinite(_))),
+                    "{who} at P={pitch} w={width}: {got:?}"
+                );
+            }
+        }
+        assert!(cache.is_empty(), "no rejected cell reaches the table");
+    }
+
+    #[test]
     fn cache_matches_the_free_function() -> Result<(), GridError> {
-        let mut cache = MeshCache::new();
+        let cache = MeshCache::new();
         let cached = cache.worst_drop(TechNode::N35, Microns(80.0), Microns(4.0))?;
         let direct = mesh_worst_drop(TechNode::N35, Microns(80.0), Microns(4.0))?;
-        // Different solvers (MGCG vs SOR), same physics: agree to
-        // solver tolerance, far tighter than the model's own accuracy.
+        // Different solvers (a scaled MGCG unit solve vs SOR on the
+        // physical cell), same physics: agree to solver tolerance, far
+        // tighter than the model's own accuracy.
         assert!(
             (cached.0 - direct.0).abs() <= 1e-6 * direct.0.abs(),
             "cached {cached} vs direct {direct}"
@@ -327,14 +365,23 @@ mod tests {
 
     #[test]
     fn repeat_solves_hit_the_cache_and_agree() -> Result<(), GridError> {
-        let mut cache = MeshCache::new();
+        let cache = MeshCache::new();
         let first = cache.worst_drop(TechNode::N50, Microns(90.0), Microns(3.0))?;
         let second = cache.worst_drop(TechNode::N50, Microns(90.0), Microns(3.0))?;
-        assert!((first.0 - second.0).abs() <= 1e-9 * first.0.abs());
+        assert_eq!(first, second, "a table read gives the fresh solve's bits");
         assert_eq!((cache.misses(), cache.hits()), (1, 1));
-        // A different geometry is a fresh entry, not a stale hit.
-        cache.worst_drop(TechNode::N50, Microns(91.0), Microns(3.0))?;
-        assert_eq!((cache.misses(), cache.hits()), (2, 1));
+        // Another geometry at the same side scales the same unit solve.
+        let other = cache.worst_drop(TechNode::N50, Microns(91.0), Microns(3.0))?;
+        assert_eq!(
+            other,
+            MeshCache::new().worst_drop(TechNode::N50, Microns(91.0), Microns(3.0))?
+        );
+        assert_eq!((cache.misses(), cache.hits()), (1, 2));
+        // Another side is a fresh unit solve; an even resolution rounds up
+        // to the odd side already tabled.
+        cache.worst_drop_with_resolution(TechNode::N50, Microns(90.0), Microns(3.0), 17)?;
+        cache.worst_drop_with_resolution(TechNode::N50, Microns(90.0), Microns(3.0), 16)?;
+        assert_eq!((cache.misses(), cache.hits()), (2, 3));
         assert_eq!(cache.len(), 2);
         assert!(!cache.is_empty());
         Ok(())
@@ -342,51 +389,36 @@ mod tests {
 
     #[test]
     fn scaled_injection_scales_the_drop_linearly() -> Result<(), GridError> {
-        let mut cache = MeshCache::new();
-        let base = cache.worst_drop_scaled(TechNode::N35, Microns(80.0), Microns(4.0), 33, 1.0)?;
-        let doubled =
-            cache.worst_drop_scaled(TechNode::N35, Microns(80.0), Microns(4.0), 33, 2.0)?;
-        // The operator is linear in the injection.
-        assert!(
-            (doubled.0 - 2.0 * base.0).abs() <= 1e-6 * base.0.abs(),
-            "base {base}, doubled {doubled}"
-        );
-        assert!(cache
-            .worst_drop_scaled(TechNode::N35, Microns(80.0), Microns(4.0), 33, f64::NAN)
-            .is_err());
-        Ok(())
-    }
-
-    #[test]
-    fn warm_started_scale_sweep_handles_zero_and_tiny_scales() -> Result<(), GridError> {
-        // One cache, three scales, all on the same warm-started entry:
-        // the second and third solves reuse the previous solution as the
-        // starting guess, which is exactly the path that used to
-        // break down for a zero injection (the residual decayed into
-        // denormals chasing a clamped tolerance).
-        let mut cache = MeshCache::new();
-        let base = cache.worst_drop_scaled(TechNode::N35, Microns(80.0), Microns(4.0), 33, 1.0)?;
-        assert!(base.0 > 0.0, "unit scale must produce a real drop: {base}");
-        // scale = 0: no injection means no drop, exactly.
-        let zero = cache.worst_drop_scaled(TechNode::N35, Microns(80.0), Microns(4.0), 33, 0.0)?;
-        assert_eq!(zero, Volts(0.0), "zero injection must yield a zero drop");
-        // scale = 1e-9: linearity, warm-started from the zero solution.
-        let tiny = cache.worst_drop_scaled(TechNode::N35, Microns(80.0), Microns(4.0), 33, 1e-9)?;
-        assert!(
-            (tiny.0 - 1e-9 * base.0).abs() <= 1e-6 * 1e-9 * base.0,
-            "tiny-scale drop must stay linear: base {base}, tiny {tiny}"
-        );
-        // All three solves shared one assembled mesh.
-        assert_eq!((cache.misses(), cache.hits()), (1, 2));
+        // The identity the cache rests on, checked with the SOR oracle:
+        // the cell's drop is linear in its injection and inverse in its
+        // conductance, so it is (i/g) times the unit cell's drop.
+        let cell = BumpCell::new(TechNode::N35, Microns(80.0), Microns(4.0), 17)?;
+        let (g, i) = (cell.conductance, cell.i_per_node);
+        let sor = |g, i| {
+            cell_problem(cell.side, g, i)
+                .solve()
+                .map(|v| worst_drop_of(&v).0)
+        };
+        let base = sor(g, i)?;
+        let doubled = sor(g, 2.0 * i)?;
+        let stiffer = sor(2.0 * g, i)?;
+        let unit = sor(1.0, 1.0)?;
+        for (got, want, what) in [
+            (doubled, 2.0 * base, "twice the injection"),
+            (stiffer, 0.5 * base, "twice the conductance"),
+            (cell.scale(unit)?.0, base, "the scaled unit cell"),
+        ] {
+            assert!((got - want).abs() <= 1e-6 * want, "{what}: {got} vs {want}");
+        }
         Ok(())
     }
 
     #[test]
     fn cache_entries_agree_with_sor_on_and_off_the_ladder() -> Result<(), GridError> {
         // 33 fits the 2^k+1 ladder (MGCG), 31 does not (Jacobi-PCG); each
-        // entry's cold and warm-started solves match the SOR oracle.
+        // side's fresh and tabled answers match the SOR oracle.
         let (node, pitch, width) = (TechNode::N50, Microns(90.0), Microns(3.0));
-        let mut cache = MeshCache::new();
+        let cache = MeshCache::new();
         for resolution in [33, 31] {
             let direct = mesh_worst_drop_with_resolution(node, pitch, width, resolution)?;
             for _ in 0..2 {
@@ -398,6 +430,35 @@ mod tests {
             }
         }
         assert_eq!((cache.misses(), cache.hits()), (2, 2));
+        Ok(())
+    }
+
+    #[test]
+    fn one_cache_serves_concurrent_callers() -> Result<(), GridError> {
+        // Every node from two threads at once through one cache: the
+        // answers equal a fresh cache's, and each lookup counts once.
+        let cache = MeshCache::new();
+        let drops = |cache: &MeshCache| -> Result<Vec<Volts>, GridError> {
+            TechNode::ALL
+                .iter()
+                .map(|&node| {
+                    cache.worst_drop_with_resolution(node, Microns(90.0), Microns(3.0), 17)
+                })
+                .collect()
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| drops(&cache));
+            let b = drops(&cache);
+            (a.join().unwrap_or_else(|e| std::panic::resume_unwind(e)), b)
+        });
+        let (a, b) = (a?, b?);
+        assert_eq!(a, b);
+        assert_eq!(a, drops(&MeshCache::new())?);
+        assert_eq!(
+            cache.hits() + cache.misses(),
+            2 * TechNode::ALL.len() as u64
+        );
+        assert_eq!(cache.len(), 1);
         Ok(())
     }
 }

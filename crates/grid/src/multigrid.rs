@@ -24,8 +24,7 @@
 //! whose iteration count is essentially mesh-independent — the solve is
 //! O(N) where Jacobi-PCG is O(N^1.5). [`crate::plan::SolvePlan`] runs it
 //! on every mesh that fits the ladder. The cycle runs sequentially on the
-//! calling thread, so the result is a pure function of the problem and
-//! the warm start.
+//! calling thread, so the result is a pure function of the problem.
 //!
 //! Dirichlet pins coarsen conservatively: a coarse node is pinned when
 //! *any* fine pin falls in the 3×3 fine neighborhood it represents, so
@@ -35,7 +34,7 @@
 //! correctness — acceptance is always the fine-grid residual reaching
 //! the CG-family tolerance `1e-12·‖b‖`.
 
-use crate::cg::{apply, check_warm_len, pcg_kernel, solve_pcg};
+use crate::cg::{apply, pcg_kernel, solve_pcg};
 use crate::error::GridError;
 use crate::solver::MeshProblem;
 
@@ -283,7 +282,7 @@ fn v_cycle(
     let nodes = (cur.m.nx * cur.m.ny) as f64;
     let Some(next) = rest.first_mut() else {
         // Coarsest grid: a ≤ 9×9 system, solved near-exactly.
-        cur.x = solve_pcg(&cur.m, None)?;
+        cur.x = solve_pcg(&cur.m)?;
         *work += nodes / fine_nodes;
         return Ok(());
     };
@@ -306,8 +305,8 @@ fn v_cycle(
 ///
 /// Converges to the same `1e-12·‖b‖` tolerance in a near-mesh-independent
 /// number of iterations, each O(N). Both sides of `m` must be `2^k+1`;
-/// the level ladder is built per call. `x0` warm-starts the iteration
-/// (pinned entries forced to zero), exactly as in [`solve_pcg`].
+/// the level ladder is built per call, and the iteration starts from
+/// zero, exactly as in [`solve_pcg`].
 ///
 /// ```
 /// use np_grid::multigrid::solve_mgcg;
@@ -317,26 +316,24 @@ fn v_cycle(
 /// m.injection = vec![1e-4; 17 * 17];
 /// let centre = m.index(8, 8);
 /// m.pinned[centre] = true;
-/// let cold = solve_mgcg(&m, None)?;
-/// assert_eq!(cold.len(), 17 * 17);
-/// assert_eq!(cold[centre], 0.0); // the bump stays at the rail
-/// let warm = solve_mgcg(&m, Some(&cold))?;
-/// assert_eq!(cold, warm); // warm start from the solution is a no-op
+/// let v = solve_mgcg(&m)?;
+/// assert_eq!(v.len(), 17 * 17);
+/// assert_eq!(v[centre], 0.0); // the bump stays at the rail
+/// assert_eq!(v, solve_mgcg(&m)?); // a fixed sequence of operations
 /// # Ok::<(), np_grid::GridError>(())
 /// ```
 ///
 /// # Errors
 ///
 /// Those of [`MeshProblem::validate`]; [`GridError::BadParameter`] when
-/// a side of `m` is not `2^k+1` or `x0` does not have `nx·ny` entries;
-/// [`GridError::NoConvergence`] when the iteration stalls.
-pub fn solve_mgcg(m: &MeshProblem, x0: Option<&[f64]>) -> Result<Vec<f64>, GridError> {
+/// a side of `m` is not `2^k+1`; [`GridError::NoConvergence`] when the
+/// iteration stalls.
+pub fn solve_mgcg(m: &MeshProblem) -> Result<Vec<f64>, GridError> {
     let mut levels = build_levels(m)?;
-    check_warm_len(m, x0)?;
     let _span = np_telemetry::span("grid.mgcg.solve");
     let fine_nodes = (m.nx * m.ny) as f64;
     let mut work = 0.0f64;
-    let run = pcg_kernel(m, x0, |r, z| {
+    let run = pcg_kernel(m, |r, z| {
         apply_preconditioner(&mut levels, r, z, fine_nodes, &mut work)
     });
     // Each mat-vec plus its iteration's vector updates costs about two
@@ -414,17 +411,14 @@ mod tests {
             m.injection = vec![1e-3; n * n];
             assert!(!compatible(n, n), "n={n} is off the ladder");
             assert!(
-                matches!(solve_mgcg(&m, None), Err(GridError::BadParameter(_))),
+                matches!(solve_mgcg(&m), Err(GridError::BadParameter(_))),
                 "n={n} must be rejected for MGCG"
             );
         }
         // 2x2 passes MeshProblem::new but not the coarsening ladder.
         let mut m = MeshProblem::new(2, 2, 1.0);
         m.pinned[0] = true;
-        assert!(matches!(
-            solve_mgcg(&m, None),
-            Err(GridError::BadParameter(_))
-        ));
+        assert!(matches!(solve_mgcg(&m), Err(GridError::BadParameter(_))));
     }
 
     #[test]
@@ -432,7 +426,7 @@ mod tests {
         for n in [9usize, 17, 33] {
             let m = loaded(n);
             let sor = m.solve()?;
-            let mg = solve_mgcg(&m, None)?;
+            let mg = solve_mgcg(&m)?;
             for i in 0..sor.len() {
                 assert!(
                     (sor[i] - mg[i]).abs() < 1e-6 * (1.0 + sor[i].abs()),
@@ -449,8 +443,8 @@ mod tests {
     fn mgcg_matches_pcg() -> Result<(), GridError> {
         for n in [17usize, 33] {
             let m = loaded(n);
-            let pcg = solve_pcg(&m, None)?;
-            let mgcg = solve_mgcg(&m, None)?;
+            let pcg = solve_pcg(&m)?;
+            let mgcg = solve_mgcg(&m)?;
             for i in 0..pcg.len() {
                 assert!(
                     (pcg[i] - mgcg[i]).abs() < 1e-6 * (1.0 + pcg[i].abs()),
@@ -472,8 +466,8 @@ mod tests {
                 m.pinned[i] = true;
             }
             m.injection = vec![1e-3; 33 * 33];
-            let mg = solve_mgcg(&m, None)?;
-            let pcg = solve_pcg(&m, None)?;
+            let mg = solve_mgcg(&m)?;
+            let pcg = solve_pcg(&m)?;
             for i in 0..mg.len() {
                 assert!(
                     (pcg[i] - mg[i]).abs() < 1e-6 * (1.0 + pcg[i].abs()),
@@ -490,29 +484,11 @@ mod tests {
         let pin = m.index(8, 16);
         m.pinned[pin] = true;
         m.injection = vec![1e-3; 17 * 33];
-        let mg = solve_mgcg(&m, None)?;
-        let pcg = solve_pcg(&m, None)?;
+        let mg = solve_mgcg(&m)?;
+        let pcg = solve_pcg(&m)?;
         for i in 0..mg.len() {
             assert!((pcg[i] - mg[i]).abs() < 1e-6 * (1.0 + pcg[i].abs()));
         }
-        Ok(())
-    }
-
-    #[test]
-    fn warm_start_from_the_solution_takes_zero_cycles() -> Result<(), GridError> {
-        let m = loaded(33);
-        let cold = solve_mgcg(&m, None)?;
-        let collector = np_telemetry::Collector::new();
-        let warm = {
-            let _guard = np_telemetry::install(&collector);
-            solve_mgcg(&m, Some(&cold))?
-        };
-        assert_eq!(cold, warm);
-        assert_eq!(
-            counter(&collector.summary(), "grid.mgcg.iterations"),
-            Some(0),
-            "a converged warm start needs no iterations"
-        );
         Ok(())
     }
 
@@ -521,20 +497,8 @@ mod tests {
         let mut m = MeshProblem::new(17, 17, 1.0);
         let pin = m.index(8, 8);
         m.pinned[pin] = true;
-        assert_eq!(solve_mgcg(&m, None)?, vec![0.0; 17 * 17]);
+        assert_eq!(solve_mgcg(&m)?, vec![0.0; 17 * 17]);
         Ok(())
-    }
-
-    #[test]
-    fn mismatched_warm_starts_are_rejected() {
-        let m = loaded(17);
-        for len in [0usize, 3, 17 * 17 + 1] {
-            let x0 = vec![0.0; len];
-            assert!(
-                matches!(solve_mgcg(&m, Some(&x0)), Err(GridError::BadParameter(_))),
-                "a {len}-entry warm start must be rejected"
-            );
-        }
     }
 
     #[test]
@@ -550,12 +514,12 @@ mod tests {
         let pcg_collector = np_telemetry::Collector::new();
         {
             let _guard = np_telemetry::install(&pcg_collector);
-            solve_pcg(&m, None)?;
+            solve_pcg(&m)?;
         }
         let mgcg_collector = np_telemetry::Collector::new();
         {
             let _guard = np_telemetry::install(&mgcg_collector);
-            solve_mgcg(&m, None)?;
+            solve_mgcg(&m)?;
         }
         let pcg_iters = counter(&pcg_collector.summary(), "grid.pcg.iterations").unwrap_or(0);
         let mgcg_sweeps =

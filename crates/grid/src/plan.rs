@@ -1,6 +1,8 @@
 //! The Fig. 5 study — per-node grid plans under minimum bump pitch
 //! versus ITRS pad counts — plus the [`SolvePlan`] policy that routes a
-//! mesh problem to its solver.
+//! mesh problem to its solver. A plan solve takes the mesh alone and
+//! starts from zero; [`crate::mesh::MeshCache`] is how a caller avoids
+//! solving one bump-cell mesh twice.
 
 use crate::analytic::{rail_routing_fraction, required_rail_width, IrBudget};
 use crate::cg::solve_pcg;
@@ -179,10 +181,8 @@ pub fn strategy_for(nx: usize, ny: usize) -> SolveStrategy {
 /// let (on_ladder, off_ladder) = (mesh(17), mesh(18));
 /// assert_eq!(SolvePlan::auto().resolve_for(&on_ladder).0, SolveStrategy::MultigridCg);
 /// assert_eq!(SolvePlan::auto().resolve_for(&off_ladder).0, SolveStrategy::JacobiPcg);
-/// let cold = SolvePlan::auto().solve(&on_ladder, None)?;
-/// // A warm start from the previous solution converges at once.
-/// let warm = SolvePlan::auto().solve(&on_ladder, Some(&cold))?;
-/// assert_eq!(cold, warm);
+/// let (mg, pcg) = (SolvePlan::auto().solve(&on_ladder)?, SolvePlan::auto().solve(&off_ladder)?);
+/// assert_eq!((mg.len(), pcg.len()), (17 * 17, 18 * 18));
 /// # Ok::<(), np_grid::GridError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -200,16 +200,15 @@ impl SolvePlan {
         (strategy_for(m.nx, m.ny), 1)
     }
 
-    /// Solves `m` with the resolved strategy, warm-started from `x0`
-    /// when given (see [`solve_pcg`]).
+    /// Solves `m` with the resolved strategy.
     ///
     /// # Errors
     ///
     /// Those of [`solve_pcg`] / [`solve_mgcg`].
-    pub fn solve(&self, m: &MeshProblem, x0: Option<&[f64]>) -> Result<Vec<f64>, GridError> {
+    pub fn solve(&self, m: &MeshProblem) -> Result<Vec<f64>, GridError> {
         match strategy_for(m.nx, m.ny) {
-            SolveStrategy::JacobiPcg => solve_pcg(m, x0),
-            SolveStrategy::MultigridCg => solve_mgcg(m, x0),
+            SolveStrategy::JacobiPcg => solve_pcg(m),
+            SolveStrategy::MultigridCg => solve_mgcg(m),
         }
     }
 }
@@ -312,9 +311,9 @@ mod tests {
         for n in [9, 10] {
             let m = loaded_mesh(n, n);
             let reference = m.solve()?;
-            let mut answers = vec![SolvePlan::auto().solve(&m, None)?, solve_pcg(&m, None)?];
+            let mut answers = vec![SolvePlan::auto().solve(&m)?, solve_pcg(&m)?];
             if multigrid::compatible(n, n) {
-                answers.push(solve_mgcg(&m, None)?);
+                answers.push(solve_mgcg(&m)?);
             }
             for v in &answers {
                 for (a, b) in v.iter().zip(&reference) {

@@ -4,7 +4,7 @@ use np_grid::analytic::{required_rail_width, worst_case_drop, IrBudget};
 use np_grid::cg::solve_pcg;
 use np_grid::multigrid::solve_mgcg;
 use np_grid::solver::MeshProblem;
-use np_grid::{GridError, SolvePlan};
+use np_grid::{GridError, SolvePlan, SolveStrategy};
 use np_roadmap::TechNode;
 use np_units::Microns;
 use proptest::prelude::*;
@@ -50,6 +50,21 @@ fn loaded_rect(nx: usize, ny: usize, g: f64, load: f64, px: usize, py: usize) ->
 /// A loaded square mesh: uniform injection, pin at `(px, py)`.
 fn loaded_mesh(n: usize, g: f64, load: f64, px: usize, py: usize) -> MeshProblem {
     loaded_rect(n, n, g, load, px, py)
+}
+
+/// The Fig. 5 bump cell: `n × n`, edge conductance `g`, injection `i` at
+/// every node, centre pinned.
+fn bump_cell(n: usize, g: f64, i: f64) -> MeshProblem {
+    let mut m = MeshProblem::new(n, n, g);
+    m.injection.fill(i);
+    let centre = m.index(n / 2, n / 2);
+    m.pinned[centre] = true;
+    m
+}
+
+/// The worst (most negative) node voltage as a positive drop.
+fn worst_drop(v: &[f64]) -> f64 {
+    -v.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
 proptest! {
@@ -136,7 +151,7 @@ proptest! {
     ) {
         let m = loaded_mesh(n, 1.0, load, n / 2, n / 2);
         let reference = m.solve().unwrap();
-        for v in [SolvePlan::auto().solve(&m, None).unwrap(), solve_pcg(&m, None).unwrap()] {
+        for v in [SolvePlan::auto().solve(&m).unwrap(), solve_pcg(&m).unwrap()] {
             // Cross-algorithm comparison (CG-family vs the SOR
             // reference): both stop at their own 1e-12-scaled criteria,
             // so agreement is to solver accuracy.
@@ -189,14 +204,58 @@ proptest! {
         let (nx, ny) = shape;
         let (px, py) = (pin_coord(edge_x, frac_x, nx), pin_coord(edge_y, frac_y, ny));
         let m = loaded_rect(nx, ny, g, load, px, py);
-        let pcg = solve_pcg(&m, None).unwrap();
-        let mgcg = solve_mgcg(&m, None).unwrap();
+        let pcg = solve_pcg(&m).unwrap();
+        let mgcg = solve_mgcg(&m).unwrap();
         for i in 0..pcg.len() {
             prop_assert!(
                 (pcg[i] - mgcg[i]).abs() <= 1e-6 * (1.0 + pcg[i].abs()),
                 "MGCG {nx}x{ny} pin ({px}, {py}) node {i}: {} vs {}",
                 pcg[i],
                 mgcg[i]
+            );
+        }
+    }
+}
+
+// The identity `MeshCache` rests on: the bump cell is linear, so its
+// worst drop at any (g, i) is (i/g) times the unit cell's, whichever
+// solver the plan picks for the side (MGCG on the 2^k+1 ladder,
+// Jacobi-PCG off it). At small sides the SOR oracle agrees as well.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn bump_cell_drop_is_the_scaled_unit_drop(
+        n in prop::sample::select(vec![17usize, 33, 65, 31, 63]),
+        log_g in -3.0..3.0f64,
+        log_scale in -6.0..6.0f64,
+    ) {
+        // g over six decades and i/g over twelve, so i spans eighteen.
+        // MGCG and Jacobi-PCG stop on a residual relative to the
+        // injection, so the direct-vs-scaled check is scale-free.
+        let g = 10f64.powf(log_g);
+        let i = 10f64.powf(log_scale) * g;
+        let plan = SolvePlan::auto();
+        let expected = if n == 31 || n == 63 {
+            SolveStrategy::JacobiPcg
+        } else {
+            SolveStrategy::MultigridCg
+        };
+        prop_assert_eq!(plan.resolve_for(&bump_cell(n, 1.0, 1.0)).0, expected);
+        let unit = worst_drop(&plan.solve(&bump_cell(n, 1.0, 1.0)).unwrap());
+        let scaled = (i / g) * unit;
+        let direct = worst_drop(&plan.solve(&bump_cell(n, g, i)).unwrap());
+        prop_assert!(
+            (direct - scaled).abs() <= 1e-10 * direct,
+            "n={n} g={g:e} i={i:e}: direct {direct:e} vs scaled {scaled:e}"
+        );
+        // SOR stops on an absolute 1e-12 V step, which resolves the drop
+        // to 1e-6 only while i/g ≤ 1e-1 (drops up to ~1e2 V).
+        if n <= 33 && log_scale <= -1.0 {
+            let sor = worst_drop(&bump_cell(n, g, i).solve().unwrap());
+            prop_assert!(
+                (sor - scaled).abs() <= 1e-6 * sor,
+                "n={n} g={g:e} i={i:e}: SOR {sor:e} vs scaled {scaled:e}"
             );
         }
     }
@@ -210,7 +269,7 @@ fn multigrid_rejects_non_pow2_plus_one_meshes_with_a_typed_error() {
     for n in [20usize, 21] {
         let m = loaded_mesh(n, 1.0, 1e-2, n / 2, n / 2);
         assert!(
-            matches!(solve_mgcg(&m, None), Err(GridError::BadParameter(_))),
+            matches!(solve_mgcg(&m), Err(GridError::BadParameter(_))),
             "n={n} must be a BadParameter"
         );
     }

@@ -26,7 +26,10 @@ cd "$(dirname "$0")/.."
 # Lowered 623 -> 569 when the grid solve collapsed to one policy: the
 # tests of the deleted solver paths went with them, and the surviving
 # grid tests return `Result` and use `?`.
-BASELINE=569
+# Lowered 569 -> 567 when the unreached `FloorplanMix` hot-spot API
+# went with its tests; the single-flight, mesh-table and CSV-gate tests
+# added alongside return `Result` and use `?`.
+BASELINE=567
 
 count=$(grep -rEo 'unwrap\(|expect\(|panic!' crates/*/src --include='*.rs' | wc -l)
 

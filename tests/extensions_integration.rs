@@ -131,7 +131,7 @@ fn both_mesh_solvers_agree_on_a_grid_problem() {
         m.injection[i] = 2e-3;
     }
     let sor = m.solve().expect("sor");
-    let cg = solve_pcg(&m, None).expect("pcg");
+    let cg = solve_pcg(&m).expect("pcg");
     for i in 0..sor.len() {
         assert!((sor[i] - cg[i]).abs() < 1e-6, "node {i}");
     }
