@@ -44,7 +44,7 @@ use nanopower::service::{
     Admission, AdmissionGate, ArtifactMemo, InFlight, InFlightClaim, MemoConfig, MemoEntry,
     Quarantine, ServiceCounters,
 };
-use nanopower::spec::{GridSpec, ScenarioSpec, DEFAULT_COST_BUDGET};
+use nanopower::spec::{job_name_for, GridSpec, ScenarioSpec, DEFAULT_COST_BUDGET};
 use nanopower::Error;
 use np_bench::registry;
 use np_bench::serve::{KindStats, ServeReport};
@@ -743,7 +743,7 @@ where
         .names
         .iter()
         .map(|name| Item::Name(name))
-        .chain(run.specs.iter().map(Item::Spec));
+        .chain(run.specs.iter().map(|spec| Item::Spec(spec, spec.digest())));
     let mut tally = Tally::default();
     let mut renders = Vec::new();
     let mut awaited = Vec::new();
@@ -822,11 +822,12 @@ where
     )
 }
 
-/// One requested artifact: a registry name or a scenario spec.
+/// One requested artifact: a registry name, or a scenario spec with
+/// its digest, serialized once per request.
 #[derive(Clone, Copy)]
 enum Item<'a> {
     Name(&'a str),
-    Spec(&'a ScenarioSpec),
+    Spec(&'a ScenarioSpec, u64),
 }
 
 impl Item<'_> {
@@ -834,7 +835,7 @@ impl Item<'_> {
     fn name(self) -> String {
         match self {
             Item::Name(name) => name.to_owned(),
-            Item::Spec(spec) => spec.job_name(),
+            Item::Spec(_, digest) => job_name_for(digest),
         }
     }
 
@@ -852,12 +853,12 @@ impl Item<'_> {
                     (job, None)
                 }
             },
-            Item::Spec(spec) => {
+            Item::Spec(spec, digest) => {
                 let (job_spec, shared) = (spec.clone(), Arc::clone(state));
-                let job = Job::new(spec.job_name(), move || {
+                let job = Job::new(job_name_for(digest), move || {
                     job_spec.render_in(&shared.mesh, csv)
                 });
-                (job, Some(spec.digest()))
+                (job, Some(digest))
             }
         };
         Render {
@@ -894,11 +895,9 @@ fn lookup<W>(
 where
     W: Write,
 {
-    // A spec's name hashes its canonical form: computed once, it gives
-    // both the memo key and the record's name.
     let name = item.name();
-    if let Item::Spec(spec) = item {
-        if let Some(message) = state.quarantine.check(spec.digest()) {
+    if let Item::Spec(_, digest) = item {
+        if let Some(message) = state.quarantine.check(digest) {
             tally.quarantined(state);
             writer.send(state, &quarantined_record(name, message))?;
             return Ok(Lookup::Served);

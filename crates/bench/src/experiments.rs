@@ -45,7 +45,7 @@ pub fn relaxed_context(
     factor: f64,
 ) -> Result<TimingContext, Error> {
     let ctx = TimingContext::for_node(node)?;
-    let crit = ctx.analyze(netlist)?.critical_delay();
+    let crit = ctx.critical_delay(netlist);
     Ok(ctx.with_clock(crit * factor))
 }
 

@@ -610,20 +610,18 @@ fn fig34_mgate_at(cells: usize) -> Result<Fig34MgateReport, Error> {
 
     let mut netlist = generate_netlist(&NetlistSpec::large(FIG34_MGATE_SEED, cells));
     let ctx = TimingContext::for_node(TechNode::N100).map_err(OptError::from)?;
-    let baseline = ctx.analyze(&netlist).map_err(OptError::from)?;
-    let critical_before = baseline.critical_delay();
+    let critical_before = ctx.critical_delay(&netlist);
     let ctx = ctx.with_clock(critical_before * FIG34_MGATE_CLOCK_FACTOR);
     let options = ParallelOptions {
         max_rounds: FIG34_MGATE_ROUNDS,
         ..ParallelOptions::default()
     };
     let result = optimize_parallel(&mut netlist, &ctx, &options)?;
-    let after = ctx.analyze(&netlist).map_err(OptError::from)?;
     Ok(Fig34MgateReport {
         cells,
         clock_ps: ctx.clock_period.as_pico(),
         critical_before_ps: critical_before.as_pico(),
-        critical_after_ps: after.critical_delay().as_pico(),
+        critical_after_ps: ctx.critical_delay(&netlist).as_pico(),
         digest: np_opt::assignment_digest(&netlist),
         result,
     })

@@ -12,7 +12,8 @@
 //! * **thermal** — the electro-thermal fixed point of
 //!   [`np_thermal::package::Package::electro_thermal_temperature`];
 //! * **sta** — [`np_circuit::sta::TimingContext::analyze`] over a
-//!   generated netlist.
+//!   generated netlist, and a scenario spec's netlist leg
+//!   (`circuit.spec_leg`: generate, critical delay, power).
 //!
 //! A separate algorithmic-comparison block solves the largest mesh once
 //! per CG-family solver under a telemetry collector and records PCG
@@ -29,6 +30,7 @@ use np_circuit::cell::VthClass;
 use np_circuit::generate::{generate_netlist, NetlistSpec};
 use np_circuit::incremental::IncrementalSta;
 use np_circuit::netlist::{GateId, Netlist};
+use np_circuit::power::netlist_power;
 use np_circuit::sta::TimingContext;
 use np_device::Mosfet;
 use np_grid::cg::solve_pcg;
@@ -37,7 +39,7 @@ use np_grid::solver::MeshProblem;
 use np_opt::parallel::thread_budget;
 use np_roadmap::TechNode;
 use np_thermal::package::Package;
-use np_units::{Celsius, Microns, ThermalResistance, Volts, Watts};
+use np_units::{Celsius, Hertz, Microns, ThermalResistance, Volts, Watts};
 use std::time::Instant;
 
 /// Mesh sizes (nodes per side) of the full grid sweep. Individual
@@ -250,6 +252,15 @@ pub fn run(opts: BenchOptions) -> BenchReport {
         if let Ok(ctx) = TimingContext::for_node(TechNode::N100) {
             group.bench_function("sta.analyze", |b| {
                 b.iter(|| ctx.analyze(black_box(&netlist)))
+            });
+            // A spec's netlist leg, as `ScenarioSpec::evaluate_in` runs it.
+            let cells = if opts.quick { 5_000 } else { 50_000 };
+            group.bench_function("circuit.spec_leg", |b| {
+                b.iter(|| {
+                    let netlist = generate_netlist(&NetlistSpec::large(black_box(1), cells));
+                    let critical = ctx.critical_delay(&netlist);
+                    netlist_power(&netlist, &ctx, 0.1, Hertz(1.0 / critical.0))
+                })
             });
         }
         group.finish();
@@ -588,6 +599,7 @@ mod tests {
         for name in [
             "thermal.fixed_point",
             "sta.analyze",
+            "circuit.spec_leg",
             "opt.sta.full",
             "opt.sta.incremental",
             "opt.parallel.round",

@@ -126,24 +126,21 @@ impl<'a> IncrementalSta<'a> {
             is_endpoint[id.index()] = true;
         }
         let words = n.div_ceil(64);
+        let delay = ctx.gate_delays(netlist);
+        let arrival = ctx.propagate_arrivals(netlist, |id| delay[id.index()]);
         let mut this = Self {
             ctx,
             digest: netlist.topology_digest(),
             rank,
             order: netlist.topological_order().to_vec(),
-            delay: vec![Seconds(0.0); n],
-            arrival: vec![Seconds(0.0); n],
+            delay,
+            arrival,
             is_endpoint,
             violations: 0,
             bits: vec![0; words],
             summary: vec![0; words.div_ceil(64)],
             cursor: words,
         };
-        for &id in netlist.topological_order() {
-            let i = id.index();
-            this.delay[i] = ctx.gate_delay(netlist, id);
-            this.arrival[i] = ctx.output_arrival(netlist, &this.arrival, id, this.delay[i]);
-        }
         this.violations = (0..n)
             .filter(|&i| this.is_endpoint[i] && this.violates(this.arrival[i]))
             .count();
@@ -158,10 +155,7 @@ impl<'a> IncrementalSta<'a> {
     /// Current critical (maximum) arrival. O(n) — intended for reporting,
     /// not inner-loop probing.
     pub fn critical_delay(&self) -> Seconds {
-        self.arrival
-            .iter()
-            .copied()
-            .fold(Seconds(0.0), Seconds::max)
+        crate::sta::latest_arrival(&self.arrival)
     }
 
     /// True when every timing endpoint meets the context clock. O(1):

@@ -46,7 +46,6 @@
 #![deny(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod activity;
 pub mod cell;
 mod error;
 pub mod generate;

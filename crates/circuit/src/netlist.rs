@@ -185,12 +185,12 @@ pub struct Netlist {
     digest: u64,
 }
 
-/// Incrementally updates an FNV-1a 64 hash with raw bytes.
-fn fnv1a_extend(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+/// One FNV-1a 64 step over `word`: xor it in, multiply by the prime.
+/// Each step is a bijection of the running hash, so two inputs of equal
+/// length that differ in one word always hash differently.
+#[inline]
+fn fnv1a_step(hash: u64, word: u64) -> u64 {
+    (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
 impl Netlist {
@@ -310,18 +310,18 @@ impl Netlist {
     }
 
     /// FNV-1a over the gate count, the fan-in CSR, and the output flags —
-    /// everything immutable after construction.
+    /// everything immutable after construction. One step per gate count,
+    /// per 32-bit CSR word and per output-flag byte.
     fn compute_digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        fnv1a_extend(&mut h, &(self.kinds.len() as u64).to_le_bytes());
+        let mut h = fnv1a_step(0xcbf2_9ce4_8422_2325, self.kinds.len() as u64);
         for &o in &self.fanin_offsets {
-            fnv1a_extend(&mut h, &o.to_le_bytes());
+            h = fnv1a_step(h, u64::from(o));
         }
         for &e in &self.fanin_edges {
-            fnv1a_extend(&mut h, &e.0.to_le_bytes());
+            h = fnv1a_step(h, u64::from(e.0));
         }
         for &o in &self.outputs {
-            fnv1a_extend(&mut h, &[u8::from(o)]);
+            h = fnv1a_step(h, u64::from(o));
         }
         h
     }
@@ -737,6 +737,34 @@ mod tests {
         assert_eq!(nl.topology_digest(), before);
         // A structurally different netlist digests differently.
         assert_ne!(chain(5).topology_digest(), before);
+    }
+
+    #[test]
+    fn one_edge_or_one_output_flag_changes_the_digest() -> Result<(), CircuitError> {
+        // 0 -> {1, 2} -> 3 (output); each variant changes one fan-in
+        // edge or one output flag and keeps every length.
+        let diamond = |edge_from: usize, two_is_output: bool| {
+            let gates = (0..4).map(|i| {
+                let fanins = match i {
+                    0 => vec![],
+                    1 => vec![GateId::from_index(0)],
+                    2 => vec![GateId::from_index(edge_from)],
+                    _ => vec![GateId::from_index(1), GateId::from_index(2)],
+                };
+                let g = Gate::new(CellKind::Nand2, fanins);
+                if i == 3 || (i == 2 && two_is_output) {
+                    g.as_output()
+                } else {
+                    g
+                }
+            });
+            Netlist::new(gates.collect()).map(|nl| nl.topology_digest())
+        };
+        let base = diamond(0, false)?;
+        assert_eq!(diamond(0, false)?, base);
+        assert_ne!(diamond(1, false)?, base, "one fan-in edge moved");
+        assert_ne!(diamond(0, true)?, base, "one output flag set");
+        Ok(())
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! driver's supply, times activity and clock:
 //! `P = α · f · C_load · Vdd²`. Leakage is `Ioff(Vth, T) · W_leak · Vdd`.
 
-use crate::cell::SupplyClass;
+use crate::cell::{SupplyClass, VthClass};
 use crate::error::CircuitError;
-use crate::netlist::Netlist;
+use crate::netlist::{GateId, Netlist};
 use crate::sta::TimingContext;
 use np_device::Mosfet;
 use np_units::{Farads, Hertz, Microns, Volts, Watts};
@@ -81,25 +81,29 @@ pub fn netlist_power(
     }
     let mut dynamic = Watts(0.0);
     let mut leakage = Watts(0.0);
-    let dev = ctx.device();
+    // A gate's off current per µm depends only on its (supply, Vth)
+    // class: evaluate the device once per class, indexed
+    // [low supply][high Vth], rather than once per gate.
+    let ioff_at = |supply, vth| {
+        ctx.device()
+            .with_vth(ctx.threshold_voltage(vth))
+            .ioff_at_drain(ctx.supply_voltage(supply))
+    };
+    let ioff = [SupplyClass::High, SupplyClass::Low]
+        .map(|supply| [VthClass::Low, VthClass::High].map(|vth| ioff_at(supply, vth)));
     let converter_cap = Farads(ctx.unit_cap().0 * 3.0);
     for id in netlist.ids() {
-        let g = netlist.gate(id);
-        let vdd = ctx.supply_voltage(g.supply);
+        let supply = netlist.supply(id);
+        let vdd = ctx.supply_voltage(supply);
         let c_load = ctx.load_of(netlist, id);
         dynamic += Watts(activity * freq.0 * c_load.0 * vdd.0 * vdd.0);
-        let ioff = dev
-            .with_vth(ctx.threshold_voltage(g.vth))
-            .ioff_at_drain(vdd);
-        let w = ctx.leak_width(g.kind, g.drive);
-        leakage += ioff.total(w) * vdd;
+        let class = ioff[usize::from(supply == SupplyClass::Low)]
+            [usize::from(netlist.vth(id) == VthClass::High)];
+        let w = ctx.leak_width(netlist.kind(id), netlist.drive(id));
+        leakage += class.total(w) * vdd;
         // Level converters on Low -> High fan-out edges.
-        if g.supply == SupplyClass::Low {
-            let converters = netlist
-                .fanouts(id)
-                .iter()
-                .filter(|&&f| netlist.gate(f).supply == SupplyClass::High)
-                .count();
+        if supply == SupplyClass::Low {
+            let converters = high_supply_fanouts(netlist, id);
             if converters > 0 {
                 let e = converter_cap.0 * ctx.vdd_high.0 * ctx.vdd_high.0;
                 dynamic += Watts(activity * freq.0 * e * converters as f64);
@@ -109,19 +113,23 @@ pub fn netlist_power(
     Ok(PowerReport { dynamic, leakage })
 }
 
+/// Fan-outs of `id` on the high supply: the level converters a
+/// low-supply `id` drives.
+fn high_supply_fanouts(netlist: &Netlist, id: GateId) -> usize {
+    netlist
+        .fanouts(id)
+        .iter()
+        .filter(|&&f| netlist.supply(f) == SupplyClass::High)
+        .count()
+}
+
 /// Count of level converters currently implied by the supply assignment
 /// (one per Low→High fan-out edge).
 pub fn level_converter_count(netlist: &Netlist) -> usize {
     netlist
         .ids()
-        .filter(|&id| netlist.gate(id).supply == SupplyClass::Low)
-        .map(|id| {
-            netlist
-                .fanouts(id)
-                .iter()
-                .filter(|&&f| netlist.gate(f).supply == SupplyClass::High)
-                .count()
-        })
+        .filter(|&id| netlist.supply(id) == SupplyClass::Low)
+        .map(|id| high_supply_fanouts(netlist, id))
         .sum()
 }
 
@@ -177,7 +185,6 @@ pub fn fo4_power(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::VthClass;
     use crate::generate::{generate_netlist, NetlistSpec};
     use np_roadmap::TechNode;
     use np_units::Celsius;

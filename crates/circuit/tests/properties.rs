@@ -2,11 +2,14 @@
 
 use np_circuit::cell::{SupplyClass, VthClass};
 use np_circuit::generate::{generate_netlist, NetlistSpec};
-use np_circuit::power::netlist_power;
+use np_circuit::power::{netlist_power, PowerReport};
 use np_circuit::sta::TimingContext;
+use np_circuit::Netlist;
 use np_roadmap::TechNode;
-use np_units::{Hertz, Seconds};
+use np_units::{Farads, Hertz, Seconds, Watts};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn spec(seed: u64, gates: usize, depth: usize) -> NetlistSpec {
     NetlistSpec {
@@ -22,6 +25,61 @@ fn spec(seed: u64, gates: usize, depth: usize) -> NetlistSpec {
 
 fn ctx() -> TimingContext {
     TimingContext::for_node(TechNode::N100).expect("calibration")
+}
+
+/// A small, medium or `large` netlist (`size` 0, 1, 2) with a random
+/// supply, threshold and drive on every gate, drawn from `assign`. Half
+/// the gates sit on the low supply, so Low→High crossings (level
+/// converters) are common.
+fn assigned_netlist(seed: u64, size: usize, assign: u64) -> Netlist {
+    let mut nl = generate_netlist(&match size {
+        0 => NetlistSpec::small(seed),
+        1 => NetlistSpec::medium(seed),
+        _ => NetlistSpec::large(seed, 20_000),
+    });
+    let mut rng = StdRng::seed_from_u64(assign);
+    for id in nl.ids().collect::<Vec<_>>() {
+        let mut gate = nl.gate_mut(id);
+        if rng.random::<f64>() < 0.5 {
+            gate.set_supply(SupplyClass::Low);
+        }
+        if rng.random::<f64>() < 0.5 {
+            gate.set_vth(VthClass::High);
+        }
+        gate.set_drive(rng.random_range(0.5..8.5));
+    }
+    nl
+}
+
+/// `netlist_power` as it evaluated the device model once per gate: the
+/// reference the per-class leakage table must match to the bit.
+fn per_gate_power(nl: &Netlist, ctx: &TimingContext, activity: f64, freq: Hertz) -> PowerReport {
+    let mut dynamic = Watts(0.0);
+    let mut leakage = Watts(0.0);
+    let dev = ctx.device();
+    let converter_cap = Farads(ctx.unit_cap().0 * 3.0);
+    for id in nl.ids() {
+        let g = nl.gate(id);
+        let vdd = ctx.supply_voltage(g.supply);
+        let c_load = ctx.load_of(nl, id);
+        dynamic += Watts(activity * freq.0 * c_load.0 * vdd.0 * vdd.0);
+        let ioff = dev
+            .with_vth(ctx.threshold_voltage(g.vth))
+            .ioff_at_drain(vdd);
+        leakage += ioff.total(ctx.leak_width(g.kind, g.drive)) * vdd;
+        if g.supply == SupplyClass::Low {
+            let converters = nl
+                .fanouts(id)
+                .iter()
+                .filter(|&&f| nl.gate(f).supply == SupplyClass::High)
+                .count();
+            if converters > 0 {
+                let e = converter_cap.0 * ctx.vdd_high.0 * ctx.vdd_high.0;
+                dynamic += Watts(activity * freq.0 * e * converters as f64);
+            }
+        }
+    }
+    PowerReport { dynamic, leakage }
 }
 
 proptest! {
@@ -108,6 +166,36 @@ proptest! {
         // energy on new Low->High edges outweighs it, so check the total
         // conservative bound: leakage strictly improves.
         prop_assert!(after.leakage < before.leakage);
+    }
+
+    #[test]
+    fn critical_delay_is_the_analyzed_one_to_the_bit(
+        seed in 0u64..1000,
+        size in 0usize..3,
+        assign in 0u64..u64::MAX,
+    ) {
+        let nl = assigned_netlist(seed, size, assign);
+        let c = ctx();
+        prop_assert!(np_circuit::power::level_converter_count(&nl) > 0);
+        let full = c.analyze(&nl).unwrap().critical_delay();
+        prop_assert_eq!(c.critical_delay(&nl).0.to_bits(), full.0.to_bits());
+    }
+
+    #[test]
+    fn per_class_leakage_matches_per_gate_device_model_to_the_bit(
+        seed in 0u64..1000,
+        size in 0usize..3,
+        assign in 0u64..u64::MAX,
+        activity in 0.01..1.0f64,
+    ) {
+        let nl = assigned_netlist(seed, size, assign);
+        let c = ctx();
+        let f = Hertz::from_giga(1.0);
+        prop_assert!(np_circuit::power::level_converter_count(&nl) > 0);
+        let got = netlist_power(&nl, &c, activity, f).unwrap();
+        let want = per_gate_power(&nl, &c, activity, f);
+        prop_assert_eq!(got.dynamic.0.to_bits(), want.dynamic.0.to_bits());
+        prop_assert_eq!(got.leakage.0.to_bits(), want.leakage.0.to_bits());
     }
 
     #[test]

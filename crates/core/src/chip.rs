@@ -202,7 +202,7 @@ impl Chip {
             &np_circuit::generate::NetlistSpec::small(self.node.index() as u64 + 40),
         );
         let ctx = np_circuit::sta::TimingContext::for_node(self.node)?;
-        let critical = ctx.analyze(&netlist)?.critical_delay();
+        let critical = ctx.critical_delay(&netlist);
         let ctx = ctx.with_clock(critical * clock_factor);
         let options = np_opt::combined::CombinedOptions {
             activity: self.activity,

@@ -73,8 +73,8 @@ pub struct GridSpec {
 }
 
 /// Optional netlist leg of a spec: generate a streamed
-/// [`np_circuit::generate::NetlistSpec::large`] tier and run full STA
-/// plus the activity-scaled power model over it.
+/// [`np_circuit::generate::NetlistSpec::large`] tier, time its critical
+/// path and run the activity-scaled power model over it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetlistTier {
     /// Netlist size in cells, in
@@ -122,6 +122,14 @@ pub struct ScenarioSpec {
     /// panic, so the quarantine path is testable end to end. Any other
     /// value is rejected at parse time.
     pub chaos: Option<String>,
+}
+
+/// The record/job name of the spec whose [`ScenarioSpec::digest`] is
+/// `digest`, the same string as [`ScenarioSpec::job_name`]. A caller
+/// that already holds the digest formats the name without serializing
+/// the spec again.
+pub fn job_name_for(digest: u64) -> String {
+    format!("spec:{digest:016x}")
 }
 
 /// Builds the typed rejection for one spec field.
@@ -369,7 +377,7 @@ impl ScenarioSpec {
     /// The record/job name the daemon reports for this spec:
     /// `spec:<16 hex digest>`.
     pub fn job_name(&self) -> String {
-        format!("spec:{:016x}", self.digest())
+        job_name_for(self.digest())
     }
 
     /// Static work-unit estimate, computed before any evaluation (one
@@ -485,7 +493,7 @@ impl ScenarioSpec {
                 let netlist_spec = np_circuit::generate::NetlistSpec::large(tier.seed, tier.cells);
                 let netlist = np_circuit::generate::generate_netlist(&netlist_spec);
                 let ctx = np_circuit::sta::TimingContext::for_node(self.node)?;
-                let critical = ctx.analyze(&netlist)?.critical_delay();
+                let critical = ctx.critical_delay(&netlist);
                 let freq = Hertz(1.0 / critical.0);
                 let power = np_circuit::power::netlist_power(&netlist, &ctx, duty_activity, freq)?;
                 Some(NetlistResult {
@@ -542,8 +550,8 @@ pub struct GridResult {
     pub mesh: Volts,
 }
 
-/// The netlist leg's result: full STA plus activity-scaled power over
-/// the generated tier.
+/// The netlist leg's result: the critical-path delay plus
+/// activity-scaled power over the generated tier.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetlistResult {
     /// Netlist size in cells.
@@ -690,6 +698,18 @@ mod tests {
         let round = ScenarioSpec::parse(&spec.to_json()).unwrap();
         assert_eq!(round, spec);
         assert_eq!(round.digest(), spec.digest());
+    }
+
+    #[test]
+    fn name_from_the_digest_is_the_job_name() {
+        let mut spec = ScenarioSpec::at_node(TechNode::N50);
+        assert_eq!(job_name_for(spec.digest()), spec.job_name());
+        spec.netlist = Some(NetlistTier {
+            cells: 50_000,
+            seed: 7,
+        });
+        assert_eq!(job_name_for(spec.digest()), spec.job_name());
+        assert_eq!(job_name_for(0xab), "spec:00000000000000ab");
     }
 
     #[test]
@@ -915,6 +935,79 @@ mod tests {
         // The second node at the same resolution read the first one's
         // unit solve.
         assert_eq!((mesh.misses(), mesh.hits()), (1, 1));
+        Ok(())
+    }
+
+    #[test]
+    fn netlist_leg_bits_are_pinned() -> Result<(), Error> {
+        // Netlist-only specs shaped like the daemon's cold-compute
+        // requests (50 000 cells, duty-scaled activity, the netlist seeds
+        // the serve-cold stream draws under seed 1), one per node. The
+        // critical delay, dynamic power and leakage must not move by a
+        // bit under any rewrite of the STA or power kernels.
+        let pins: [(TechNode, f64, f64, u64, [u64; 3]); 6] = [
+            (
+                TechNode::N180,
+                0.31,
+                0.62,
+                2_097_152,
+                [0x3e1e72be1755bcd2, 0x3fd60ce511f76d65, 0x3f61732b1a28c1a9],
+            ),
+            (
+                TechNode::N130,
+                0.12,
+                0.97,
+                2_097_153,
+                [0x3e199c9e6e919deb, 0x3fc0758833cf9e4a, 0x3f5d532d2095c6ed],
+            ),
+            (
+                TechNode::N100,
+                0.44,
+                0.35,
+                2_097_154,
+                [0x3e1af49007207574, 0x3fb39ea9efc0a48c, 0x3f784a217f336a43],
+            ),
+            (
+                TechNode::N70,
+                0.08,
+                0.81,
+                2_097_155,
+                [0x3e08371a75799241, 0x3f9c03c08ec2d8b5, 0x3fa167bc1320a367],
+            ),
+            (
+                TechNode::N50,
+                0.27,
+                0.50,
+                2_097_156,
+                [0x3dfc7560a16332aa, 0x3fa10a64bbb89d73, 0x3fd7fe948b66e605],
+            ),
+            (
+                TechNode::N35,
+                0.19,
+                0.73,
+                2_097_157,
+                [0x3e009e1e358650d6, 0x3f982a598ae95207, 0x3f8f41464a9bbc56],
+            ),
+        ];
+        for (node, activity, workload_ratio, seed, bits) in pins {
+            let spec = ScenarioSpec {
+                activity,
+                workload_ratio,
+                netlist: Some(NetlistTier {
+                    cells: 50_000,
+                    seed,
+                }),
+                ..ScenarioSpec::at_node(node)
+            };
+            let got = spec.evaluate()?.netlist.map(|nl| {
+                [
+                    nl.critical.0.to_bits(),
+                    nl.dynamic.0.to_bits(),
+                    nl.leakage.0.to_bits(),
+                ]
+            });
+            assert_eq!(got, Some(bits), "{node:?}");
+        }
         Ok(())
     }
 

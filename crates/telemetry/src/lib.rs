@@ -19,7 +19,7 @@
 //! | IR-drop SOR (`np-grid`) | `grid.sor.solve`, `grid.sor.iterations` |
 //! | electro-thermal fixed point (`np-thermal`) | `thermal.fixed_point`, `thermal.fixed_point.iterations` |
 //! | thermal-RC settle (`np-thermal`) | `thermal.rc.settle`, `thermal.rc.settle_steps` |
-//! | STA (`np-circuit`) | `circuit.sta.analyze`, `circuit.sta.gates`, `circuit.sta.level_passes` |
+//! | STA (`np-circuit`) | `circuit.sta.analyze`, `circuit.sta.critical_delay`, `circuit.sta.gates`, `circuit.sta.level_passes` |
 //! | Vth solve (`np-device`) | `device.solve_vth`, `device.solve_vth.evals` |
 //!
 //! # Model

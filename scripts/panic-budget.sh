@@ -29,7 +29,10 @@ cd "$(dirname "$0")/.."
 # Lowered 569 -> 567 when the unreached `FloorplanMix` hot-spot API
 # went with its tests; the single-flight, mesh-table and CSV-gate tests
 # added alongside return `Result` and use `?`.
-BASELINE=567
+# Lowered 567 -> 558 when `np_circuit::activity` (no caller outside its
+# own tests) went with the 9 tokens of those tests; the bit-identity and
+# digest tests added alongside return `Result` or compare `Option`s.
+BASELINE=558
 
 count=$(grep -rEo 'unwrap\(|expect\(|panic!' crates/*/src --include='*.rs' | wc -l)
 
