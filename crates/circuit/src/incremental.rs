@@ -5,7 +5,7 @@
 //! Re-running full STA costs `O(gates)` per probe; this engine
 //! re-propagates arrivals only through the *affected cone* — the changed
 //! gate, the gates whose load it alters (its fan-ins), and whatever
-//! downstream actually moves — which is typically a tiny fraction of the
+//! downstream actually rises — which is typically a tiny fraction of the
 //! design. Every working buffer persists across calls, so a probe on a
 //! 10⁷-cell netlist allocates nothing and touches only the cone.
 //!
@@ -21,10 +21,29 @@
 //! which rank above the gate being popped, so the cursor moves down only
 //! while a call queues its seeds.
 //!
-//! The engine maintains exact arrivals (identical to
-//! [`TimingContext::analyze`]) plus an incrementally-updated count of
-//! endpoint violations against the context clock, making
-//! [`IncrementalSta::is_feasible`] O(1).
+//! # Deferred falls and the exact verdict
+//!
+//! A falling arrival can never push an endpoint past the clock, so a
+//! re-timing pass propagates only rises. When a gate's recomputed
+//! arrival falls, the pass keeps the stored value and marks the gate's
+//! rank in `stale`, a second two-level rank bitset, without queueing its
+//! fan-outs. Between calls this holds:
+//!
+//! - every stored arrival is an upper bound of the exact one (the
+//!   arrival [`TimingContext::analyze`] computes);
+//! - every gate outside `stale` agrees with its fan-ins and its delay;
+//! - the violation count counts endpoints whose *stored* arrival misses
+//!   the clock, so it can only over-count.
+//!
+//! A count of zero therefore proves the exact state feasible. A positive
+//! count **settles**: the stale ranks join the worklist and a two-way
+//! pass propagates falls and rises alike, after which every arrival and
+//! the count are exact. So [`IncrementalSta::is_feasible`] and
+//! [`IncrementalSta::violation_count`] are exact, and O(1), after every
+//! call, while an accepted move pays only for its rises. The arrival
+//! reads ([`IncrementalSta::arrival_of`], [`IncrementalSta::critical_delay`])
+//! settle first, so no read returns an upper bound. Settling costs one
+//! pass over the stale summary words plus the stale words they name.
 //!
 //! # View validity
 //!
@@ -53,13 +72,16 @@ const FEASIBILITY_SLOP: f64 = 1e-18;
 /// touched — the acceptance metric for incrementality (`visited ≪ n`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ConeStats {
-    /// Gates popped from the worklist (arrival recomputed).
+    /// Gates popped from the worklist (arrival recomputed), settling
+    /// included.
     pub visited: usize,
-    /// Gates whose arrival actually moved (> 1e-21 s).
+    /// Gates whose stored arrival moved (> 1e-21 s): rises, and the falls
+    /// a settle propagated.
     pub moved: usize,
 }
 
-/// Exact incremental arrival tracker over one netlist + timing context.
+/// Incremental arrival tracker over one netlist + timing context, with an
+/// exact feasibility verdict.
 ///
 /// # Examples
 ///
@@ -79,6 +101,10 @@ pub struct ConeStats {
 /// let cone = sta.reevaluate(&netlist, id)?;
 /// // Only the endpoint's fan-out cone was touched, not the whole design.
 /// assert!(cone.visited < netlist.len());
+/// assert!(sta.is_feasible());
+/// // Reads settle any deferred falls first, so they match full STA.
+/// let full = ctx.analyze(&netlist)?;
+/// assert!((sta.critical_delay(&netlist)?.0 - full.critical_delay().0).abs() < 1e-18);
 /// # Ok(())
 /// # }
 /// ```
@@ -96,12 +122,14 @@ pub struct IncrementalSta<'a> {
     order: Vec<GateId>,
     /// Current gate delays.
     delay: Vec<Seconds>,
-    /// Current arrival times.
+    /// Stored arrival times: upper bounds of the exact ones, exact at
+    /// every gate whose fan-in cone holds no `stale` rank.
     arrival: Vec<Seconds>,
     /// True for timing endpoints (topology-fixed).
     is_endpoint: Vec<bool>,
-    /// Number of endpoints currently violating the context clock —
-    /// maintained on every arrival move so feasibility probes are O(1).
+    /// Number of endpoints whose stored arrival violates the context
+    /// clock — maintained on every stored move so feasibility probes are
+    /// O(1); exact whenever it is zero or `stale` is empty.
     violations: usize,
     /// Worklist, one bit per topological rank. Invariant: all-zero
     /// between calls (bits clear as they pop), so no O(n) reset per probe.
@@ -111,6 +139,20 @@ pub struct IncrementalSta<'a> {
     /// Low-water mark: every word of `bits` below it is empty;
     /// `bits.len()` when the worklist is empty.
     cursor: usize,
+    /// Ranks whose stored arrival may sit above what their fan-ins and
+    /// delay give (a deferred fall), one bit per rank. Fixed-size, like
+    /// `bits`, so deferring allocates nothing.
+    stale: Vec<u64>,
+    /// One bit per non-empty word of `stale`.
+    stale_summary: Vec<u64>,
+}
+
+/// Sets rank `r` in a two-level rank bitset.
+#[inline]
+fn mark(bits: &mut [u64], summary: &mut [u64], r: usize) {
+    let w = r >> 6;
+    bits[w] |= 1 << (r & 63);
+    summary[w >> 6] |= 1 << (w & 63);
 }
 
 impl<'a> IncrementalSta<'a> {
@@ -140,6 +182,8 @@ impl<'a> IncrementalSta<'a> {
             bits: vec![0; words],
             summary: vec![0; words.div_ceil(64)],
             cursor: words,
+            stale: vec![0; words],
+            stale_summary: vec![0; words.div_ceil(64)],
         };
         this.violations = (0..n)
             .filter(|&i| this.is_endpoint[i] && this.violates(this.arrival[i]))
@@ -147,24 +191,44 @@ impl<'a> IncrementalSta<'a> {
         this
     }
 
-    /// Current arrival at a gate's output.
-    pub fn arrival_of(&self, id: GateId) -> Seconds {
-        self.arrival[id.index()]
+    /// Exact arrival at a gate's output. Settles any deferred falls
+    /// first, hence `&mut self` and the netlist.
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::StaleTimingView`] when `netlist`'s topology digest
+    /// differs from the one captured at [`IncrementalSta::new`].
+    pub fn arrival_of(&mut self, netlist: &Netlist, id: GateId) -> Result<Seconds, CircuitError> {
+        Ok(self.settled(netlist)?[id.index()])
     }
 
-    /// Current critical (maximum) arrival. O(n) — intended for reporting,
-    /// not inner-loop probing.
-    pub fn critical_delay(&self) -> Seconds {
-        crate::sta::latest_arrival(&self.arrival)
+    /// Exact critical (maximum) arrival, after settling any deferred
+    /// falls. O(n) — intended for reporting, not inner-loop probing.
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::StaleTimingView`] when `netlist`'s topology digest
+    /// differs from the one captured at [`IncrementalSta::new`].
+    pub fn critical_delay(&mut self, netlist: &Netlist) -> Result<Seconds, CircuitError> {
+        Ok(crate::sta::latest_arrival(self.settled(netlist)?))
+    }
+
+    /// The exact arrivals, after settling every deferred fall.
+    fn settled(&mut self, netlist: &Netlist) -> Result<&[Seconds], CircuitError> {
+        self.check_view(netlist)?;
+        self.settle(netlist, &mut ConeStats::default());
+        Ok(&self.arrival)
     }
 
     /// True when every timing endpoint meets the context clock. O(1):
-    /// the violation count is maintained incrementally.
+    /// the violation count is maintained incrementally, and every update
+    /// call that leaves it positive settles, so the verdict is exact.
     pub fn is_feasible(&self) -> bool {
         self.violations == 0
     }
 
-    /// Number of endpoints currently missing the context clock.
+    /// Number of endpoints currently missing the context clock — exact
+    /// after every update call, like [`IncrementalSta::is_feasible`].
     pub fn violation_count(&self) -> usize {
         self.violations
     }
@@ -177,15 +241,13 @@ impl<'a> IncrementalSta<'a> {
     #[inline]
     fn enqueue(&mut self, id: GateId) {
         let r = self.rank[id.index()] as usize;
-        let w = r >> 6;
-        self.bits[w] |= 1 << (r & 63);
-        self.summary[w >> 6] |= 1 << (w & 63);
-        self.cursor = self.cursor.min(w);
+        mark(&mut self.bits, &mut self.summary, r);
+        self.cursor = self.cursor.min(r >> 6);
     }
 
-    /// Dequeues the lowest-ranked queued gate.
+    /// Dequeues the lowest queued rank.
     #[inline]
-    fn pop(&mut self) -> Option<GateId> {
+    fn pop(&mut self) -> Option<usize> {
         let mut s = self.cursor >> 6;
         while s < self.summary.len() {
             let top = self.summary[s];
@@ -201,7 +263,7 @@ impl<'a> IncrementalSta<'a> {
                 self.summary[s] = top & (top - 1);
             }
             self.cursor = w;
-            return Some(self.order[(w << 6) | word.trailing_zeros() as usize]);
+            return Some((w << 6) | word.trailing_zeros() as usize);
         }
         self.cursor = self.bits.len();
         None
@@ -226,8 +288,12 @@ impl<'a> IncrementalSta<'a> {
     /// conversion penalty on its in-edges changed), its fan-ins (their
     /// load — and hence delay — changed when the drive changed), and its
     /// fan-outs (supply changes alter conversion penalties on out-edges).
-    /// From there arrivals re-propagate in topological-rank order,
-    /// stopping wherever an arrival comes out unchanged.
+    /// From there arrivals re-propagate in topological-rank order. A
+    /// rise is stored and its fan-outs queued; a fall keeps the stored
+    /// upper bound and marks the gate stale; an unchanged arrival stops
+    /// there. If an endpoint's stored arrival then misses the clock, the
+    /// call settles every deferred fall, so the verdict
+    /// ([`IncrementalSta::is_feasible`]) is exact on return either way.
     ///
     /// # Errors
     ///
@@ -270,30 +336,68 @@ impl<'a> IncrementalSta<'a> {
             }
         }
         let mut stats = ConeStats::default();
-        while let Some(id) = self.pop() {
+        self.propagate(netlist, true, &mut stats);
+        if self.violations > 0 {
+            self.settle(netlist, &mut stats);
+        }
+        Ok(stats)
+    }
+
+    /// Queues every stale rank and propagates falls and rises alike, after
+    /// which every stored arrival and the violation count are exact.
+    /// Costs one pass over `stale_summary` plus the stale words it names.
+    fn settle(&mut self, netlist: &Netlist, stats: &mut ConeStats) {
+        for s in 0..self.stale_summary.len() {
+            let top = std::mem::take(&mut self.stale_summary[s]);
+            if top == 0 {
+                continue;
+            }
+            self.summary[s] |= top;
+            self.cursor = self.cursor.min((s << 6) | top.trailing_zeros() as usize);
+            let mut rest = top;
+            while rest != 0 {
+                let w = (s << 6) | rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                self.bits[w] |= std::mem::take(&mut self.stale[w]);
+            }
+        }
+        self.propagate(netlist, false, stats);
+    }
+
+    /// Drains the worklist in rank order. With `defer_falls`, a falling
+    /// arrival is left stored and its rank marked stale; otherwise it is
+    /// stored and propagated like a rise.
+    fn propagate(&mut self, netlist: &Netlist, defer_falls: bool, stats: &mut ConeStats) {
+        while let Some(r) = self.pop() {
+            let id = self.order[r];
             let idx = id.index();
             stats.visited += 1;
             let fresh = self
                 .ctx
                 .output_arrival(netlist, &self.arrival, id, self.delay[idx]);
-            if (fresh.0 - self.arrival[idx].0).abs() > MOVE_EPSILON {
-                if self.is_endpoint[idx] {
-                    let was = self.violates(self.arrival[idx]);
-                    let now = self.violates(fresh);
-                    match (was, now) {
-                        (false, true) => self.violations += 1,
-                        (true, false) => self.violations -= 1,
-                        _ => {}
-                    }
-                }
-                self.arrival[idx] = fresh;
-                stats.moved += 1;
-                for i in 0..netlist.fanouts(id).len() {
-                    self.enqueue(netlist.fanouts(id)[i]);
+            let step = fresh.0 - self.arrival[idx].0;
+            if !(step.abs() > MOVE_EPSILON) {
+                continue;
+            }
+            if step < 0.0 && defer_falls {
+                mark(&mut self.stale, &mut self.stale_summary, r);
+                continue;
+            }
+            if self.is_endpoint[idx] {
+                let was = self.violates(self.arrival[idx]);
+                let now = self.violates(fresh);
+                match (was, now) {
+                    (false, true) => self.violations += 1,
+                    (true, false) => self.violations -= 1,
+                    _ => {}
                 }
             }
+            self.arrival[idx] = fresh;
+            stats.moved += 1;
+            for i in 0..netlist.fanouts(id).len() {
+                self.enqueue(netlist.fanouts(id)[i]);
+            }
         }
-        Ok(stats)
     }
 }
 
@@ -314,27 +418,54 @@ mod tests {
         (nl, ctx.with_clock(crit * 1.2))
     }
 
-    fn assert_matches_full_sta(inc: &IncrementalSta<'_>, netlist: &Netlist, ctx: &TimingContext) {
-        let full = ctx.analyze(netlist).unwrap();
+    /// Holds the tracker to full STA: before settling, the verdict must
+    /// already agree and every stored arrival must bound the exact one
+    /// from above; after settling, every arrival must match.
+    fn assert_matches_full_sta(
+        inc: &mut IncrementalSta<'_>,
+        netlist: &Netlist,
+        ctx: &TimingContext,
+    ) -> Result<(), CircuitError> {
+        let full = ctx.analyze(netlist)?;
+        assert_eq!(inc.is_feasible(), full.is_feasible(), "verdict");
         for id in netlist.ids() {
-            let a = inc.arrival_of(id).0;
+            let stored = inc.arrival[id.index()].0;
+            let exact = full.arrival[id.index()].0;
+            assert!(
+                stored >= exact - 1e-18,
+                "{id}: stored {stored} below exact {exact}"
+            );
+        }
+        for id in netlist.ids() {
+            let a = inc.arrival_of(netlist, id)?.0;
             let b = full.arrival[id.index()].0;
             assert!((a - b).abs() < 1e-18, "{id}: incremental {a} vs full {b}");
         }
+        assert_stale_empty(inc, "after settling");
         assert_eq!(inc.is_feasible(), full.is_feasible());
+        Ok(())
+    }
+
+    fn assert_stale_empty(inc: &IncrementalSta<'_>, label: &str) {
+        assert!(inc.stale.iter().all(|&w| w == 0), "{label}: stale bits set");
+        assert!(
+            inc.stale_summary.iter().all(|&w| w == 0),
+            "{label}: stale summary bits set"
+        );
     }
 
     #[test]
-    fn initial_propagation_matches_full_sta() {
+    fn initial_propagation_matches_full_sta() -> Result<(), CircuitError> {
         let (nl, ctx) = setup();
-        let inc = IncrementalSta::new(&ctx, &nl);
-        assert_matches_full_sta(&inc, &nl, &ctx);
+        let mut inc = IncrementalSta::new(&ctx, &nl);
+        assert_matches_full_sta(&mut inc, &nl, &ctx)?;
         assert!(inc.is_feasible());
         assert_eq!(inc.violation_count(), 0);
+        Ok(())
     }
 
     #[test]
-    fn random_mutations_stay_exact() {
+    fn random_mutations_stay_exact() -> Result<(), CircuitError> {
         let (mut nl, ctx) = setup();
         let mut inc = IncrementalSta::new(&ctx, &nl);
         let mut rng = StdRng::seed_from_u64(1);
@@ -349,9 +480,10 @@ mod tests {
                     .gate_mut(id)
                     .set_drive([0.5, 1.0, 2.0, 4.0][rng.random_range(0..4)]),
             }
-            inc.reevaluate(&nl, id).unwrap();
-            assert_matches_full_sta(&inc, &nl, &ctx);
+            inc.reevaluate(&nl, id)?;
+            assert_matches_full_sta(&mut inc, &nl, &ctx)?;
         }
+        Ok(())
     }
 
     #[test]
@@ -372,6 +504,57 @@ mod tests {
         }
     }
 
+    /// A fall stores nothing and queues nothing: the gate's rank goes
+    /// stale, the verdict stays exact, and the next read settles it.
+    #[test]
+    fn falls_are_deferred_until_a_read_settles() -> Result<(), CircuitError> {
+        let (mut nl, ctx) = setup();
+        let mut inc = IncrementalSta::new(&ctx, &nl);
+        let id = nl
+            .ids()
+            .find(|&id| !nl.fanouts(id).is_empty())
+            .ok_or(CircuitError::BadParameter("no gate with fan-outs"))?;
+        nl.gate_mut(id).set_vth(VthClass::High);
+        inc.reevaluate(&nl, id)?;
+        let raised = inc.arrival[id.index()];
+        nl.gate_mut(id).set_vth(VthClass::Low);
+        let cone = inc.reevaluate(&nl, id)?;
+        // Only the seeds were visited: a Vth swap keeps the input cap, so
+        // the fan-ins hold, and the fan-outs still read the stored bound.
+        assert!(cone.visited <= nl.fanins(id).len() + 1 + nl.fanouts(id).len());
+        assert_eq!(cone.moved, 0);
+        assert_eq!(inc.arrival[id.index()], raised);
+        let r = inc.rank[id.index()] as usize;
+        assert_ne!(inc.stale[r >> 6] & (1 << (r & 63)), 0, "{id} not stale");
+        assert!(inc.is_feasible());
+        assert_matches_full_sta(&mut inc, &nl, &ctx)
+    }
+
+    /// At a 1.00× clock a move on the critical path misses. Reverting it
+    /// is a fall, so the stored endpoint arrival stays above the clock
+    /// until the settle inside the same call propagates it: the verdict
+    /// after the revert is exact and nothing stays stale.
+    #[test]
+    fn a_reverted_miss_settles_within_the_call() -> Result<(), CircuitError> {
+        let mut nl = generate_netlist(&NetlistSpec::small(96));
+        let base = TimingContext::for_node(TechNode::N100)?;
+        let report = base.analyze(&nl)?;
+        let ctx = base.with_clock(report.critical_delay());
+        let mut inc = IncrementalSta::new(&ctx, &nl);
+        let path = report.critical_path(&nl);
+        let id = path[path.len() / 2];
+        nl.gate_mut(id).set_vth(VthClass::High);
+        inc.reevaluate(&nl, id)?;
+        assert!(!inc.is_feasible());
+        assert!(!ctx.analyze(&nl)?.is_feasible());
+        nl.gate_mut(id).set_vth(VthClass::Low);
+        let cone = inc.reevaluate(&nl, id)?;
+        assert!(inc.is_feasible());
+        assert!(cone.moved > 0, "the settle propagated no fall");
+        assert_stale_empty(&inc, "after the revert");
+        assert_matches_full_sta(&mut inc, &nl, &ctx)
+    }
+
     #[test]
     fn touched_cone_is_small() {
         let (mut nl, ctx) = setup();
@@ -390,20 +573,25 @@ mod tests {
     }
 
     #[test]
-    fn critical_delay_matches_full() {
+    fn critical_delay_matches_full() -> Result<(), CircuitError> {
         let (mut nl, ctx) = setup();
         let mut inc = IncrementalSta::new(&ctx, &nl);
         let ids: Vec<GateId> = nl.ids().collect();
         for &id in ids.iter().take(30) {
             nl.gate_mut(id).set_drive(2.0);
-            inc.reevaluate(&nl, id).unwrap();
+            inc.reevaluate(&nl, id)?;
         }
-        let full = ctx.analyze(&nl).unwrap();
-        assert!((inc.critical_delay().0 - full.critical_delay().0).abs() < 1e-18);
+        let full = ctx.analyze(&nl)?;
+        assert_eq!(inc.is_feasible(), full.is_feasible());
+        let stored = crate::sta::latest_arrival(&inc.arrival);
+        assert!(stored.0 >= full.critical_delay().0 - 1e-18);
+        let settled = inc.critical_delay(&nl)?;
+        assert!((settled.0 - full.critical_delay().0).abs() < 1e-18);
+        Ok(())
     }
 
     #[test]
-    fn batch_reevaluate_matches_sequential() {
+    fn batch_reevaluate_matches_sequential() -> Result<(), CircuitError> {
         let (nl, ctx) = setup();
         let ids: Vec<GateId> = nl.ids().collect();
         let moved: Vec<GateId> = ids.iter().copied().step_by(17).collect();
@@ -412,7 +600,7 @@ mod tests {
         let mut inc_a = IncrementalSta::new(&ctx, &nl_a);
         for &id in &moved {
             nl_a.gate_mut(id).set_drive(4.0);
-            inc_a.reevaluate(&nl_a, id).unwrap();
+            inc_a.reevaluate(&nl_a, id)?;
         }
 
         let mut nl_b = nl.clone();
@@ -420,12 +608,15 @@ mod tests {
         for &id in &moved {
             nl_b.gate_mut(id).set_drive(4.0);
         }
-        inc_b.reevaluate_batch(&nl_b, &moved).unwrap();
+        inc_b.reevaluate_batch(&nl_b, &moved)?;
 
+        assert_eq!(inc_a.is_feasible(), inc_b.is_feasible());
         for id in nl_b.ids() {
-            assert_eq!(inc_a.arrival_of(id).0, inc_b.arrival_of(id).0, "{id}");
+            let a = inc_a.arrival_of(&nl_a, id)?.0;
+            let b = inc_b.arrival_of(&nl_b, id)?.0;
+            assert_eq!(a, b, "{id}");
         }
-        assert_matches_full_sta(&inc_b, &nl_b, &ctx);
+        assert_matches_full_sta(&mut inc_b, &nl_b, &ctx)
     }
 
     /// The same topology built by the other constructor has the same
@@ -450,8 +641,7 @@ mod tests {
             streamed.gate_mut(id).set_supply(SupplyClass::Low);
             inc.reevaluate(&streamed, id)?;
         }
-        assert_matches_full_sta(&inc, &streamed, &ctx);
-        Ok(())
+        assert_matches_full_sta(&mut inc, &streamed, &ctx)
     }
 
     #[test]
@@ -481,16 +671,16 @@ mod tests {
     }
 
     #[test]
-    fn worklist_buffers_stay_clean_across_calls() {
+    fn worklist_buffers_stay_clean_across_calls() -> Result<(), CircuitError> {
         let (mut nl, ctx) = setup();
         let mut inc = IncrementalSta::new(&ctx, &nl);
         for round in 0..5 {
             let id = GateId::from_index(round * 7);
             nl.gate_mut(id).set_drive(2.0);
-            inc.reevaluate(&nl, id).unwrap();
+            inc.reevaluate(&nl, id)?;
             assert_worklist_empty(&inc, &format!("round {round}"));
         }
-        assert_matches_full_sta(&inc, &nl, &ctx);
+        assert_matches_full_sta(&mut inc, &nl, &ctx)
     }
 
     /// The bitset's word (64 ranks) and summary-word (4 096 ranks)
@@ -526,8 +716,9 @@ mod tests {
                     inc.enqueue(order[r]);
                 }
                 let mut popped = Vec::new();
-                while let Some(id) = inc.pop() {
-                    popped.push(inc.rank[id.index()] as usize);
+                while let Some(r) = inc.pop() {
+                    assert_eq!(inc.rank[order[r].index()] as usize, r);
+                    popped.push(r);
                 }
                 let mut ascending = ranks.clone();
                 ascending.reverse();
@@ -546,7 +737,7 @@ mod tests {
                 let cone = inc.reevaluate_batch(&nl, &seeds)?;
                 assert!(cone.visited >= seeds.len(), "n = {n}");
                 assert_worklist_empty(&inc, &format!("n = {n}"));
-                assert_matches_full_sta(&inc, &nl, &ctx);
+                assert_matches_full_sta(&mut inc, &nl, &ctx)?;
             }
         }
         Ok(())

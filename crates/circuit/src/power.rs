@@ -10,7 +10,7 @@ use crate::error::CircuitError;
 use crate::netlist::{GateId, Netlist};
 use crate::sta::TimingContext;
 use np_device::Mosfet;
-use np_units::{Farads, Hertz, Microns, Volts, Watts};
+use np_units::{Farads, Hertz, MicroampsPerMicron, Microns, Volts, Watts};
 use std::fmt;
 
 /// Widths of the paper's Fig. 1 inverter, in multiples of the drawn
@@ -81,16 +81,7 @@ pub fn netlist_power(
     }
     let mut dynamic = Watts(0.0);
     let mut leakage = Watts(0.0);
-    // A gate's off current per µm depends only on its (supply, Vth)
-    // class: evaluate the device once per class, indexed
-    // [low supply][high Vth], rather than once per gate.
-    let ioff_at = |supply, vth| {
-        ctx.device()
-            .with_vth(ctx.threshold_voltage(vth))
-            .ioff_at_drain(ctx.supply_voltage(supply))
-    };
-    let ioff = [SupplyClass::High, SupplyClass::Low]
-        .map(|supply| [VthClass::Low, VthClass::High].map(|vth| ioff_at(supply, vth)));
+    let ioff = off_current_table(ctx);
     let converter_cap = Farads(ctx.unit_cap().0 * 3.0);
     for id in netlist.ids() {
         let supply = netlist.supply(id);
@@ -111,6 +102,21 @@ pub fn netlist_power(
         }
     }
     Ok(PowerReport { dynamic, leakage })
+}
+
+/// Off current per µm of each (supply, Vth) class, indexed
+/// `[low supply][high Vth]`. A gate's off current depends only on its
+/// class, so the device model runs once per class rather than once per
+/// gate; [`netlist_power`] and the §3.3 optimizer's leakage model both
+/// read this one table.
+pub fn off_current_table(ctx: &TimingContext) -> [[MicroampsPerMicron; 2]; 2] {
+    [SupplyClass::High, SupplyClass::Low].map(|supply| {
+        [VthClass::Low, VthClass::High].map(|vth| {
+            ctx.device()
+                .with_vth(ctx.threshold_voltage(vth))
+                .ioff_at_drain(ctx.supply_voltage(supply))
+        })
+    })
 }
 
 /// Fan-outs of `id` on the high supply: the level converters a

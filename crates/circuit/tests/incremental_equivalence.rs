@@ -1,10 +1,13 @@
 //! Incremental-vs-full STA equivalence over random edit sequences, and
 //! the million-gate scaling acceptance checks.
 //!
-//! The incremental engine re-propagates only the fan-out cone of a
-//! changed gate; these tests drive random multi-gate edit sequences
-//! through it and hold its arrival times to the full-analysis oracle at
-//! 1e-12, at both the 1k and 100k cell tiers.
+//! The incremental engine re-propagates only the rising part of a
+//! changed gate's fan-out cone and settles deferred falls when a verdict
+//! or a read needs them; these tests drive random multi-gate edit
+//! sequences through it, hold each feasibility verdict to the
+//! full-analysis oracle before anything settles, and hold the settled
+//! arrival times to the oracle at 1e-12, at both the 1k and 100k cell
+//! tiers.
 
 use np_circuit::cell::{SupplyClass, VthClass};
 use np_circuit::generate::{generate_netlist, NetlistSpec};
@@ -43,10 +46,17 @@ fn apply_edit(netlist: &mut Netlist, which: usize, pick: usize) -> GateId {
     id
 }
 
-fn assert_matches_oracle(netlist: &Netlist, ctx: &TimingContext, sta: &IncrementalSta<'_>) {
+/// The verdict is checked first, as the update left it; the arrival
+/// reads then settle any deferred falls.
+fn assert_matches_oracle(netlist: &Netlist, ctx: &TimingContext, sta: &mut IncrementalSta<'_>) {
     let full = ctx.analyze(netlist).expect("oracle analyze");
+    assert_eq!(
+        sta.is_feasible(),
+        full.is_feasible(),
+        "feasibility verdicts diverged before settling"
+    );
     for id in netlist.ids() {
-        let inc = sta.arrival_of(id).0;
+        let inc = sta.arrival_of(netlist, id).expect("same topology").0;
         let exact = full.arrival[id.index()].0;
         assert!(
             (inc - exact).abs() <= TOLERANCE,
@@ -76,7 +86,7 @@ proptest! {
         for edit in edits {
             let id = apply_edit(&mut netlist, edit / 1000, edit % 1000);
             sta.reevaluate(&netlist, id).expect("same topology");
-            assert_matches_oracle(&netlist, &ctx, &sta);
+            assert_matches_oracle(&netlist, &ctx, &mut sta);
         }
     }
 
@@ -95,7 +105,55 @@ proptest! {
             .map(|edit| apply_edit(&mut netlist, edit / 1000, edit % 1000))
             .collect();
         sta.reevaluate_batch(&netlist, &changed).expect("same topology");
-        assert_matches_oracle(&netlist, &ctx, &sta);
+        assert_matches_oracle(&netlist, &ctx, &mut sta);
+    }
+
+    /// Optimizer-shaped, at a 1.00× clock where the revert path runs:
+    /// each slowing move (high Vth, low supply, or a downsize; `move /
+    /// 1000` selects the kind, `move % 1000` the gate) is re-timed, its
+    /// verdict is checked against full STA with nothing read in between,
+    /// and a miss is reverted and re-timed as the §3.3 accept loop does.
+    /// The first move slows the least-slack gate, so it must miss. The
+    /// settled arrivals are held to the oracle at the end.
+    #[test]
+    fn optimizer_shaped_accept_and_revert_match_full_sta_at_1k(
+        seed in 0u64..200,
+        moves in proptest::collection::vec(0usize..3_000, 10..40),
+    ) {
+        let mut netlist = generate_netlist(&NetlistSpec::large(seed, 1000));
+        let ctx = ctx_for(&netlist, 1.0);
+        let ids: Vec<GateId> = netlist.ids().collect();
+        let report = ctx.analyze(&netlist).expect("analyze");
+        let least_slack = ids
+            .iter()
+            .copied()
+            .min_by(|a, b| report.slack_of(*a).0.total_cmp(&report.slack_of(*b).0))
+            .expect("non-empty netlist");
+        let mut sta = IncrementalSta::new(&ctx, &netlist);
+        let mut reverted = 0;
+        let first = std::iter::once((0, least_slack));
+        let rest = moves.into_iter().map(|m| (m / 1000, ids[m % 1000]));
+        for (kind, id) in first.chain(rest) {
+            let (vth, supply, drive) = (netlist.vth(id), netlist.supply(id), netlist.drive(id));
+            match kind {
+                0 => netlist.gate_mut(id).set_vth(VthClass::High),
+                1 => netlist.gate_mut(id).set_supply(SupplyClass::Low),
+                _ => netlist.gate_mut(id).set_drive((drive * 0.7).max(0.5)),
+            }
+            sta.reevaluate(&netlist, id).expect("same topology");
+            let full = ctx.analyze(&netlist).expect("oracle analyze");
+            prop_assert_eq!(sta.is_feasible(), full.is_feasible(), "verdict at {}", id);
+            if !sta.is_feasible() {
+                netlist.gate_mut(id).set_vth(vth);
+                netlist.gate_mut(id).set_supply(supply);
+                netlist.gate_mut(id).set_drive(drive);
+                sta.reevaluate(&netlist, id).expect("same topology");
+                prop_assert!(sta.is_feasible(), "revert of {} left a violation", id);
+                reverted += 1;
+            }
+        }
+        prop_assert!(reverted > 0, "the revert path never ran");
+        assert_matches_oracle(&netlist, &ctx, &mut sta);
     }
 }
 
@@ -125,7 +183,7 @@ fn random_edit_sequence_matches_full_sta_at_100k() {
             cone.visited
         );
         if round % 5 == 4 {
-            assert_matches_oracle(&netlist, &ctx, &sta);
+            assert_matches_oracle(&netlist, &ctx, &mut sta);
         }
     }
 }

@@ -55,7 +55,6 @@ pub mod dualvth;
 mod error;
 pub mod parallel;
 pub mod policy;
-pub mod simultaneous;
 pub mod sizing;
 
 pub use error::OptError;

@@ -16,10 +16,10 @@
 //! 3. **Sort deterministically**: proposals order by gain (descending,
 //!    `total_cmp`), ties by gate index.
 //! 4. **Accept sequentially** in that fixed order, each move verified
-//!    with exact incremental STA ([`IncrementalSta`]) and reverted if any
-//!    endpoint would miss the clock. Timing is therefore a hard
-//!    constraint — accepted rounds keep TNS at zero — while leakage,
-//!    dynamic power, and area trade off through the scalar gain.
+//!    by incremental STA's exact verdict ([`IncrementalSta`]) and
+//!    reverted if any endpoint would miss the clock. Timing is therefore
+//!    a hard constraint — accepted rounds keep TNS at zero — while
+//!    leakage, dynamic power, and area trade off through the scalar gain.
 //!
 //! The cost function per move is `Δleakage + Δdynamic + λ_A·Δarea`
 //! (watts; area in unit-inverter widths valued at `λ_A`, the leakage of
@@ -34,7 +34,7 @@ use crate::sizing::{MIN_DRIVE, SIZING_STEP};
 use np_circuit::cell::{SupplyClass, VthClass};
 use np_circuit::incremental::IncrementalSta;
 use np_circuit::netlist::{GateId, Netlist};
-use np_circuit::power::{level_converter_count, netlist_power, PowerReport};
+use np_circuit::power::{level_converter_count, netlist_power, off_current_table, PowerReport};
 use np_circuit::sta::{TimingContext, TimingReport};
 use np_units::{Hertz, Microns};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -162,9 +162,12 @@ pub struct RoundStats {
     pub accepted: usize,
     /// Moves applied and reverted (timing broke).
     pub reverted: usize,
-    /// Gates visited by incremental re-propagation over the round — the
-    /// measured cone size, compared against `gates × probes` for the
-    /// incremental-vs-full saving.
+    /// Gates visited by incremental re-timing over the round, settles
+    /// included — the accept loop's measured work, compared against
+    /// `gates × probes` for the incremental-vs-full saving. A move
+    /// propagates only the arrivals it raises and defers the ones it
+    /// lowers until a verdict needs them, so this counts the work done,
+    /// not the gates whose exact arrival changed.
     pub cone_visited: usize,
 }
 
@@ -288,13 +291,12 @@ struct LeakModel {
 
 impl LeakModel {
     fn build(ctx: &TimingContext) -> Self {
-        let dev = ctx.device();
+        let ioff = off_current_table(ctx);
         let mut coeff = [[0.0f64; 2]; 2];
         for (si, supply) in [SupplyClass::High, SupplyClass::Low].iter().enumerate() {
-            for (vi, vth) in [VthClass::Low, VthClass::High].iter().enumerate() {
-                let vdd = ctx.supply_voltage(*supply);
-                let ioff = dev.with_vth(ctx.threshold_voltage(*vth)).ioff_at_drain(vdd);
-                coeff[si][vi] = (ioff.total(Microns(1.0)) * vdd).0;
+            let vdd = ctx.supply_voltage(*supply);
+            for vi in 0..2 {
+                coeff[si][vi] = (ioff[si][vi].total(Microns(1.0)) * vdd).0;
             }
         }
         let unit_width_um = ctx.unit_width().0;

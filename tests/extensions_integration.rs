@@ -63,10 +63,11 @@ fn incremental_sta_agrees_after_cvs() {
     let _ = cluster_voltage_scale(&mut nl, &ctx, &CvsOptions::default()).expect("cvs");
     // Fresh incremental engine over the optimized design must agree with
     // full STA on every arrival.
-    let inc = IncrementalSta::new(&ctx, &nl);
+    let mut inc = IncrementalSta::new(&ctx, &nl);
     let full = ctx.analyze(&nl).expect("sta");
     for id in nl.ids() {
-        assert!((inc.arrival_of(id).0 - full.arrival[id.index()].0).abs() < 1e-18);
+        let arrival = inc.arrival_of(&nl, id).expect("same netlist");
+        assert!((arrival.0 - full.arrival[id.index()].0).abs() < 1e-18);
     }
 }
 
