@@ -22,43 +22,123 @@
 //! thread. Callers normally pick a method through
 //! [`crate::plan::SolvePlan`] rather than calling a specific solver
 //! directly.
+//!
+//! The mat-vec (`apply`) runs each row in one pass: interior nodes of
+//! rows with no pin within one row as the degree-4 stencil, every other
+//! node by the masked per-node rule, with the same operations in the
+//! same order. One loop per iteration updates `x` and `r` and folds
+//! `‖r‖²` in index order, as `Iterator::sum` does.
 
 use crate::error::GridError;
 use crate::solver::MeshProblem;
 use np_units::convergence::{Breakdown, ResidualTrace};
 
+/// The mesh operator as the kernels read it: shape, edge conductance,
+/// pin mask, and two per-row pin flags that choose between a row's
+/// degree-4 interior path and the per-node rule.
+pub(crate) struct Stencil {
+    pub(crate) nx: usize,
+    pub(crate) ny: usize,
+    pub(crate) g: f64,
+    pub(crate) pinned: Vec<bool>,
+    /// Whether row `y` holds a pin.
+    pub(crate) pin_in_row: Vec<bool>,
+    /// Whether rows `y − 1 ..= y + 1` hold a pin.
+    pin_near_row: Vec<bool>,
+}
+
+impl Stencil {
+    /// The operator of an `nx × ny` mesh with edge conductance `g`.
+    pub(crate) fn new(nx: usize, ny: usize, g: f64, pinned: Vec<bool>) -> Self {
+        let pin_in_row: Vec<bool> = (0..ny)
+            .map(|y| {
+                pinned
+                    .get(y * nx..(y + 1) * nx)
+                    .is_some_and(|row| row.contains(&true))
+            })
+            .collect();
+        let pin_near_row = (0..ny)
+            .map(|y| pin_in_row[y.saturating_sub(1)..(y + 2).min(ny)].contains(&true))
+            .collect();
+        Self {
+            nx,
+            ny,
+            g,
+            pinned,
+            pin_in_row,
+            pin_near_row,
+        }
+    }
+
+    /// The operator of `m`.
+    pub(crate) fn of(m: &MeshProblem) -> Self {
+        Self::new(m.nx, m.ny, m.edge_conductance, m.pinned.clone())
+    }
+
+    /// Whether row `y` takes the degree-4 path for its interior nodes in
+    /// [`apply`] and the multigrid residual: not an edge row, and no pin
+    /// within one row, so no neighbour read needs masking.
+    pub(crate) fn unmasked_row(&self, y: usize) -> bool {
+        y > 0 && y + 1 < self.ny && !self.pin_near_row[y]
+    }
+}
+
+/// `(G·v)_i` at node `(x, y)` by the per-node rule: identity rows at
+/// pins, pinned neighbours read as zero, degree from the mesh edges.
+pub(crate) fn apply_node(op: &Stencil, v: &[f64], x: usize, y: usize) -> f64 {
+    let (nx, ny, g) = (op.nx, op.ny, op.g);
+    let i = y * nx + x;
+    if op.pinned[i] {
+        return v[i]; // identity row for pinned nodes
+    }
+    let mut acc = 0.0;
+    let mut deg = 0.0;
+    if x > 0 {
+        acc += if op.pinned[i - 1] { 0.0 } else { v[i - 1] };
+        deg += 1.0;
+    }
+    if x + 1 < nx {
+        acc += if op.pinned[i + 1] { 0.0 } else { v[i + 1] };
+        deg += 1.0;
+    }
+    if y > 0 {
+        acc += if op.pinned[i - nx] { 0.0 } else { v[i - nx] };
+        deg += 1.0;
+    }
+    if y + 1 < ny {
+        acc += if op.pinned[i + nx] { 0.0 } else { v[i + nx] };
+        deg += 1.0;
+    }
+    g * (deg * v[i] - acc)
+}
+
 /// Applies the mesh Laplacian `G·v` (pinned nodes held at zero).
 ///
-/// Shared with [`crate::multigrid`], whose V-cycle residuals evaluate
-/// the same mat-vec.
-pub(crate) fn apply(m: &MeshProblem, v: &[f64], out: &mut [f64]) {
-    let (nx, ny, g) = (m.nx, m.ny, m.edge_conductance);
-    for y in 0..ny {
-        for x in 0..nx {
-            let i = y * nx + x;
-            if m.pinned[i] {
-                out[i] = v[i]; // identity row for pinned nodes
-                continue;
+/// Rows with no pin within one row run their interior nodes as the
+/// degree-4 stencil, whose unmasked reads equal the masked ones there;
+/// every other node runs [`apply_node`]. Both perform the same operations
+/// in the same order, so the result does not depend on the path.
+pub(crate) fn apply(op: &Stencil, v: &[f64], out: &mut [f64]) {
+    let (nx, g) = (op.nx, op.g);
+    for y in 0..op.ny {
+        if !op.unmasked_row(y) {
+            for x in 0..nx {
+                out[y * nx + x] = apply_node(op, v, x, y);
             }
-            let mut acc = 0.0;
-            let mut deg = 0.0;
-            if x > 0 {
-                acc += if m.pinned[i - 1] { 0.0 } else { v[i - 1] };
-                deg += 1.0;
-            }
-            if x + 1 < nx {
-                acc += if m.pinned[i + 1] { 0.0 } else { v[i + 1] };
-                deg += 1.0;
-            }
-            if y > 0 {
-                acc += if m.pinned[i - nx] { 0.0 } else { v[i - nx] };
-                deg += 1.0;
-            }
-            if y + 1 < ny {
-                acc += if m.pinned[i + nx] { 0.0 } else { v[i + nx] };
-                deg += 1.0;
-            }
-            out[i] = g * (deg * v[i] - acc);
+            continue;
+        }
+        let row = y * nx;
+        out[row] = apply_node(op, v, 0, y);
+        out[row + nx - 1] = apply_node(op, v, nx - 1, y);
+        let (up, mid, down) = (
+            &v[row - nx..row],
+            &v[row..row + nx],
+            &v[row + nx..row + 2 * nx],
+        );
+        let out = &mut out[row..row + nx];
+        for x in 1..nx - 1 {
+            let acc = 0.0 + mid[x - 1] + mid[x + 1] + up[x] + down[x];
+            out[x] = g * (4.0 * mid[x] - acc);
         }
     }
 }
@@ -153,6 +233,7 @@ pub(crate) fn pcg_kernel(
         return run;
     }
     let n = m.nx * m.ny;
+    let op = Stencil::of(m);
     // RHS: -I at free nodes (current draw pulls the node negative),
     // 0 at pinned nodes.
     let b: Vec<f64> = (0..n)
@@ -185,7 +266,7 @@ pub(crate) fn pcg_kernel(
             if rr.sqrt() <= tol {
                 break 'solve Ok(x);
             }
-            apply(m, &p, &mut ap);
+            apply(&op, &p, &mut ap);
             run.matvecs += 1;
             let p_ap: f64 = p.iter().zip(&ap).map(|(a, b)| a * b).sum();
             if !p_ap.is_finite() {
@@ -209,11 +290,15 @@ pub(crate) fn pcg_kernel(
                 });
             }
             let alpha = rz / p_ap;
-            for i in 0..n {
-                x[i] += alpha * p[i];
-                r[i] -= alpha * ap[i];
+            // One pass for both updates and ‖r‖², folded in index order
+            // from `Iterator::sum`'s −0.0 (a square is never −0.0, so the
+            // start cannot show either way).
+            rr = -0.0;
+            for (((xi, ri), pi), api) in x.iter_mut().zip(&mut r).zip(&p).zip(&ap) {
+                *xi += alpha * pi;
+                *ri -= alpha * api;
+                rr += *ri * *ri;
             }
-            rr = r.iter().map(|v| v * v).sum();
             trace.record(rr.sqrt());
             if let Err(e) = precondition(&r, &mut z) {
                 break 'solve Err(e);
@@ -282,7 +367,7 @@ mod tests {
         let m = loaded_mesh(9);
         let v = solve_pcg(&m)?;
         let mut gv = vec![0.0; v.len()];
-        apply(&m, &v, &mut gv);
+        apply(&Stencil::of(&m), &v, &mut gv);
         for (i, g) in gv.iter().enumerate() {
             if !m.pinned[i] {
                 assert!(

@@ -4,7 +4,8 @@
 //!
 //! Solves `G·V = I` on a regular 2-D grid of nodes connected by uniform
 //! edge conductances, with a set of Dirichlet (voltage-pinned) nodes —
-//! the discrete form of a power-grid sheet fed by bumps.
+//! the discrete form of a power-grid sheet fed by bumps. Its stopping
+//! test is relative above 1 V, so it converges at any scale of drop.
 
 use crate::error::GridError;
 use np_units::convergence::{Breakdown, ResidualTrace};
@@ -88,6 +89,10 @@ impl MeshProblem {
 
     /// Solves for node voltages by red-black SOR.
     ///
+    /// The iteration stops once a sweep's largest step falls below
+    /// `1e-12·max(1, max|v|)` volts: an absolute `1e-12` V for sub-volt
+    /// solutions, relative above 1 V, so that any scale of drop converges.
+    ///
     /// Voltages are drops below the (0 V) bump potential: load current
     /// pulls nodes negative, so callers typically report `-V.min()` as the
     /// worst-case drop.
@@ -115,6 +120,7 @@ impl MeshProblem {
         let result = 'solve: {
             for _ in 0..max_iters {
                 let mut max_delta = 0.0f64;
+                let mut max_abs = 0.0f64;
                 for color in 0..2 {
                     for y in 0..ny {
                         for x in 0..nx {
@@ -147,6 +153,7 @@ impl MeshProblem {
                             let target = (g * sum - self.injection[i]) / (deg * g);
                             let next = v[i] + omega * (target - v[i]);
                             max_delta = max_delta.max((next - v[i]).abs());
+                            max_abs = max_abs.max(next.abs());
                             v[i] = next;
                         }
                     }
@@ -159,7 +166,10 @@ impl MeshProblem {
                         }),
                     });
                 }
-                if max_delta < tol {
+                // The step test is relative to the largest node voltage
+                // above 1 V, so where a solve stops does not depend on the
+                // drop's scale; sub-volt solves keep the absolute step.
+                if max_delta < tol * max_abs.max(1.0) {
                     break 'solve Ok(v);
                 }
             }

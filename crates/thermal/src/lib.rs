@@ -35,7 +35,6 @@
 pub mod cost;
 pub mod dtm;
 mod error;
-pub mod network;
 pub mod package;
 pub mod rc;
 pub mod subambient;

@@ -36,7 +36,10 @@ cd "$(dirname "$0")/.."
 # tests) went with the 8 tokens of those tests, and the incremental-STA
 # tests ported to the settling arrival reads return `Result` and use `?`
 # (7 fewer).
-BASELINE=543
+# Lowered 543 -> 542: `np_thermal::network` (no caller outside its own
+# tests) went with the 1 token of those tests; the grid kernel oracle
+# and bit-pin tests added alongside use `?` and `prop_assert!`.
+BASELINE=542
 
 count=$(grep -rEo 'unwrap\(|expect\(|panic!' crates/*/src --include='*.rs' | wc -l)
 
