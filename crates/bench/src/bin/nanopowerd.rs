@@ -17,6 +17,15 @@
 //! (`--quarantine-max`) that turns a spec-induced worker panic into a
 //! typed `panicked` record and rejects the same digest O(1) afterwards.
 //!
+//! The connection lifecycle is event-driven: the acceptor blocks in
+//! `accept` and each handler blocks in its read, so a connection is
+//! greeted the moment it arrives. `shutdown` wakes every waiter
+//! explicitly: the acceptor by one connect to the daemon's own endpoint
+//! (`np_bench::accept`), each idle handler by shutting down its
+//! connection's read half, and the watchdog through its wake channel. A
+//! request already in flight still finishes and writes its records and
+//! report; then the process exits.
+//!
 //! ```text
 //! nanopowerd serve --socket /tmp/nanopower.sock [--tcp 127.0.0.1:7070]
 //!            [--workers N] [--max-inflight N] [--queue-depth N]
@@ -46,10 +55,12 @@ use nanopower::service::{
 };
 use nanopower::spec::{job_name_for, GridSpec, ScenarioSpec, DEFAULT_COST_BUDGET};
 use nanopower::Error;
+use np_bench::accept::{accept_until, Listener, Stop};
 use np_bench::registry;
 use np_bench::serve::{KindStats, ServeReport};
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -226,15 +237,24 @@ struct ServerState {
     /// the threshold — `health` reports `ready: false`.
     stuck: AtomicBool,
     started: Instant,
-    shutdown: AtomicBool,
+    /// Requested by `shutdown`; wakes the blocked acceptor.
+    stop: Stop,
+    /// Each live handler's read-half closer, by connection id: shutdown
+    /// ends every blocked read with EOF.
+    readers: Mutex<HashMap<u64, ReadCloser>>,
+    /// Dropped at shutdown, which ends the watchdog's interval wait.
+    watchdog_wake: Mutex<Option<mpsc::Sender<()>>>,
 }
+
+/// Shuts down one connection's read half.
+type ReadCloser = Box<dyn Fn() + Send>;
 
 impl ServerState {
     fn health(&self) -> HealthMsg {
         let oldest = self.gate.oldest_inflight_age().unwrap_or(Duration::ZERO);
         let stuck = self.stuck.load(Ordering::SeqCst) || oldest >= self.watchdog;
         HealthMsg {
-            ready: !stuck && !self.shutdown.load(Ordering::SeqCst),
+            ready: !stuck && !self.stop.is_requested(),
             inflight: self.gate.inflight() as u64,
             capacity: self.gate.capacity() as u64,
             oldest_inflight_ms: oldest.as_millis() as u64,
@@ -245,6 +265,49 @@ impl ServerState {
             shed: self.counters.stats().overloaded,
             quarantine_entries: self.quarantine.len() as u64,
         }
+    }
+
+    /// Lists `stream`'s read-half closer under connection `id`; false when
+    /// shutdown has begun. The flag is read under the lock shutdown closes
+    /// the readers under, so every handler is either closed or told to
+    /// stop.
+    fn watch_reader<S>(&self, id: u64, stream: &S) -> std::io::Result<bool>
+    where
+        S: TryCloneStream + Send + 'static,
+    {
+        let closer = stream.try_clone_stream()?;
+        let mut readers = self.readers.lock().unwrap_or_else(PoisonError::into_inner);
+        if self.stop.is_requested() {
+            return Ok(false);
+        }
+        readers.insert(
+            id,
+            Box::new(move || {
+                let _ = closer.shutdown_read();
+            }),
+        );
+        Ok(true)
+    }
+
+    /// Starts shutdown: sets the flag and wakes the acceptor, ends every
+    /// idle read with EOF and wakes the watchdog. Requests in flight
+    /// finish; their handlers then read EOF too.
+    fn begin_shutdown(&self) {
+        self.stop.request();
+        for close in self
+            .readers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .values()
+        {
+            close();
+        }
+        drop(
+            self.watchdog_wake
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take(),
+        );
     }
 }
 
@@ -315,6 +378,7 @@ fn cmd_serve(args: &[String]) -> i32 {
         },
         None => ArtifactMemo::with_config(memo_config),
     };
+    let (watchdog_wake, watchdog_wait) = mpsc::channel();
     let state = Arc::new(ServerState {
         memo,
         inflight: Arc::new(InFlight::new()),
@@ -332,14 +396,16 @@ fn cmd_serve(args: &[String]) -> i32 {
         connections: AtomicUsize::new(0),
         stuck: AtomicBool::new(false),
         started: Instant::now(),
-        shutdown: AtomicBool::new(false),
+        stop: Stop::new(),
+        readers: Mutex::new(HashMap::new()),
+        watchdog_wake: Mutex::new(Some(watchdog_wake)),
     });
-    let watchdog = spawn_watchdog(&state);
+    let watchdog = spawn_watchdog(&state, watchdog_wait);
     let code = match serve_on(&endpoint, &state) {
         Ok(()) => 0,
         Err(e) => {
             eprintln!("nanopowerd serve: {e}");
-            state.shutdown.store(true, Ordering::SeqCst);
+            state.begin_shutdown();
             1
         }
     };
@@ -350,13 +416,17 @@ fn cmd_serve(args: &[String]) -> i32 {
 /// The self-watchdog: periodically compares the oldest inflight
 /// request's age against the threshold and flips the `stuck` flag the
 /// health check reports. Purely observational — it never kills work,
-/// it makes the wedge visible to a supervisor.
-fn spawn_watchdog(state: &Arc<ServerState>) -> std::thread::JoinHandle<()> {
+/// it makes the wedge visible to a supervisor. Between checks it waits
+/// on `wake`, whose sender shutdown drops, so it exits at once.
+fn spawn_watchdog(
+    state: &Arc<ServerState>,
+    wake: mpsc::Receiver<()>,
+) -> std::thread::JoinHandle<()> {
     let state = Arc::clone(state);
     std::thread::spawn(move || {
         let interval =
             (state.watchdog / 4).clamp(Duration::from_millis(25), Duration::from_secs(1));
-        while !state.shutdown.load(Ordering::SeqCst) {
+        loop {
             let oldest = state.gate.oldest_inflight_age().unwrap_or(Duration::ZERO);
             let stuck = oldest >= state.watchdog;
             if stuck && !state.stuck.swap(stuck, Ordering::SeqCst) {
@@ -369,7 +439,9 @@ fn spawn_watchdog(state: &Arc<ServerState>) -> std::thread::JoinHandle<()> {
             } else {
                 state.stuck.store(stuck, Ordering::SeqCst);
             }
-            std::thread::sleep(interval);
+            if wake.recv_timeout(interval) != Err(RecvTimeoutError::Timeout) {
+                break;
+            }
         }
     })
 }
@@ -399,102 +471,107 @@ fn bind_unix(path: &str) -> std::io::Result<std::os::unix::net::UnixListener> {
 
 fn serve_on(endpoint: &Endpoint, state: &Arc<ServerState>) -> std::io::Result<()> {
     let mut handles = Vec::new();
-    match endpoint {
+    let served = match endpoint {
         #[cfg(unix)]
         Endpoint::Unix(path) => {
             let listener = bind_unix(path)?;
-            listener.set_nonblocking(true)?;
             eprintln!(
                 "nanopowerd: listening on {path} ({} workers)",
                 state.workers
             );
-            accept_loop(state, &mut handles, || listener.accept().map(|(s, _)| s));
+            let served = accept_loop(&listener, state, &mut handles);
             let _ = std::fs::remove_file(path);
+            served
         }
         Endpoint::Tcp(addr) => {
             let listener = TcpListener::bind(addr)?;
-            listener.set_nonblocking(true)?;
             eprintln!(
                 "nanopowerd: listening on {addr} ({} workers)",
                 state.workers
             );
-            accept_loop(state, &mut handles, || listener.accept().map(|(s, _)| s));
+            accept_loop(&listener, state, &mut handles)
         }
-    }
+    };
     for handle in handles {
         let _ = handle.join();
     }
-    Ok(())
+    served
 }
 
-/// Decrements the live-connection count when a handler exits.
-struct ConnSlot(Arc<ServerState>);
+/// One accepted connection: counted in `connections`, and listed in
+/// `readers` while its handler reads; both undone when it exits.
+struct ConnSlot {
+    state: Arc<ServerState>,
+    id: u64,
+}
 
 impl Drop for ConnSlot {
     fn drop(&mut self) {
-        self.0.connections.fetch_sub(1, Ordering::SeqCst);
+        self.state
+            .readers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.id);
+        self.state.connections.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-/// Polls a nonblocking listener until a shutdown request flips the
-/// flag, spawning one handler thread per accepted connection — unless
-/// the connection cap is reached, in which case the connection gets a
-/// typed rejection line and is closed without a handler.
-fn accept_loop<S, A>(
+/// Blocks in `accept` until shutdown wakes it (`np_bench::accept`),
+/// spawning one handler thread per accepted connection — unless the
+/// connection cap is reached, in which case the connection gets a typed
+/// rejection line and is closed without a handler.
+fn accept_loop<L>(
+    listener: &L,
     state: &Arc<ServerState>,
     handles: &mut Vec<std::thread::JoinHandle<()>>,
-    mut accept: A,
-) where
-    S: Read + Write + TryCloneStream + Send + 'static,
-    A: FnMut() -> std::io::Result<S>,
+) -> std::io::Result<()>
+where
+    L: Listener,
+    L::Stream: Read + Write + TryCloneStream + Send + 'static,
 {
-    while !state.shutdown.load(Ordering::SeqCst) {
-        match accept() {
-            Ok(mut stream) => {
-                let live = state.connections.fetch_add(1, Ordering::SeqCst) + 1;
-                let slot = ConnSlot(Arc::clone(state));
-                if live > state.max_connections {
-                    state.counters.bump(&state.counters.conn_rejected);
-                    let line = Response::Protocol {
-                        reason: format!(
-                            "connection limit reached ({} active, cap {})",
-                            live - 1,
-                            state.max_connections
-                        ),
-                    }
-                    .to_json();
-                    let _ = stream.write_all(line.as_bytes());
-                    let _ = stream.write_all(b"\n");
-                    let _ = stream.flush();
-                    drop(slot);
-                    continue;
+    let mut next_id = 0u64;
+    accept_until(listener, &state.stop, |conn| match conn {
+        Ok(mut stream) => {
+            let live = state.connections.fetch_add(1, Ordering::SeqCst) + 1;
+            let id = next_id;
+            next_id += 1;
+            let slot = ConnSlot {
+                state: Arc::clone(state),
+                id,
+            };
+            if live > state.max_connections {
+                state.counters.bump(&state.counters.conn_rejected);
+                let line = Response::Protocol {
+                    reason: format!(
+                        "connection limit reached ({} active, cap {})",
+                        live - 1,
+                        state.max_connections
+                    ),
                 }
-                let state = Arc::clone(state);
-                handles.push(std::thread::spawn(move || {
-                    let _slot = slot;
-                    // A connection that fails mid-stream (client went
-                    // away) is normal; the error is its own signal.
-                    let _ = serve_conn(stream, &state);
-                }));
+                .to_json();
+                let _ = stream.write_all(line.as_bytes());
+                let _ = stream.write_all(b"\n");
+                let _ = stream.flush();
+                return;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) => {
-                eprintln!("nanopowerd: accept failed: {e}");
-                std::thread::sleep(Duration::from_millis(100));
-            }
+            let state = Arc::clone(state);
+            handles.push(std::thread::spawn(move || {
+                // A connection that fails mid-stream (client went away)
+                // is normal; the error is its own signal.
+                let _ = serve_conn(stream, &slot, &state);
+            }));
         }
-    }
+        Err(e) => eprintln!("nanopowerd: accept failed: {e}"),
+    })
 }
 
 /// Both socket flavors can clone themselves into a second handle (so
-/// one side reads lines while the other writes responses) and take
-/// read/write timeouts (so idle handlers notice the shutdown flag, and
-/// a stalled client cannot wedge a writer).
+/// one side reads lines while the other writes responses, and shutdown
+/// can close the read half under a blocked reader) and take a write
+/// timeout (so a stalled client cannot wedge a writer).
 trait TryCloneStream: Sized {
     fn try_clone_stream(&self) -> std::io::Result<Self>;
-    fn set_stream_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()>;
+    fn shutdown_read(&self) -> std::io::Result<()>;
     fn set_stream_write_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()>;
 }
 
@@ -503,8 +580,8 @@ impl TryCloneStream for std::os::unix::net::UnixStream {
     fn try_clone_stream(&self) -> std::io::Result<Self> {
         self.try_clone()
     }
-    fn set_stream_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.set_read_timeout(timeout)
+    fn shutdown_read(&self) -> std::io::Result<()> {
+        self.shutdown(Shutdown::Read)
     }
     fn set_stream_write_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
         self.set_write_timeout(timeout)
@@ -515,8 +592,8 @@ impl TryCloneStream for TcpStream {
     fn try_clone_stream(&self) -> std::io::Result<Self> {
         self.try_clone()
     }
-    fn set_stream_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.set_read_timeout(timeout)
+    fn shutdown_read(&self) -> std::io::Result<()> {
+        self.shutdown(Shutdown::Read)
     }
     fn set_stream_write_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
         self.set_write_timeout(timeout)
@@ -573,17 +650,18 @@ impl<W: Write> ConnWriter<W> {
 }
 
 /// One connection: greet, then answer request lines until EOF, a dead
-/// write half, or a shutdown request.
-fn serve_conn<S>(stream: S, state: &Arc<ServerState>) -> std::io::Result<()>
+/// write half, or a shutdown request. Shutdown closes the read half, so
+/// a blocked read ends with EOF.
+fn serve_conn<S>(stream: S, slot: &ConnSlot, state: &Arc<ServerState>) -> std::io::Result<()>
 where
     S: Read + Write + TryCloneStream + Send + 'static,
 {
-    // A bounded read timeout lets idle connections poll the shutdown
-    // flag instead of blocking the daemon's exit on their next line;
-    // the write timeout is the slow-client wedge guard.
-    stream.set_stream_read_timeout(Some(Duration::from_millis(100)))?;
+    // The write timeout is the slow-client wedge guard.
     stream.set_stream_write_timeout(Some(state.write_timeout))?;
     let mut reader = BufReader::new(stream.try_clone_stream()?);
+    if !state.watch_reader(slot.id, &stream)? {
+        return Ok(());
+    }
     let writer = Arc::new(ConnWriter::new(stream));
     writer.send(
         state,
@@ -598,23 +676,8 @@ where
             // produce can reach it anymore.
             break;
         }
-        // `read_line` keeps any partial line in `line` across a
-        // timeout, so a slow writer is reassembled, not corrupted.
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
+        if reader.read_line(&mut line)? == 0 {
+            break;
         }
         let request = std::mem::take(&mut line);
         if request.trim().is_empty() {
@@ -638,7 +701,7 @@ where
                 writer.send(state, &Response::Health(state.health()))?;
             }
             Ok(Request::Shutdown) => {
-                state.shutdown.store(true, Ordering::SeqCst);
+                state.begin_shutdown();
                 writer.send(state, &Response::Shutdown)?;
                 break;
             }

@@ -18,12 +18,13 @@
 //! protocol errors, no panics, spill integrity) live in the chaos
 //! integration suite; this module only produces the weather.
 
+use crate::accept::{accept_until, Stop};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -127,12 +128,13 @@ impl ChaosSchedule {
 }
 
 /// A running fault-injection proxy between a listen socket and an
-/// upstream daemon socket. Dropping (or [`ChaosProxy::stop`]) shuts the
-/// accept loop down; in-flight pumps end when their streams close.
+/// upstream daemon socket. Dropping (or [`ChaosProxy::stop`]) wakes and
+/// ends the blocking accept loop; in-flight pumps end when their streams
+/// close.
 #[derive(Debug)]
 pub struct ChaosProxy {
     listen_path: PathBuf,
-    shutdown: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     accepted: Arc<AtomicUsize>,
     applied: Arc<Mutex<Vec<Fault>>>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
@@ -154,42 +156,38 @@ impl ChaosProxy {
         let upstream = upstream.as_ref().to_path_buf();
         let _ = std::fs::remove_file(&listen_path);
         let listener = UnixListener::bind(&listen_path)?;
-        listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(Stop::new());
         let accepted = Arc::new(AtomicUsize::new(0));
         let applied = Arc::new(Mutex::new(Vec::new()));
         let accept_thread = {
-            let shutdown = Arc::clone(&shutdown);
+            let stop = Arc::clone(&stop);
             let accepted = Arc::clone(&accepted);
             let applied = Arc::clone(&applied);
             std::thread::spawn(move || {
-                while !shutdown.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((client, _)) => {
-                            let index = accepted.fetch_add(1, Ordering::SeqCst);
-                            let fault = schedule.fault_for(index);
-                            applied
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .push(fault);
-                            match UnixStream::connect(&upstream) {
-                                Ok(daemon) => proxy_connection(client, daemon, fault),
-                                // No upstream: drop the client — exactly
-                                // what a crashed daemon looks like.
-                                Err(_) => drop(client),
-                            }
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        Err(_) => break,
+                // A stop's waking connection never reaches `serve`, so it
+                // takes no accept index and no slot of the schedule.
+                let _ = accept_until(&listener, &stop, |conn| {
+                    let Ok(client) = conn else {
+                        return;
+                    };
+                    let index = accepted.fetch_add(1, Ordering::SeqCst);
+                    let fault = schedule.fault_for(index);
+                    applied
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(fault);
+                    match UnixStream::connect(&upstream) {
+                        Ok(daemon) => proxy_connection(client, daemon, fault),
+                        // No upstream: drop the client — exactly what a
+                        // crashed daemon looks like.
+                        Err(_) => drop(client),
                     }
-                }
+                });
             })
         };
         Ok(ChaosProxy {
             listen_path,
-            shutdown,
+            stop,
             accepted,
             applied,
             accept_thread: Some(accept_thread),
@@ -215,7 +213,7 @@ impl ChaosProxy {
     }
 
     fn shutdown_now(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.stop.request();
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
         }

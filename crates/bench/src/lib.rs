@@ -18,6 +18,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod accept;
 #[cfg(unix)]
 pub mod chaos;
 pub mod experiments;

@@ -287,7 +287,7 @@ pub fn run(opts: BenchOptions) -> BenchReport {
                     b.iter(|| {
                         // Alternate the flip so every probe moves real
                         // arrivals through the fan-out cone.
-                        let flipped = match netlist.gate(probe).vth {
+                        let flipped = match netlist.vth(probe) {
                             VthClass::Low => VthClass::High,
                             VthClass::High => VthClass::Low,
                         };
@@ -520,7 +520,7 @@ fn probe_mean(
     let mut probes = 0usize;
     for i in (0..cells).step_by(stride).take(OPT_PROBES) {
         let id = GateId::from_index(i);
-        let flipped = match netlist.gate(id).vth {
+        let flipped = match netlist.vth(id) {
             VthClass::Low => VthClass::High,
             VthClass::High => VthClass::Low,
         };
@@ -534,7 +534,7 @@ fn probe_mean(
         probes += 1;
         // Flip back so the sweep's optimizer round starts from the
         // generated assignment.
-        let back = match netlist.gate(id).vth {
+        let back = match netlist.vth(id) {
             VthClass::Low => VthClass::High,
             VthClass::High => VthClass::Low,
         };

@@ -58,25 +58,35 @@ impl Daemon {
         Conn::open(&self.socket)
     }
 
-    /// Sends `shutdown` and waits for the process to exit cleanly.
-    fn shutdown(mut self) {
+    /// Sends `shutdown`, waits for the process to exit cleanly, and
+    /// returns the time from the `shutdown` reply to the exit.
+    fn shutdown(mut self) -> Duration {
         let mut conn = self.connect();
         conn.send(&Request::Shutdown);
         assert_eq!(conn.read(), Response::Shutdown);
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            match self.child.try_wait().expect("wait on daemon") {
-                Some(status) => {
-                    assert!(status.success(), "daemon exit: {status}");
-                    break;
-                }
-                None if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
-                None => panic!("daemon ignored shutdown"),
-            }
-        }
+        let exit_in = await_exit(&mut self.child);
         let _ = std::fs::remove_file(&self.socket);
         // Drop must not re-kill the reaped child.
         self.child = Command::new("true").spawn().expect("spawn true");
+        exit_in
+    }
+}
+
+/// Waits up to 10 s for `child` to exit successfully and returns how
+/// long that took.
+fn await_exit(child: &mut Child) -> Duration {
+    let start = Instant::now();
+    loop {
+        match child.try_wait().expect("wait on daemon") {
+            Some(status) => {
+                assert!(status.success(), "daemon exit: {status}");
+                return start.elapsed();
+            }
+            None if start.elapsed() < Duration::from_secs(10) => {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            None => panic!("daemon ignored shutdown"),
+        }
     }
 }
 
@@ -703,4 +713,105 @@ fn load_client_writes_bench_report() {
     let stats = conn.stats();
     assert!(stats.memo_hits > 0, "rotation repeats names: {stats:?}");
     daemon.shutdown();
+}
+
+#[test]
+fn shutdown_with_idle_connections_open_exits_at_once() {
+    let daemon = Daemon::spawn("idle-exit", &[]);
+    // Two clients that greet and then never send a line: their handlers
+    // sit in a blocking read when `shutdown` arrives.
+    let _idle = (daemon.connect(), daemon.connect());
+    let exit_in = daemon.shutdown();
+    assert!(
+        exit_in < Duration::from_millis(500),
+        "daemon took {exit_in:?} to exit after `shutdown`"
+    );
+}
+
+#[test]
+fn fresh_connections_are_greeted_at_once() {
+    let daemon = Daemon::spawn("greet", &[]);
+    let start = Instant::now();
+    for _ in 0..20 {
+        drop(daemon.connect());
+    }
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_millis(150),
+        "20 sequential connections took {took:?} to be greeted"
+    );
+    daemon.shutdown();
+}
+
+#[test]
+fn a_tcp_daemon_answers_shutdown_and_exits() {
+    use std::net::{TcpListener, TcpStream};
+    let port = TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("find a free port")
+        .port();
+    let addr = format!("127.0.0.1:{port}");
+    let child = Command::new(env!("CARGO_BIN_EXE_nanopowerd"))
+        .args(["serve", "--tcp", &addr])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn nanopowerd");
+    // Killed on drop if the test fails; it has no socket file.
+    let mut daemon = Daemon {
+        child,
+        socket: PathBuf::new(),
+    };
+    let listening_by = Instant::now() + Duration::from_secs(10);
+    let open = || loop {
+        match TcpStream::connect(&addr) {
+            Ok(stream) => {
+                let mut reader = BufReader::new(stream.try_clone().expect("clone socket"));
+                let mut hello = String::new();
+                reader.read_line(&mut hello).expect("read hello");
+                assert!(hello.contains("hello"), "{hello}");
+                return (reader, stream);
+            }
+            Err(e) => {
+                assert!(Instant::now() < listening_by, "never listened: {e}");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+    };
+    // An idle connection stays open across the shutdown.
+    let _idle = open();
+    let (mut reader, mut writer) = open();
+    writeln!(writer, "{}", Request::Shutdown.to_json()).expect("send shutdown");
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("read reply");
+    assert_eq!(
+        Response::parse(reply.trim_end()).expect("parse reply"),
+        Response::Shutdown
+    );
+    await_exit(&mut daemon.child);
+}
+
+#[test]
+fn shutdown_lets_an_in_flight_render_finish_then_exits() {
+    // The hold keeps the spec request admitted long enough for the
+    // shutdown to land while it is in flight.
+    let mut daemon = Daemon::spawn("drain", &["--hold-ms", "300"]);
+    let mut busy = daemon.connect();
+    busy.send(&Request::Run(run_specs(vec![ScenarioSpec::at_node(
+        TechNode::N70,
+    )])));
+    let mut control = daemon.connect();
+    let admitted_by = Instant::now() + Duration::from_secs(10);
+    while control.health().inflight == 0 {
+        assert!(Instant::now() < admitted_by, "request never admitted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    control.send(&Request::Shutdown);
+    assert_eq!(control.read(), Response::Shutdown);
+    // The in-flight request still gets its record and report.
+    let (report, records) = busy.finish_run();
+    assert_eq!(report.ok, 1, "{report:?}");
+    assert_eq!(records.len(), 1, "{records:?}");
+    assert_eq!(records[0].status, "ok", "{records:?}");
+    await_exit(&mut daemon.child);
 }

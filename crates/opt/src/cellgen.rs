@@ -88,7 +88,7 @@ pub fn map_with_regime(
             })
             .collect();
         for (i, id) in netlist.ids().enumerate().collect::<Vec<_>>() {
-            let kind = netlist.gate(id).kind;
+            let kind = netlist.kind(id);
             let drive = match &library {
                 Some(lib) => lib.nearest(kind, wanted[i])?.drive,
                 None => wanted[i],
@@ -97,8 +97,7 @@ pub fn map_with_regime(
         }
     }
     let power = netlist_power(netlist, ctx, activity, freq)?;
-    let mean_drive =
-        netlist.ids().map(|id| netlist.gate(id).drive).sum::<f64>() / netlist.len() as f64;
+    let mean_drive = netlist.ids().map(|id| netlist.drive(id)).sum::<f64>() / netlist.len() as f64;
     Ok(MappingResult {
         regime,
         power,

@@ -134,11 +134,11 @@ pub fn cluster_voltage_scale(
         let admissible = match options.style {
             CvsStyle::Clustered => {
                 let fanouts = netlist.fanouts(id);
-                let endpoint = fanouts.is_empty() || netlist.gate(id).is_output;
+                let endpoint = fanouts.is_empty() || netlist.is_output(id);
                 endpoint
                     || fanouts
                         .iter()
-                        .all(|&f| netlist.gate(f).supply == SupplyClass::Low)
+                        .all(|&f| netlist.supply(f) == SupplyClass::Low)
             }
             CvsStyle::Extended => true,
         };
@@ -155,7 +155,7 @@ pub fn cluster_voltage_scale(
     let after = netlist_power(netlist, ctx, options.activity, freq)?;
     let low_count = netlist
         .ids()
-        .filter(|&id| netlist.gate(id).supply == SupplyClass::Low)
+        .filter(|&id| netlist.supply(id) == SupplyClass::Low)
         .count();
     let fraction_low = low_count as f64 / netlist.len() as f64;
     let converters = level_converter_count(netlist);
@@ -252,10 +252,10 @@ mod tests {
         let _ = cluster_voltage_scale(&mut nl, &ctx, &CvsOptions::default()).unwrap();
         // Every low gate with gate fan-outs must only drive low gates.
         for id in nl.ids() {
-            if nl.gate(id).supply == SupplyClass::Low && !nl.gate(id).is_output {
+            if nl.supply(id) == SupplyClass::Low && !nl.is_output(id) {
                 for &f in nl.fanouts(id) {
                     assert_eq!(
-                        nl.gate(f).supply,
+                        nl.supply(f),
                         SupplyClass::Low,
                         "clustered CVS leaked a mid-cone conversion at {id}"
                     );

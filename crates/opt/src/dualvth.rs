@@ -92,7 +92,7 @@ pub fn assign_dual_vth(
     let timing = ctx.analyze(netlist)?;
     let high_count = netlist
         .ids()
-        .filter(|&id| netlist.gate(id).vth == VthClass::High)
+        .filter(|&id| netlist.vth(id) == VthClass::High)
         .count();
     Ok(DualVthResult {
         high_count,

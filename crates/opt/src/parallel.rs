@@ -334,7 +334,7 @@ struct RoundView<'a> {
 impl RoundView<'_> {
     /// Leakage power of a gate under a hypothetical assignment.
     fn leakage_of(&self, id: GateId, supply: SupplyClass, vth: VthClass, drive: f64) -> f64 {
-        let kind = self.netlist.gate(id).kind;
+        let kind = self.netlist.kind(id);
         self.leak.coeff_of(supply, vth) * self.leak.unit_width_um * kind.relative_width() * drive
     }
 
@@ -370,19 +370,19 @@ impl RoundView<'_> {
                     endpoint
                         || fanouts
                             .iter()
-                            .all(|&f| self.netlist.gate(f).supply == SupplyClass::Low)
+                            .all(|&f| self.netlist.supply(f) == SupplyClass::Low)
                 }
                 CvsStyle::Extended => true,
             };
             if admissible {
                 let high_fanouts = fanouts
                     .iter()
-                    .filter(|&&f| self.netlist.gate(f).supply == SupplyClass::High)
+                    .filter(|&&f| self.netlist.supply(f) == SupplyClass::High)
                     .count();
                 let low_fanins = g
                     .fanins
                     .iter()
-                    .filter(|&&f| self.netlist.gate(f).supply == SupplyClass::Low)
+                    .filter(|&&f| self.netlist.supply(f) == SupplyClass::Low)
                     .count();
                 let vh = self.ctx.vdd_high.0;
                 let vl = self.ctx.vdd_low.0;
@@ -420,7 +420,7 @@ impl RoundView<'_> {
                     self.ctx.input_cap(g.kind, g.drive).0 - self.ctx.input_cap(g.kind, new_drive).0;
                 let mut gain = 0.0;
                 for &f in g.fanins {
-                    let v = self.ctx.supply_voltage(self.netlist.gate(f).supply).0;
+                    let v = self.ctx.supply_voltage(self.netlist.supply(f)).0;
                     gain += self.af * dc * v * v;
                 }
                 gain += self.leakage_of(id, g.supply, g.vth, g.drive)
@@ -516,7 +516,7 @@ where
     }
     let before = netlist_power(netlist, ctx, options.activity, freq)?;
     let area_before = cell_area_units(netlist);
-    let original_drives: Vec<f64> = netlist.ids().map(|id| netlist.gate(id).drive).collect();
+    let original_drives: Vec<f64> = netlist.ids().map(|id| netlist.drive(id)).collect();
     let workers = options.workers.unwrap_or_else(thread_budget).max(1);
     let leak = LeakModel::build(ctx);
     let af = options.activity * freq.0;
@@ -578,16 +578,16 @@ where
     let after = netlist_power(netlist, ctx, options.activity, freq)?;
     let low_supply = netlist
         .ids()
-        .filter(|&id| netlist.gate(id).supply == SupplyClass::Low)
+        .filter(|&id| netlist.supply(id) == SupplyClass::Low)
         .count();
     let high_vth = netlist
         .ids()
-        .filter(|&id| netlist.gate(id).vth == VthClass::High)
+        .filter(|&id| netlist.vth(id) == VthClass::High)
         .count();
     let downsized = netlist
         .ids()
         .enumerate()
-        .filter(|&(i, id)| netlist.gate(id).drive < original_drives[i])
+        .filter(|&(i, id)| netlist.drive(id) < original_drives[i])
         .count();
     Ok(ParallelResult {
         rounds,
@@ -643,7 +643,7 @@ where
         return Vec::new();
     }
     let mut proposals: Vec<Proposal> = slots.into_iter().flatten().collect();
-    proposals.sort_by(|a, b| {
+    proposals.sort_unstable_by(|a, b| {
         b.gain
             .total_cmp(&a.gain)
             .then_with(|| a.gate.index().cmp(&b.gate.index()))
@@ -819,10 +819,10 @@ mod tests {
         let (mut nl, ctx) = setup(11, 1.5);
         let _ = optimize_parallel(&mut nl, &ctx, &ParallelOptions::default()).unwrap();
         for id in nl.ids() {
-            if nl.gate(id).supply == SupplyClass::Low && !nl.gate(id).is_output {
+            if nl.supply(id) == SupplyClass::Low && !nl.is_output(id) {
                 for &f in nl.fanouts(id) {
                     assert_eq!(
-                        nl.gate(f).supply,
+                        nl.supply(f),
                         SupplyClass::Low,
                         "clustered CVS leaked a mid-cone conversion at {id}"
                     );

@@ -78,7 +78,7 @@ pub fn downsize(
     }
     let before = netlist_power(netlist, ctx, activity, freq)?;
     let gate_cap_before = total_gate_cap(netlist, ctx);
-    let original: Vec<f64> = netlist.ids().map(|id| netlist.gate(id).drive).collect();
+    let original: Vec<f64> = netlist.ids().map(|id| netlist.drive(id)).collect();
     let mut order: Vec<GateId> = netlist.ids().collect();
     order.sort_by(|a, b| {
         baseline.slack[b.index()]
@@ -90,7 +90,7 @@ pub fn downsize(
     for _ in 0..3 {
         let mut changed = false;
         for &id in &order {
-            let current = netlist.gate(id).drive;
+            let current = netlist.drive(id);
             let next = (current * SIZING_STEP).max(MIN_DRIVE);
             if next >= current {
                 continue;
@@ -113,7 +113,7 @@ pub fn downsize(
     let mut resized = 0usize;
     let mut reduction_sum = 0.0;
     for (i, id) in netlist.ids().enumerate() {
-        let now = netlist.gate(id).drive;
+        let now = netlist.drive(id);
         if now < original[i] {
             resized += 1;
             reduction_sum += 1.0 - now / original[i];

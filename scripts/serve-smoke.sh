@@ -16,7 +16,8 @@
 #      their typed rejection with the connection surviving.
 #   4. Assert the daemon's lifetime counters are consistent (served ==
 #      accepted, exactly the typed rejections the spec leg provoked)
-#      and that a shutdown request stops the process cleanly.
+#      and that a shutdown request stops the process cleanly within
+#      0.5 s while an idle client holds a connection open.
 #   5. Crash recovery: run a spill-backed daemon, kill -9 it mid-life,
 #      restart on the same (now stale) socket and the same spill file,
 #      and assert the memo rehydrates BEFORE any request is served.
@@ -134,16 +135,39 @@ assert stats["invalid_specs"] == 2, stats
 assert stats["too_expensive"] == 1, stats
 assert stats["panicked"] == 0 and stats["quarantined"] == 0, stats
 EOF
-"$DAEMON" shutdown --socket "$SOCK" > /dev/null
+# An idle client is greeted and then holds its connection open: its
+# handler sits in a blocking read when the shutdown arrives.
+python3 - "$SOCK" > "$WORK/idle.out" <<'EOF' &
+import socket, sys
+sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+sock.connect(sys.argv[1])
+rfile = sock.makefile("r")
+rfile.readline()
+print("greeted", flush=True)
+rfile.readline()  # EOF once the daemon closes the connection
+EOF
+idle_pid=$!
 for _ in $(seq 1 100); do
-    kill -0 "$daemon_pid" 2>/dev/null || break
-    sleep 0.1
+    grep -q greeted "$WORK/idle.out" && break
+    sleep 0.05
 done
+grep -q greeted "$WORK/idle.out" || { echo "idle client was never greeted"; exit 1; }
+now_us() { local t=$EPOCHREALTIME; echo "${t//[!0-9]/}"; }
+"$DAEMON" shutdown --socket "$SOCK" > /dev/null
+shutdown_us=$(now_us)
+for _ in $(seq 1 1000); do
+    kill -0 "$daemon_pid" 2>/dev/null || break
+    sleep 0.01
+done
+exit_ms=$(( ($(now_us) - shutdown_us) / 1000 ))
 if kill -0 "$daemon_pid" 2>/dev/null; then
     echo "daemon ignored shutdown"; exit 1
 fi
 wait "$daemon_pid" || { echo "daemon exited nonzero"; exit 1; }
 daemon_pid=""
+wait "$idle_pid" || { echo "idle client failed"; exit 1; }
+echo "daemon exited ${exit_ms} ms after shutdown, one idle client connected"
+[ "$exit_ms" -lt 500 ] || { echo "daemon took ${exit_ms} ms to exit (limit 500)"; exit 1; }
 
 echo "== 5. kill -9 a spill-backed daemon, restart, memo rehydrates =="
 SPILL="$WORK/memo.spill"
