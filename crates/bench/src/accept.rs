@@ -184,9 +184,13 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    /// Runs a loop on `listener` in a thread and returns how many
-    /// connections it served once `stop` has ended it.
-    fn served_until_stopped<L>(listener: L, connect: impl Fn()) -> usize
+    /// Runs a loop on `listener` in a thread, makes three connections
+    /// with `connect`, and returns how many the loop served once `stop`
+    /// has ended it.
+    fn served_until_stopped<L>(
+        listener: L,
+        connect: impl Fn() -> io::Result<()>,
+    ) -> io::Result<usize>
     where
         L: Listener + Send + 'static,
     {
@@ -204,50 +208,50 @@ mod tests {
             })
         };
         for _ in 0..3 {
-            connect();
-            ready_rx.recv().expect("loop served the connection");
+            connect()?;
+            ready_rx.recv().map_err(io::Error::other)?;
         }
         stop.request();
         handle
             .join()
-            .expect("accept thread")
-            .expect("listener has a wake address")
+            .map_err(|_| io::Error::other("accept thread panicked"))?
     }
 
     #[test]
-    fn a_tcp_loop_on_an_unspecified_ip_is_woken_through_loopback() {
-        let listener = TcpListener::bind("0.0.0.0:0").expect("bind");
-        let port = listener.local_addr().expect("local addr").port();
+    fn a_tcp_loop_on_an_unspecified_ip_is_woken_through_loopback() -> io::Result<()> {
+        let listener = TcpListener::bind("0.0.0.0:0")?;
+        let port = listener.local_addr()?.port();
         let served = served_until_stopped(listener, || {
-            TcpStream::connect(("127.0.0.1", port)).expect("connect");
-        });
+            TcpStream::connect(("127.0.0.1", port)).map(drop)
+        })?;
         assert_eq!(served, 3, "the wake is not served");
+        Ok(())
     }
 
     #[cfg(unix)]
     #[test]
-    fn a_unix_loop_stops_and_its_wake_is_not_served() {
+    fn a_unix_loop_stops_and_its_wake_is_not_served() -> io::Result<()> {
         let path = std::env::temp_dir().join(format!("np-accept-unit-{}.sock", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let listener = UnixListener::bind(&path).expect("bind");
-        let served = served_until_stopped(listener, || {
-            UnixStream::connect(&path).expect("connect");
-        });
+        let listener = UnixListener::bind(&path)?;
+        let served = served_until_stopped(listener, || UnixStream::connect(&path).map(drop));
         let _ = std::fs::remove_file(&path);
-        assert_eq!(served, 3, "the wake is not served");
+        assert_eq!(served?, 3, "the wake is not served");
+        Ok(())
     }
 
     #[test]
-    fn a_request_with_no_loop_running_returns_at_once() {
+    fn a_request_with_no_loop_running_returns_at_once() -> io::Result<()> {
         let stop = Stop::new();
         stop.request();
         assert!(stop.is_requested());
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let listener = TcpListener::bind("127.0.0.1:0")?;
         let mut served = 0;
-        accept_until(&listener, &stop, |_| served += 1).expect("wake address");
+        accept_until(&listener, &stop, |_| served += 1)?;
         assert_eq!(
             served, 0,
             "a loop started after the request accepts nothing"
         );
+        Ok(())
     }
 }

@@ -555,6 +555,10 @@ where
                 return;
             }
             let state = Arc::clone(state);
+            // Dropping a finished handler's handle detaches it, which
+            // releases its stack now instead of at shutdown; shutdown
+            // joins the handlers still live.
+            handles.retain(|h| !h.is_finished());
             handles.push(std::thread::spawn(move || {
                 // A connection that fails mid-stream (client went away)
                 // is normal; the error is its own signal.

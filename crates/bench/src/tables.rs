@@ -3,7 +3,7 @@
 use nanopower::report::{fmt_sig, TextTable};
 use nanopower::Error;
 use np_device::{GateKind, Mosfet};
-use np_roadmap::survey::{DeviceReport, SURVEY};
+use np_roadmap::survey::{no_sub_1v_device_meets_itrs, DeviceReport, SURVEY};
 use np_roadmap::TechNode;
 use np_units::Volts;
 
@@ -30,7 +30,14 @@ impl Table1Report {
         for r in &self.rows {
             out.push_str(&format!("{r}\n"));
         }
-        out.push_str("\nReading: no published sub-1 V technology meets the ITRS Ion target.\n");
+        let verdict = if no_sub_1v_device_meets_itrs() {
+            "no"
+        } else {
+            "some"
+        };
+        out.push_str(&format!(
+            "\nReading: {verdict} published sub-1 V technology meets the ITRS Ion target.\n"
+        ));
         out
     }
 }

@@ -45,7 +45,7 @@ fn parallel_engine_output_is_byte_identical_to_serial() {
     let jobs = || REGISTRY.iter().map(|a| a.job(false)).collect::<Vec<_>>();
     let serial = Session::new(jobs()).workers(1).run();
     let parallel = Session::new(jobs()).workers(4).run();
-    assert!(serial.all_ok() && parallel.all_ok());
+    assert!(serial.failures().is_empty() && parallel.failures().is_empty());
     assert_eq!(parallel.workers, 4);
     let render = |report: &engine::RunReport| -> String {
         report

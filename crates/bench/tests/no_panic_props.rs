@@ -179,24 +179,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn thermal_rc_constructor_total(c in prop::sample::select(hostile())) {
-        let pkg = Package::new(ThermalResistance(0.5), Celsius(45.0));
-        let r = ThermalRc::try_new(pkg, c);
-        if !(c.is_finite() && c > 0.0) {
-            prop_assert!(r.is_err(), "heat capacity {c} must be rejected");
-        }
-    }
-
-    #[test]
     fn thermal_settle_total(
         p in prop::sample::select(hostile()),
         dt in prop::sample::select(hostile()),
     ) {
         let pkg = Package::new(ThermalResistance(0.5), Celsius(45.0));
-        let Ok(mut rc) = ThermalRc::try_new(pkg, 0.1) else {
-            prop_assert!(false, "valid constructor must succeed");
-            return Ok(());
-        };
+        let mut rc = ThermalRc::new(pkg, 0.1);
         let r = rc.settle(Watts(p), Seconds(dt), 1e-3, 10_000);
         if !p.is_finite() || !dt.is_finite() {
             prop_assert!(r.is_err(), "non-finite settle input must be rejected");
@@ -231,18 +219,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn wire_widened_total(f in prop::sample::select(hostile())) {
-        let g = WireGeometry::top_level(TechNode::N100);
-        let r = g.widened(f);
-        if !f.is_finite() {
-            prop_assert!(r.is_err(), "non-finite widening factor {f} must be rejected");
-        }
-        if let Ok(w) = r {
-            prop_assert!(w.width.0.is_finite());
-        }
-    }
 
     #[test]
     fn rcline_constructor_total(len in prop::sample::select(hostile())) {

@@ -743,6 +743,37 @@ fn fresh_connections_are_greeted_at_once() {
     daemon.shutdown();
 }
 
+/// A handler thread's stack is one mapping of the daemon's address
+/// space. Kept until shutdown, exited handlers' stacks would grow the map
+/// count with every connection ever served; released as they exit, the
+/// count levels off.
+#[cfg(target_os = "linux")]
+#[test]
+fn exited_handlers_release_their_stacks() {
+    let daemon = Daemon::spawn("reap", &[]);
+    let maps_path = format!("/proc/{}/maps", daemon.child.id());
+    let maps = || {
+        std::fs::read_to_string(&maps_path)
+            .expect("read the daemon's maps")
+            .lines()
+            .count()
+    };
+    let serve = |n: usize| {
+        for _ in 0..n {
+            drop(daemon.connect());
+        }
+    };
+    serve(300);
+    let after_300 = maps();
+    serve(700);
+    let after_1000 = maps();
+    assert!(
+        after_1000 * 10 <= after_300 * 11,
+        "maps grew from {after_300} after 300 connections to {after_1000} after 1000"
+    );
+    daemon.shutdown();
+}
+
 #[test]
 fn a_tcp_daemon_answers_shutdown_and_exits() {
     use std::net::{TcpListener, TcpStream};

@@ -178,18 +178,6 @@ impl Cell {
             leak_width: Microns(unit_width.0 * kind.relative_width() * drive),
         }
     }
-
-    /// Stage delay of this cell in units of `τ`, driving `c_load`:
-    /// `p + g·h`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell's input capacitance is zero (corrupt cell).
-    pub fn stage_delay_units(&self, c_load: Farads) -> f64 {
-        assert!(self.input_cap.0 > 0.0, "cell has no input capacitance");
-        let h = c_load.0 / self.input_cap.0 * self.kind.logical_effort();
-        self.kind.parasitic_delay() + h
-    }
 }
 
 impl fmt::Display for Cell {
@@ -235,15 +223,6 @@ mod tests {
         let inv = Cell::sized(CellKind::Inverter, 2.0, c, w);
         let nd = Cell::sized(CellKind::Nand2, 2.0, c, w);
         assert!(nd.input_cap > inv.input_cap);
-    }
-
-    #[test]
-    fn stage_delay_is_p_plus_gh() {
-        let c = Farads::from_femto(1.0);
-        let inv = Cell::sized(CellKind::Inverter, 1.0, c, Microns(0.8));
-        // FO4: load = 4x own input cap -> h = 4 -> d = 1 + 4 = 5.
-        let d = inv.stage_delay_units(Farads(4.0 * inv.input_cap.0));
-        assert!((d - 5.0).abs() < 1e-9);
     }
 
     #[test]

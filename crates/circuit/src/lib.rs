@@ -50,7 +50,6 @@ pub mod cell;
 mod error;
 pub mod generate;
 pub mod incremental;
-pub mod io;
 pub mod library;
 pub mod netlist;
 pub mod power;

@@ -4,10 +4,10 @@
 //! than minimum-sized gates" by citing the IBM SA-27E 180 nm library: the
 //! smallest standard-cell inverter has an input capacitance of just 1.5 fF
 //! and leading-edge libraries carry "11 2-input NANDs, 16 inverter sizes".
-//! [`Library::rich`] reproduces that granularity; [`Library::coarse`]
-//! reproduces the pessimistic library of \[15\] (smallest gate ≈10× minimum);
-//! and [`Library::with_generated_cell`] models the on-the-fly cell
-//! generation of \[17\] that "exactly match\[es\] load conditions".
+//! [`Library::rich`] reproduces that granularity and [`Library::coarse`]
+//! reproduces the pessimistic library of \[15\] (smallest gate ≈10× minimum).
+//! The on-the-fly cell generation of \[17\] that "exactly match\[es\] load
+//! conditions" lives in `np-opt`'s `cellgen` module.
 
 use crate::cell::{Cell, CellKind};
 use crate::error::CircuitError;
@@ -183,22 +183,6 @@ impl Library {
             .copied()
             .unwrap_or_else(|| candidates[candidates.len() - 1]))
     }
-
-    /// The drive needed for a cell of `kind` to drive `c_load` at electrical
-    /// effort `h_target` (≈4 for minimum-delay sizing): `g·C_load/(h·C_u)`.
-    pub fn drive_for_load(&self, kind: CellKind, c_load: Farads, h_target: f64) -> f64 {
-        (kind.logical_effort() * c_load.0 / (h_target * self.unit_cap.0)).max(0.05)
-    }
-
-    /// On-the-fly cell generation (Section 2.3, ref. \[17\]): adds a cell of
-    /// `kind` whose drive *exactly* matches `c_load` at effort `h_target`,
-    /// and returns it.
-    pub fn with_generated_cell(&mut self, kind: CellKind, c_load: Farads, h_target: f64) -> &Cell {
-        let drive = self.drive_for_load(kind, c_load, h_target);
-        let cell = Cell::sized(kind, drive, self.unit_cap, self.unit_width);
-        self.cells.push(cell);
-        &self.cells[self.cells.len() - 1]
-    }
 }
 
 impl fmt::Display for Library {
@@ -258,20 +242,6 @@ mod tests {
         // genuinely absent reports an error by filtering Nand3 out is not
         // possible here, so assert on a coarse request instead.
         assert!(lib.nearest(CellKind::Nand3, 1.0).is_ok());
-    }
-
-    #[test]
-    fn generated_cell_matches_load_exactly() {
-        let mut lib = Library::rich(TechNode::N100).unwrap();
-        let load = Farads::from_femto(7.3);
-        let before = lib.cells().len();
-        let cell = lib
-            .with_generated_cell(CellKind::Inverter, load, 4.0)
-            .clone();
-        assert_eq!(lib.cells().len(), before + 1);
-        // h = g * C_load / C_in should equal the 4.0 target exactly.
-        let h = cell.kind.logical_effort() * load.0 / cell.input_cap.0;
-        assert!((h - 4.0).abs() < 1e-9, "got h = {h}");
     }
 
     #[test]

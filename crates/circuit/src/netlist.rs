@@ -449,13 +449,6 @@ impl Netlist {
             .filter(|&id| self.outputs[id.index()] || self.fanouts(id).is_empty())
             .collect()
     }
-
-    /// Gates with no gate fan-ins (driven by primary inputs).
-    pub fn entry_gates(&self) -> Vec<GateId> {
-        self.ids()
-            .filter(|&id| self.fanins(id).is_empty())
-            .collect()
-    }
 }
 
 /// Streaming netlist constructor for large designs.
@@ -624,11 +617,6 @@ impl GateAssignment<'_> {
     pub fn set_vth(&mut self, vth: VthClass) {
         self.netlist.vths[self.index] = vth;
     }
-
-    /// Sets the output-net wire capacitance.
-    pub fn set_wire_cap(&mut self, cap: Farads) {
-        self.netlist.wire_caps[self.index] = cap;
-    }
 }
 
 #[cfg(test)]
@@ -658,7 +646,8 @@ mod tests {
     fn chain_has_linear_topology() {
         let nl = chain(5);
         assert_eq!(nl.len(), 5);
-        assert_eq!(nl.entry_gates(), vec![GateId::from_index(0)]);
+        let entries: Vec<_> = nl.ids().filter(|&id| nl.fanins(id).is_empty()).collect();
+        assert_eq!(entries, vec![GateId::from_index(0)]);
         assert_eq!(nl.timing_endpoints(), vec![GateId::from_index(4)]);
         assert_eq!(nl.fanouts(GateId::from_index(2)), &[GateId::from_index(3)]);
         // Topological order respects edges.
@@ -719,7 +708,6 @@ mod tests {
         nl.gate_mut(g1).set_drive(8.0);
         nl.gate_mut(g1).set_supply(SupplyClass::Low);
         nl.gate_mut(g1).set_vth(VthClass::High);
-        nl.gate_mut(g1).set_wire_cap(Farads::from_femto(3.0));
         let g = nl.gate(g1);
         assert_eq!(g.drive, 8.0);
         assert_eq!(g.supply, SupplyClass::Low);

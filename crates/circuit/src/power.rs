@@ -204,7 +204,7 @@ mod tests {
     #[test]
     fn power_is_positive_and_dynamic_dominates_at_high_activity() {
         let (nl, ctx) = setup();
-        let p = netlist_power(&nl, &ctx, 0.2, Hertz::from_giga(2.0)).unwrap();
+        let p = netlist_power(&nl, &ctx, 0.2, Hertz(2e9)).unwrap();
         assert!(p.dynamic.0 > 0.0);
         assert!(p.leakage.0 > 0.0);
         assert!(p.dynamic > p.leakage);
@@ -213,9 +213,9 @@ mod tests {
     #[test]
     fn dynamic_power_scales_linearly_with_activity_and_freq() {
         let (nl, ctx) = setup();
-        let base = netlist_power(&nl, &ctx, 0.1, Hertz::from_giga(1.0)).unwrap();
-        let double_a = netlist_power(&nl, &ctx, 0.2, Hertz::from_giga(1.0)).unwrap();
-        let double_f = netlist_power(&nl, &ctx, 0.1, Hertz::from_giga(2.0)).unwrap();
+        let base = netlist_power(&nl, &ctx, 0.1, Hertz(1e9)).unwrap();
+        let double_a = netlist_power(&nl, &ctx, 0.2, Hertz(1e9)).unwrap();
+        let double_f = netlist_power(&nl, &ctx, 0.1, Hertz(2e9)).unwrap();
         assert!((double_a.dynamic.0 / base.dynamic.0 - 2.0).abs() < 1e-9);
         assert!((double_f.dynamic.0 / base.dynamic.0 - 2.0).abs() < 1e-9);
         assert!(
@@ -227,11 +227,11 @@ mod tests {
     #[test]
     fn low_supply_everywhere_cuts_dynamic_quadratically() {
         let (mut nl, ctx) = setup();
-        let before = netlist_power(&nl, &ctx, 0.1, Hertz::from_giga(2.0)).unwrap();
+        let before = netlist_power(&nl, &ctx, 0.1, Hertz(2e9)).unwrap();
         for id in nl.ids().collect::<Vec<_>>() {
             nl.gate_mut(id).set_supply(SupplyClass::Low);
         }
-        let after = netlist_power(&nl, &ctx, 0.1, Hertz::from_giga(2.0)).unwrap();
+        let after = netlist_power(&nl, &ctx, 0.1, Hertz(2e9)).unwrap();
         let expect = (ctx.vdd_low / ctx.vdd_high).powi(2);
         let got = after.dynamic / before.dynamic;
         assert!(
@@ -245,11 +245,11 @@ mod tests {
     #[test]
     fn high_vth_everywhere_cuts_leakage_by_eq4_factor() {
         let (mut nl, ctx) = setup();
-        let before = netlist_power(&nl, &ctx, 0.1, Hertz::from_giga(2.0)).unwrap();
+        let before = netlist_power(&nl, &ctx, 0.1, Hertz(2e9)).unwrap();
         for id in nl.ids().collect::<Vec<_>>() {
             nl.gate_mut(id).set_vth(VthClass::High);
         }
-        let after = netlist_power(&nl, &ctx, 0.1, Hertz::from_giga(2.0)).unwrap();
+        let after = netlist_power(&nl, &ctx, 0.1, Hertz(2e9)).unwrap();
         let expect = np_device::dualvth::ioff_multiplier(ctx.vth_high - ctx.vth_low);
         let got = before.leakage / after.leakage;
         assert!(
@@ -263,20 +263,21 @@ mod tests {
     fn mixed_supply_design_counts_converters() {
         let (mut nl, ctx) = setup();
         // Put every entry gate on the low supply; fan-outs stay high.
-        for id in nl.entry_gates() {
+        let entries: Vec<_> = nl.ids().filter(|&id| nl.fanins(id).is_empty()).collect();
+        for id in entries {
             nl.gate_mut(id).set_supply(SupplyClass::Low);
         }
         let n = level_converter_count(&nl);
         assert!(n > 0);
-        let p_mixed = netlist_power(&nl, &ctx, 0.1, Hertz::from_giga(2.0)).unwrap();
+        let p_mixed = netlist_power(&nl, &ctx, 0.1, Hertz(2e9)).unwrap();
         assert!(p_mixed.dynamic.0 > 0.0);
     }
 
     #[test]
     fn bad_inputs_rejected() {
         let (nl, ctx) = setup();
-        assert!(netlist_power(&nl, &ctx, 0.0, Hertz::from_giga(1.0)).is_err());
-        assert!(netlist_power(&nl, &ctx, 1.5, Hertz::from_giga(1.0)).is_err());
+        assert!(netlist_power(&nl, &ctx, 0.0, Hertz(1e9)).is_err());
+        assert!(netlist_power(&nl, &ctx, 1.5, Hertz(1e9)).is_err());
         assert!(netlist_power(&nl, &ctx, 0.1, Hertz(0.0)).is_err());
     }
 
@@ -323,137 +324,6 @@ mod tests {
     fn fo4_needs_node_calibrated_device() {
         let mut dev = Mosfet::for_node(TechNode::N70).unwrap();
         dev.node = None;
-        assert!(fo4_power(
-            &dev,
-            Volts(0.9),
-            Hertz::from_giga(1.0),
-            0.1,
-            Farads::from_femto(5.0)
-        )
-        .is_err());
-    }
-}
-
-/// Short-circuit power of a switching gate (the third classic CMOS power
-/// component, alongside switching and leakage): during an input transition
-/// both networks conduct for the fraction of the slew where
-/// `Vth,n < Vin < Vdd − |Vth,p|`. The standard Veendrick-style estimate is
-///
-/// ```text
-/// P_sc ≈ α · f · (t_sc / 8) · I_peak · Vdd,    t_sc = slew · (1 − 2·Vth/Vdd)
-/// ```
-///
-/// vanishing as `Vdd` approaches `2·Vth` — which is why the paper's
-/// low-Vdd design space (Fig. 3's 0.2–0.3 V points) is essentially
-/// short-circuit free, while high-overdrive nodes pay ~10 % extra.
-///
-/// # Errors
-///
-/// Returns [`CircuitError::BadParameter`] for activity outside `(0, 1]`,
-/// a non-positive frequency, or a non-positive slew.
-pub fn short_circuit_power(
-    dev: &Mosfet,
-    vdd: Volts,
-    width: Microns,
-    slew: np_units::Seconds,
-    activity: f64,
-    freq: Hertz,
-) -> Result<Watts, CircuitError> {
-    if !(activity > 0.0 && activity <= 1.0) {
-        return Err(CircuitError::BadParameter("activity must be in (0, 1]"));
-    }
-    if !(freq.0 > 0.0) {
-        return Err(CircuitError::BadParameter("frequency must be positive"));
-    }
-    if !(slew.0 > 0.0) {
-        return Err(CircuitError::BadParameter("slew must be positive"));
-    }
-    let vth = dev.vth_at_temp().0;
-    let conduction = 1.0 - 2.0 * vth / vdd.0;
-    if conduction <= 0.0 {
-        return Ok(Watts(0.0)); // Vdd <= 2 Vth: no simultaneous conduction
-    }
-    let i_peak = dev.ion(vdd).map_err(CircuitError::Device)?.total(width);
-    let t_sc = slew.0 * conduction;
-    Ok(Watts(activity * freq.0 * (t_sc / 8.0) * i_peak.0 * vdd.0))
-}
-
-#[cfg(test)]
-mod short_circuit_tests {
-    use super::*;
-    use np_roadmap::TechNode;
-    use np_units::Seconds;
-
-    #[test]
-    fn vanishes_below_twice_vth() {
-        // The paper's low-Vdd operating points are short-circuit free.
-        let dev = Mosfet::for_node(TechNode::N35).unwrap();
-        let p = short_circuit_power(
-            &dev,
-            Volts(2.0 * dev.vth.0 * 0.9),
-            Microns(1.0),
-            Seconds::from_pico(20.0),
-            0.1,
-            Hertz::from_giga(1.0),
-        )
-        .unwrap();
-        assert_eq!(p, Watts(0.0));
-    }
-
-    #[test]
-    fn is_a_modest_fraction_of_switching_power() {
-        // At nominal conditions short-circuit power is the textbook ~10%
-        // adder, not a dominant term.
-        let node = TechNode::N100;
-        let dev = Mosfet::for_node(node).unwrap();
-        let vdd = node.params().vdd;
-        let width = Microns(1.0);
-        let slew = Seconds::from_pico(30.0);
-        let f = Hertz::from_giga(1.0);
-        let p_sc = short_circuit_power(&dev, vdd, width, slew, 0.1, f).unwrap();
-        let c_load = Farads(dev.gate_cap_per_um().0 * 5.0);
-        let p_sw = Watts(0.1 * f.0 * c_load.0 * vdd.0 * vdd.0);
-        let fraction = p_sc.0 / p_sw.0;
-        assert!((0.01..=0.6).contains(&fraction), "fraction {fraction:.2}");
-    }
-
-    #[test]
-    fn grows_with_slew_and_overdrive() {
-        let node = TechNode::N100;
-        let dev = Mosfet::for_node(node).unwrap();
-        let vdd = node.params().vdd;
-        let f = Hertz::from_giga(1.0);
-        let slow =
-            short_circuit_power(&dev, vdd, Microns(1.0), Seconds::from_pico(60.0), 0.1, f).unwrap();
-        let fast =
-            short_circuit_power(&dev, vdd, Microns(1.0), Seconds::from_pico(20.0), 0.1, f).unwrap();
-        assert!(slow > fast, "slower edges burn more crowbar current");
-        let high_vth = dev.with_vth(dev.vth + Volts(0.15));
-        let damped = short_circuit_power(
-            &high_vth,
-            vdd,
-            Microns(1.0),
-            Seconds::from_pico(60.0),
-            0.1,
-            f,
-        )
-        .unwrap();
-        assert!(damped < slow, "higher Vth narrows the conduction window");
-    }
-
-    #[test]
-    fn bad_inputs_rejected() {
-        let dev = Mosfet::for_node(TechNode::N100).unwrap();
-        let f = Hertz::from_giga(1.0);
-        assert!(short_circuit_power(&dev, Volts(1.2), Microns(1.0), Seconds(0.0), 0.1, f).is_err());
-        assert!(short_circuit_power(
-            &dev,
-            Volts(1.2),
-            Microns(1.0),
-            Seconds::from_pico(10.0),
-            0.0,
-            f
-        )
-        .is_err());
+        assert!(fo4_power(&dev, Volts(0.9), Hertz(1e9), 0.1, Farads::from_femto(5.0)).is_err());
     }
 }

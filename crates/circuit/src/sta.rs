@@ -379,45 +379,6 @@ impl TimingReport {
     pub fn slack_of(&self, id: GateId) -> Seconds {
         self.slack[id.index()]
     }
-
-    /// Path slack at each timing endpoint of `netlist`, the distribution
-    /// Section 2.4 reasons about.
-    pub fn endpoint_slacks(&self, netlist: &Netlist) -> Vec<Seconds> {
-        netlist
-            .timing_endpoints()
-            .into_iter()
-            .map(|id| self.slack[id.index()])
-            .collect()
-    }
-
-    /// The gates of (one) critical path, input to output. Empty when the
-    /// netlist has no timing endpoints.
-    pub fn critical_path(&self, netlist: &Netlist) -> Vec<GateId> {
-        // Walk back from the endpoint with the smallest slack.
-        let Some(end) = netlist
-            .timing_endpoints()
-            .into_iter()
-            .min_by(|a, b| self.slack[a.index()].0.total_cmp(&self.slack[b.index()].0))
-        else {
-            return Vec::new();
-        };
-        let mut path = vec![end];
-        let mut cur = end;
-        loop {
-            let g = netlist.gate(cur);
-            let Some(&worst) = g.fanins.iter().max_by(|a, b| {
-                self.arrival[a.index()]
-                    .0
-                    .total_cmp(&self.arrival[b.index()].0)
-            }) else {
-                break;
-            };
-            path.push(worst);
-            cur = worst;
-        }
-        path.reverse();
-        path
-    }
 }
 
 #[cfg(test)]
@@ -512,27 +473,6 @@ mod tests {
         nl.gate_mut(ids[0]).set_supply(SupplyClass::Low);
         let after = c.analyze(&nl).unwrap().critical_delay();
         assert!(after.0 > before.0 + c.level_converter_delay().0 * 0.9);
-    }
-
-    #[test]
-    fn critical_path_spans_the_chain() {
-        let nl = chain(5);
-        let rep = ctx()
-            .with_clock(Seconds::from_nano(10.0))
-            .analyze(&nl)
-            .unwrap();
-        let path = rep.critical_path(&nl);
-        assert_eq!(path.len(), 5);
-    }
-
-    #[test]
-    fn endpoint_slack_distribution_has_one_entry_per_endpoint() {
-        let nl = chain(4);
-        let rep = ctx()
-            .with_clock(Seconds::from_nano(10.0))
-            .analyze(&nl)
-            .unwrap();
-        assert_eq!(rep.endpoint_slacks(&nl).len(), 1);
     }
 
     #[test]

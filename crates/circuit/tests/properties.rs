@@ -156,7 +156,7 @@ proptest! {
     fn low_supply_assignment_only_reduces_power(seed in 0u64..200, pick in 0usize..60) {
         let mut nl = generate_netlist(&spec(seed, 60, 8));
         let c = ctx();
-        let f = Hertz::from_giga(1.0);
+        let f = Hertz(1e9);
         let before = netlist_power(&nl, &c, 0.1, f).unwrap();
         let ids: Vec<_> = nl.ids().collect();
         let victim = ids[pick % ids.len()];
@@ -190,7 +190,7 @@ proptest! {
     ) {
         let nl = assigned_netlist(seed, size, assign);
         let c = ctx();
-        let f = Hertz::from_giga(1.0);
+        let f = Hertz(1e9);
         prop_assert!(np_circuit::power::level_converter_count(&nl) > 0);
         let got = netlist_power(&nl, &c, activity, f).unwrap();
         let want = per_gate_power(&nl, &c, activity, f);
@@ -202,47 +202,9 @@ proptest! {
     fn power_scales_linearly_with_frequency(seed in 0u64..200, k in 1.1..8.0f64) {
         let nl = generate_netlist(&spec(seed, 60, 8));
         let c = ctx();
-        let base = netlist_power(&nl, &c, 0.1, Hertz::from_giga(1.0)).unwrap();
+        let base = netlist_power(&nl, &c, 0.1, Hertz(1e9)).unwrap();
         let scaled = netlist_power(&nl, &c, 0.1, Hertz(1e9 * k)).unwrap();
         prop_assert!((scaled.dynamic.0 / base.dynamic.0 / k - 1.0).abs() < 1e-9);
         prop_assert!((scaled.leakage.0 - base.leakage.0).abs() < 1e-15);
-    }
-}
-
-mod io_properties {
-    use super::*;
-    use np_circuit::io::{parse_netlist, write_netlist};
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn parser_never_panics_on_arbitrary_text(text in ".{0,400}") {
-            // Any input must produce Ok or a typed error, never a panic.
-            let _ = parse_netlist(&text);
-        }
-
-        #[test]
-        fn parser_never_panics_on_gate_shaped_lines(
-            id in 0usize..20,
-            kind in "[A-Z]{2,4}",
-            attr in "[a-z_]{1,8}=[-0-9a-z.]{1,8}",
-        ) {
-            let text = format!("gate g{id} {kind} {attr}\n");
-            let _ = parse_netlist(&text);
-        }
-
-        #[test]
-        fn write_parse_round_trips_generated_netlists(seed in 0u64..500) {
-            let nl = generate_netlist(&spec(seed, 60, 8));
-            let text = write_netlist(&nl);
-            let back = parse_netlist(&text).expect("own output must parse");
-            prop_assert_eq!(nl.len(), back.len());
-            for id in nl.ids() {
-                prop_assert_eq!(nl.gate(id).kind, back.gate(id).kind);
-                prop_assert_eq!(&nl.gate(id).fanins, &back.gate(id).fanins);
-                prop_assert_eq!(nl.gate(id).is_output, back.gate(id).is_output);
-            }
-        }
     }
 }

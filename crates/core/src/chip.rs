@@ -3,10 +3,6 @@
 
 use crate::error::Error;
 use np_device::Mosfet;
-use np_grid::plan::GridPlan;
-use np_grid::GridError;
-use np_interconnect::chip::{global_signaling_report, GlobalSignalingReport};
-use np_interconnect::InterconnectError;
 use np_roadmap::{PackagingRoadmap, TechNode};
 use np_thermal::cost::cooling_cost_dollars;
 use np_thermal::dtm::{simulate, DtmPolicy, DtmResult};
@@ -161,55 +157,6 @@ impl Chip {
             dtm,
         })
     }
-
-    /// The Section 2.2 global-signaling comparison for this node.
-    ///
-    /// # Errors
-    ///
-    /// Propagates interconnect-model errors.
-    pub fn signaling_plan(&self) -> Result<GlobalSignalingReport, InterconnectError> {
-        global_signaling_report(self.node)
-    }
-
-    /// The Section 4 grid study: plans under minimum pitch and ITRS pads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates grid-model errors.
-    pub fn grid_plan(&self) -> Result<(GridPlan, GridPlan), GridError> {
-        Ok((
-            GridPlan::min_pitch(self.node)?,
-            GridPlan::itrs_pads(self.node)?,
-        ))
-    }
-
-    /// Runs the Section 3.3 combined flow (CVS → sizing → dual-Vth) on a
-    /// reference synthetic netlist at this node, with the clock relaxed by
-    /// `clock_factor` over the netlist's critical delay.
-    ///
-    /// # Errors
-    ///
-    /// Propagates optimizer and substrate errors; rejects a clock factor
-    /// at or below 1 (no slack to spend).
-    pub fn optimize(
-        &self,
-        clock_factor: f64,
-    ) -> Result<np_opt::combined::CombinedResult, np_opt::OptError> {
-        if !(clock_factor > 1.0) {
-            return Err(np_opt::OptError::BadParameter("clock factor must exceed 1"));
-        }
-        let mut netlist = np_circuit::generate::generate_netlist(
-            &np_circuit::generate::NetlistSpec::small(self.node.index() as u64 + 40),
-        );
-        let ctx = np_circuit::sta::TimingContext::for_node(self.node)?;
-        let critical = ctx.critical_delay(&netlist);
-        let ctx = ctx.with_clock(critical * clock_factor);
-        let options = np_opt::combined::CombinedOptions {
-            activity: self.activity,
-            ..Default::default()
-        };
-        np_opt::combined::optimize(&mut netlist, &ctx, &options)
-    }
 }
 
 /// Validating fluent builder for [`Chip`], started by [`Chip::builder`].
@@ -361,13 +308,6 @@ pub struct ThermalClosure {
     pub dtm: DtmResult,
 }
 
-impl ThermalClosure {
-    /// Cooling dollars saved by DTM.
-    pub fn cooling_saving(&self) -> f64 {
-        self.cost_theoretical - self.cost_dtm
-    }
-}
-
 impl fmt::Display for ThermalClosure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -414,21 +354,8 @@ mod tests {
     fn dtm_headroom_is_a_third() {
         let t = Chip::at_node(TechNode::N70).thermal_closure().unwrap();
         assert!((t.headroom - 1.0 / 3.0).abs() < 1e-9);
-        assert!(t.cooling_saving() > 0.0);
+        assert!(t.cost_dtm < t.cost_theoretical);
         assert!(t.dtm.performance > 0.9);
-    }
-
-    #[test]
-    fn grid_plans_pair_up() {
-        let (min_pitch, itrs) = Chip::at_node(TechNode::N35).grid_plan().unwrap();
-        assert!(min_pitch.is_routable());
-        assert!(!itrs.is_routable());
-    }
-
-    #[test]
-    fn signaling_plan_prefers_low_swing() {
-        let s = Chip::at_node(TechNode::N50).signaling_plan().unwrap();
-        assert!(s.power_saving() > 3.0);
     }
 
     #[test]
@@ -486,27 +413,5 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(format!("{err}").contains("activity"), "{err}");
-    }
-}
-
-#[cfg(test)]
-mod optimize_tests {
-    use super::*;
-
-    #[test]
-    fn facade_optimize_saves_power_at_every_nanometer_node() {
-        for node in TechNode::NANOMETER {
-            let r = Chip::at_node(node).optimize(1.35).expect("flow");
-            assert!(
-                r.total_saving() > 0.2,
-                "{node}: {:.0}%",
-                r.total_saving() * 100.0
-            );
-        }
-    }
-
-    #[test]
-    fn facade_optimize_rejects_no_slack() {
-        assert!(Chip::at_node(TechNode::N70).optimize(1.0).is_err());
     }
 }

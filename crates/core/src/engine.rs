@@ -44,7 +44,7 @@
 //!
 //! let jobs = vec![Job::new("greet", || Ok("hello\n".into()))];
 //! let report = Session::new(jobs).workers(2).run();
-//! assert!(report.all_ok());
+//! assert!(report.failures().is_empty());
 //! ```
 //!
 //! Retries are opt-in per job: only jobs flagged
@@ -177,11 +177,6 @@ impl Job {
     pub fn name(&self) -> &str {
         &self.name
     }
-
-    /// Whether failures of this job are flagged as transient.
-    pub fn is_transient(&self) -> bool {
-        self.transient
-    }
 }
 
 impl std::fmt::Debug for Job {
@@ -208,7 +203,7 @@ impl std::fmt::Debug for Job {
 /// };
 /// let jobs = vec![Job::new("quick", || Ok("done\n".into()))];
 /// let report = Session::new(jobs).workers(1).policy(policy).run();
-/// assert!(report.all_ok());
+/// assert!(report.failures().is_empty());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunPolicy {
@@ -329,11 +324,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Whether every job succeeded.
-    pub fn all_ok(&self) -> bool {
-        self.records.iter().all(JobRecord::is_ok)
-    }
-
     /// The records that failed, submission order.
     pub fn failures(&self) -> Vec<&JobRecord> {
         self.records.iter().filter(|r| !r.is_ok()).collect()
@@ -443,7 +433,7 @@ impl RunReport {
 ///         assert!(index < 2 && record.is_ok());
 ///     })
 ///     .run();
-/// assert!(report.all_ok());
+/// assert!(report.failures().is_empty());
 /// assert_eq!(report.records.len(), 2);
 /// ```
 ///
@@ -861,7 +851,7 @@ mod tests {
         };
         assert_eq!(texts(&serial), texts(&parallel));
         assert_eq!(parallel.workers, 4);
-        assert!(parallel.all_ok());
+        assert!(parallel.failures().is_empty());
     }
 
     #[test]
@@ -874,7 +864,7 @@ mod tests {
         ];
         let report = Session::new(jobs).workers(2).run();
         assert_eq!(report.records.len(), 4);
-        assert!(!report.all_ok());
+        assert!(!report.failures().is_empty());
         assert_eq!(report.failures().len(), 2);
         assert!(report.records[3].is_ok(), "jobs after a failure still run");
         let summary = report.error_summary();
@@ -899,7 +889,7 @@ mod tests {
         let report = Session::new(Vec::new()).workers(8).run();
         assert!(report.records.is_empty());
         assert_eq!(report.workers, 0);
-        assert!(report.all_ok());
+        assert!(report.failures().is_empty());
         assert!(report.error_summary().is_empty());
     }
 
@@ -1117,7 +1107,7 @@ mod tests {
             })
             .collect();
         let report = Session::new(jobs).workers(2).run();
-        assert!(report.all_ok());
+        assert!(report.failures().is_empty());
         // The budget is process-global, so concurrent engine runs from
         // other tests may briefly adjust it; assert the invariant (a
         // worker never sees more scoring threads than the machine has)
@@ -1263,7 +1253,7 @@ mod tests {
             .hooks(hooks)
             .run();
         assert!(!report.interrupted);
-        assert!(report.all_ok());
+        assert!(report.failures().is_empty());
         assert!(report.to_json().contains("\"interrupted\": false"));
     }
 
@@ -1373,7 +1363,7 @@ mod tests {
         assert_eq!(session.policy, RunPolicy::default());
         assert!(session.hooks.cancel.is_none());
         assert!(session.hooks.on_record.is_none());
-        assert!(session.run().all_ok());
+        assert!(session.run().failures().is_empty());
     }
 
     #[test]

@@ -470,10 +470,10 @@ pub enum Admission<'a> {
 /// queue-wait load shedding.
 ///
 /// At most `max_inflight` permits are out at once; up to `queue_depth`
-/// callers block in [`AdmissionGate::admit`] waiting for one; beyond
-/// that `admit` returns `None` immediately — backpressure the caller
-/// turns into a typed `busy` response. [`AdmissionGate::admit_within`]
-/// additionally sheds a queued waiter whose wait exceeds a budget.
+/// callers block in [`AdmissionGate::admit_within`] waiting for one;
+/// beyond that it returns [`Admission::QueueFull`] immediately —
+/// backpressure the caller turns into a typed `busy` response. A queued
+/// waiter whose wait exceeds the budget is shed ([`Admission::Shed`]).
 #[derive(Debug)]
 pub struct AdmissionGate {
     state: Mutex<GateState>,
@@ -501,16 +501,6 @@ impl AdmissionGate {
             freed: Condvar::new(),
             max_inflight: max_inflight.max(1),
             queue_depth,
-        }
-    }
-
-    /// Acquires a permit, blocking in the bounded queue if the gate is
-    /// saturated. Returns `None` without blocking when the queue is
-    /// already full.
-    pub fn admit(&self) -> Option<AdmissionPermit<'_>> {
-        match self.admit_within(None) {
-            Admission::Admitted(permit) => Some(permit),
-            _ => None,
         }
     }
 
@@ -1089,10 +1079,19 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// An unbudgeted admission: blocks in the bounded queue, `None` when
+    /// the queue is already full.
+    fn admit(gate: &AdmissionGate) -> Option<AdmissionPermit<'_>> {
+        match gate.admit_within(None) {
+            Admission::Admitted(permit) => Some(permit),
+            _ => None,
+        }
+    }
+
     #[test]
     fn gate_limits_inflight_and_queues() {
         let gate = Arc::new(AdmissionGate::new(1, 1));
-        let first = gate.admit().expect("first admits immediately");
+        let first = admit(&gate).expect("first admits immediately");
         assert_eq!(gate.inflight(), 1);
         assert!(gate.oldest_inflight_age().is_some());
 
@@ -1102,7 +1101,7 @@ mod tests {
             let gate = Arc::clone(&gate);
             let entered = Arc::clone(&entered);
             std::thread::spawn(move || {
-                let permit = gate.admit();
+                let permit = admit(&gate);
                 entered.store(1, Ordering::SeqCst);
                 drop(permit);
             })
@@ -1120,8 +1119,8 @@ mod tests {
     #[test]
     fn gate_rejects_beyond_queue_depth() {
         let gate = Arc::new(AdmissionGate::new(1, 0));
-        let held = gate.admit().expect("capacity 1");
-        assert!(gate.admit().is_none(), "zero queue depth rejects at once");
+        let held = admit(&gate).expect("capacity 1");
+        assert!(admit(&gate).is_none(), "zero queue depth rejects at once");
         assert!(
             matches!(
                 gate.admit_within(Some(Duration::ZERO)),
@@ -1130,13 +1129,13 @@ mod tests {
             "budgeted admit distinguishes a full queue"
         );
         drop(held);
-        assert!(gate.admit().is_some(), "slot reusable after release");
+        assert!(admit(&gate).is_some(), "slot reusable after release");
     }
 
     #[test]
     fn queue_wait_past_budget_sheds_with_typed_outcome() {
         let gate = Arc::new(AdmissionGate::new(1, 4));
-        let held = gate.admit().expect("capacity 1");
+        let held = admit(&gate).expect("capacity 1");
         let start = Instant::now();
         match gate.admit_within(Some(Duration::from_millis(50))) {
             Admission::Shed { waited } => {
@@ -1165,15 +1164,15 @@ mod tests {
     fn gate_clamps_zero_capacity_to_one() {
         let gate = AdmissionGate::new(0, 0);
         assert_eq!(gate.capacity(), 1);
-        assert!(gate.admit().is_some());
+        assert!(admit(&gate).is_some());
     }
 
     #[test]
     fn oldest_inflight_age_tracks_the_stuck_permit() {
         let gate = AdmissionGate::new(2, 0);
-        let _stuck = gate.admit().expect("first");
+        let _stuck = admit(&gate).expect("first");
         std::thread::sleep(Duration::from_millis(30));
-        let fresh = gate.admit().expect("second");
+        let fresh = admit(&gate).expect("second");
         let oldest = gate.oldest_inflight_age().expect("two inflight");
         assert!(oldest >= Duration::from_millis(30), "{oldest:?}");
         drop(fresh);

@@ -25,7 +25,7 @@ fn power_jobs() -> Vec<Job> {
 fn engine_runs_chip_scenarios_deterministically_across_worker_counts() {
     let serial = Session::new(power_jobs()).workers(1).run();
     let parallel = Session::new(power_jobs()).workers(3).run();
-    assert!(serial.all_ok(), "{}", serial.error_summary());
+    assert!(serial.failures().is_empty(), "{}", serial.error_summary());
     assert_eq!(serial.records.len(), TechNode::ALL.len());
     let texts = |r: &engine::RunReport| -> Vec<String> {
         r.records
@@ -56,7 +56,7 @@ fn builder_failures_flow_through_the_engine_as_typed_errors() {
         }),
     ];
     let report = Session::new(jobs).workers(2).run();
-    assert!(!report.all_ok());
+    assert!(!report.failures().is_empty());
     assert_eq!(report.failures().len(), 1);
     let failed = report.failures()[0];
     assert_eq!(failed.name, "bad-activity");

@@ -63,12 +63,6 @@ impl DualVthPair {
         let lo = self.low.ion(vdd)?;
         Ok(lo / hi - 1.0)
     }
-
-    /// Off-current ratio of the pair, `Ioff,low / Ioff,high`. By Eq. 4 this
-    /// is exactly `10^(ΔVth/S)` — ≈15 for 100 mV at room temperature.
-    pub fn ioff_ratio(&self) -> f64 {
-        self.low.ioff() / self.high.ioff()
-    }
 }
 
 /// The node-independent `Ioff` multiplier of a threshold reduction
@@ -142,7 +136,8 @@ mod tests {
     #[test]
     fn pair_ioff_ratio_matches_closed_form() {
         let pair = DualVthPair::for_node(TechNode::N100, Volts(0.1)).unwrap();
-        assert!((pair.ioff_ratio() - ioff_multiplier(Volts(0.1))).abs() < 1e-6);
+        let ratio = pair.low.ioff() / pair.high.ioff();
+        assert!((ratio - ioff_multiplier(Volts(0.1))).abs() < 1e-6);
     }
 
     #[test]

@@ -47,7 +47,6 @@
 pub mod delay;
 pub mod dualvth;
 mod error;
-pub mod iv;
 pub mod mobility;
 pub mod model;
 pub mod mtcmos;

@@ -104,14 +104,6 @@ impl Mosfet {
         }
     }
 
-    /// Returns a copy with a different gate stack.
-    pub fn with_gate(&self, gate: GateKind) -> Self {
-        Self {
-            gate,
-            ..self.clone()
-        }
-    }
-
     /// The nominal supply of the device's roadmap node, or a conservative
     /// 1 V when the device is free-standing.
     pub fn nominal_vdd(&self) -> Volts {
@@ -433,7 +425,10 @@ mod tests {
     #[test]
     fn metal_gate_increases_drive() {
         let poly = dev_180nm_like();
-        let metal = poly.with_gate(GateKind::Metal);
+        let metal = Mosfet {
+            gate: GateKind::Metal,
+            ..poly.clone()
+        };
         assert!(metal.ion(Volts(1.8)).unwrap() > poly.ion(Volts(1.8)).unwrap());
     }
 

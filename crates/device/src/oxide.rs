@@ -81,17 +81,6 @@ pub fn coxe(tox_phys: Nanometers, gate: GateKind) -> FaradsPerCm2 {
     FaradsPerCm2(EPS_OX_F_PER_CM / electrical_tox(tox_phys, gate).as_cm())
 }
 
-/// Physical gate-oxide capacitance per unit area (ignores all electrical
-/// corrections) — the quantity the paper argues the ITRS *should not* use.
-///
-/// # Panics
-///
-/// Panics if the thickness is not positive.
-pub fn cox_physical(tox_phys: Nanometers) -> FaradsPerCm2 {
-    assert!(tox_phys.0 > 0.0, "oxide thickness must be positive");
-    FaradsPerCm2(EPS_OX_F_PER_CM / tox_phys.as_cm())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,9 +95,10 @@ mod tests {
     #[test]
     fn coxe_is_smaller_than_cox() {
         let t = Nanometers(1.0);
-        assert!(coxe(t, GateKind::PolySilicon).0 < cox_physical(t).0);
+        let cox_physical = EPS_OX_F_PER_CM / t.as_cm();
+        assert!(coxe(t, GateKind::PolySilicon).0 < cox_physical);
         assert!(coxe(t, GateKind::Metal).0 > coxe(t, GateKind::PolySilicon).0);
-        assert!((coxe(t, GateKind::Ideal).0 - cox_physical(t).0).abs() < 1e-12);
+        assert!((coxe(t, GateKind::Ideal).0 - cox_physical).abs() < 1e-12);
     }
 
     #[test]

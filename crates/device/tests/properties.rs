@@ -58,7 +58,7 @@ proptest! {
     fn metal_gate_never_hurts(node in any_node()) {
         // At equal Vth, removing gate depletion can only add drive.
         let poly = device(node);
-        let metal = poly.with_gate(GateKind::Metal);
+        let metal = Mosfet { gate: GateKind::Metal, ..poly.clone() };
         let vdd = node.params().vdd;
         prop_assert!(metal.ion(vdd).unwrap() >= poly.ion(vdd).unwrap());
     }

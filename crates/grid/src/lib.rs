@@ -50,7 +50,6 @@
 
 pub mod analytic;
 pub mod cg;
-pub mod decap;
 mod error;
 pub mod hotspot;
 pub mod mcml;

@@ -87,8 +87,7 @@ mod tests {
     use super::*;
 
     fn cmp() -> LogicStyleComparison {
-        LogicStyleComparison::matched(Farads::from_femto(20.0), Volts(0.6), Hertz::from_giga(10.0))
-            .unwrap()
+        LogicStyleComparison::matched(Farads::from_femto(20.0), Volts(0.6), Hertz(10e9)).unwrap()
     }
 
     #[test]
@@ -120,8 +119,6 @@ mod tests {
 
     #[test]
     fn bad_inputs_rejected() {
-        assert!(
-            LogicStyleComparison::matched(Farads(0.0), Volts(0.6), Hertz::from_giga(1.0)).is_err()
-        );
+        assert!(LogicStyleComparison::matched(Farads(0.0), Volts(0.6), Hertz(1e9)).is_err());
     }
 }

@@ -159,14 +159,15 @@ struct CacheState {
 /// miss the same side at once both solve it, with identical results.
 ///
 /// ```
-/// use np_grid::mesh::{mesh_worst_drop, MeshCache};
+/// use np_grid::mesh::{mesh_worst_drop, MeshCache, DEFAULT_RESOLUTION};
 /// use np_roadmap::TechNode;
 /// use np_units::Microns;
 ///
 /// let cache = MeshCache::new();
-/// let n50 = cache.worst_drop(TechNode::N50, Microns(90.0), Microns(3.0))?;
+/// let n = DEFAULT_RESOLUTION;
+/// let n50 = cache.worst_drop_with_resolution(TechNode::N50, Microns(90.0), Microns(3.0), n)?;
 /// // Another node and geometry at the same resolution is a table read.
-/// let n35 = cache.worst_drop(TechNode::N35, Microns(80.0), Microns(4.0))?;
+/// let n35 = cache.worst_drop_with_resolution(TechNode::N35, Microns(80.0), Microns(4.0), n)?;
 /// assert_eq!((cache.misses(), cache.hits()), (1, 1));
 /// assert!(n50.0 > 0.0);
 /// // The reference SOR solves the physical cell directly.
@@ -183,20 +184,6 @@ impl MeshCache {
     /// An empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Cached counterpart of [`mesh_worst_drop`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`mesh_worst_drop`].
-    pub fn worst_drop(
-        &self,
-        node: TechNode,
-        pitch: Microns,
-        rail_width: Microns,
-    ) -> Result<Volts, GridError> {
-        self.worst_drop_with_resolution(node, pitch, rail_width, DEFAULT_RESOLUTION)
     }
 
     /// Cached counterpart of [`mesh_worst_drop_with_resolution`]: the
@@ -271,6 +258,9 @@ mod tests {
     use super::*;
     use crate::analytic::worst_case_drop;
 
+    /// The default mesh side, short for the cache lookups below.
+    const N: usize = DEFAULT_RESOLUTION;
+
     #[test]
     fn mesh_and_analytic_agree_within_a_factor() -> Result<(), GridError> {
         // The analytic k_geo was chosen to track the mesh; demand
@@ -334,7 +324,10 @@ mod tests {
         ] {
             let (pitch, width) = (Microns(pitch), Microns(width));
             for (who, got) in [
-                ("cache", cache.worst_drop(TechNode::N50, pitch, width)),
+                (
+                    "cache",
+                    cache.worst_drop_with_resolution(TechNode::N50, pitch, width, N),
+                ),
                 ("oracle", mesh_worst_drop(TechNode::N50, pitch, width)),
             ] {
                 assert!(
@@ -349,7 +342,8 @@ mod tests {
     #[test]
     fn cache_matches_the_free_function() -> Result<(), GridError> {
         let cache = MeshCache::new();
-        let cached = cache.worst_drop(TechNode::N35, Microns(80.0), Microns(4.0))?;
+        let cached =
+            cache.worst_drop_with_resolution(TechNode::N35, Microns(80.0), Microns(4.0), N)?;
         let direct = mesh_worst_drop(TechNode::N35, Microns(80.0), Microns(4.0))?;
         // Different solvers (a scaled MGCG unit solve vs SOR on the
         // physical cell), same physics: agree to solver tolerance, far
@@ -366,15 +360,23 @@ mod tests {
     #[test]
     fn repeat_solves_hit_the_cache_and_agree() -> Result<(), GridError> {
         let cache = MeshCache::new();
-        let first = cache.worst_drop(TechNode::N50, Microns(90.0), Microns(3.0))?;
-        let second = cache.worst_drop(TechNode::N50, Microns(90.0), Microns(3.0))?;
+        let first =
+            cache.worst_drop_with_resolution(TechNode::N50, Microns(90.0), Microns(3.0), N)?;
+        let second =
+            cache.worst_drop_with_resolution(TechNode::N50, Microns(90.0), Microns(3.0), N)?;
         assert_eq!(first, second, "a table read gives the fresh solve's bits");
         assert_eq!((cache.misses(), cache.hits()), (1, 1));
         // Another geometry at the same side scales the same unit solve.
-        let other = cache.worst_drop(TechNode::N50, Microns(91.0), Microns(3.0))?;
+        let other =
+            cache.worst_drop_with_resolution(TechNode::N50, Microns(91.0), Microns(3.0), N)?;
         assert_eq!(
             other,
-            MeshCache::new().worst_drop(TechNode::N50, Microns(91.0), Microns(3.0))?
+            MeshCache::new().worst_drop_with_resolution(
+                TechNode::N50,
+                Microns(91.0),
+                Microns(3.0),
+                N
+            )?
         );
         assert_eq!((cache.misses(), cache.hits()), (1, 2));
         // Another side is a fresh unit solve; an even resolution rounds up
@@ -410,6 +412,32 @@ mod tests {
         ] {
             assert!((got - want).abs() <= 1e-6 * want, "{what}: {got} vs {want}");
         }
+        Ok(())
+    }
+
+    #[test]
+    fn serve_cold_grid_ratio_is_pinned() -> Result<(), GridError> {
+        // A spec's grid leg at serve-cold's 129²: the min-pitch plan of
+        // its node. The unit solve is bit-reproducible, so the
+        // mesh/analytic ratio moves only when one of the two models does.
+        // Both drops scale alike with current density, pitch, sheet
+        // resistance and rail width, so every node reads the same ratio
+        // (to 1e-15).
+        const RATIO_AT_129: f64 = 1.273_072_747_272_968;
+        let cache = MeshCache::new();
+        for node in TechNode::ALL {
+            let plan = crate::plan::GridPlan::min_pitch(node)?;
+            let width = plan
+                .rail_width
+                .ok_or(GridError::BadParameter("min-pitch plan lost routability"))?;
+            let mesh = cache.worst_drop_with_resolution(node, plan.bump_pitch, width, 129)?;
+            let ratio = mesh.0 / worst_case_drop(node, plan.bump_pitch, width)?.0;
+            assert!(
+                (ratio / RATIO_AT_129 - 1.0).abs() <= 1e-12,
+                "{node}: mesh/analytic {ratio:.17e}, pinned {RATIO_AT_129:.17e}"
+            );
+        }
+        assert_eq!((cache.misses(), cache.hits()), (1, 5));
         Ok(())
     }
 

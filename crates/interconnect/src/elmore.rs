@@ -115,18 +115,4 @@ mod tests {
     fn zero_length_rejected() {
         assert!(RcLine::new(WireGeometry::top_level(TechNode::N50), Microns(0.0)).is_err());
     }
-
-    #[test]
-    fn unscaled_wiring_is_faster() {
-        let scaled = RcLine::new(WireGeometry::top_level(TechNode::N35), Microns(10_000.0))
-            .unwrap()
-            .intrinsic_delay();
-        let unscaled = RcLine::new(
-            WireGeometry::top_level_unscaled(TechNode::N35),
-            Microns(10_000.0),
-        )
-        .unwrap()
-        .intrinsic_delay();
-        assert!(unscaled.0 < scaled.0 / 3.0);
-    }
 }

@@ -18,20 +18,6 @@ use np_units::{Microns, Seconds, Volts};
 /// Vacuum permeability in H/µm (4π×10⁻⁷ H/m × 10⁻⁶ m/µm).
 pub const MU0_H_PER_UM: f64 = 1.2566e-12;
 
-/// Self (partial, loop-to-plane) inductance per micron of a trace, H/µm:
-/// `L = µ₀/(2π) · ln(8h/w + w/(4h))` (microstrip approximation; the
-/// current-return plane sits `h` below).
-///
-/// # Panics
-///
-/// Panics for non-positive geometry.
-pub fn self_inductance_per_um(geometry: &WireGeometry) -> f64 {
-    let w = geometry.width.0;
-    let h = 4.0 * geometry.height.0; // the return plane is a few levels down
-    assert!(w > 0.0 && h > 0.0, "geometry must be positive");
-    MU0_H_PER_UM / (2.0 * std::f64::consts::PI) * (8.0 * h / w + w / (4.0 * h)).ln()
-}
-
 /// Mutual inductance per micron between two parallel traces separated by
 /// `separation` (centre to centre) over the same return plane:
 /// `M = µ₀/(4π) · ln(1 + (2h/d)²)`.
@@ -43,16 +29,6 @@ pub fn mutual_inductance_per_um(geometry: &WireGeometry, separation: Microns) ->
     assert!(separation.0 > 0.0, "separation must be positive");
     let h = 4.0 * geometry.height.0;
     MU0_H_PER_UM / (4.0 * std::f64::consts::PI) * (1.0 + (2.0 * h / separation.0).powi(2)).ln()
-}
-
-/// True when inductance matters for a driven line: the classic criterion
-/// `R_total/2 < Z₀ = sqrt(L/C)` (the line rings rather than diffusing).
-pub fn is_inductance_significant(geometry: &WireGeometry, length: Microns) -> bool {
-    let r = geometry.resistance_per_micron().0 * length.0;
-    let l = self_inductance_per_um(geometry);
-    let c = geometry.capacitance_per_micron().0;
-    let z0 = (l / c).sqrt();
-    r / 2.0 < z0
 }
 
 /// Inductive noise coupled onto a victim by an aggressor switching
@@ -146,14 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn self_inductance_is_fractions_of_ph_per_um() {
-        for node in TechNode::ALL {
-            let l = self_inductance_per_um(&top(node)) * 1e12; // pH/µm
-            assert!((0.1..=2.0).contains(&l), "{node}: {l} pH/µm");
-        }
-    }
-
-    #[test]
     fn mutual_falls_with_separation_but_slowly() {
         // The slow logarithmic falloff is exactly why one shield track is
         // not enough: flux skips over it.
@@ -170,17 +138,6 @@ mod tests {
             "shield removes only {:.0}%",
             (1.0 - m2 / m1) * 100.0
         );
-    }
-
-    #[test]
-    fn long_fat_top_wires_are_inductance_significant() {
-        // The unscaled 180 nm-geometry global wires of ref. [9] ring;
-        // minimum-pitch scaled wires at the end of the roadmap are
-        // resistive.
-        let fat = WireGeometry::top_level_unscaled(TechNode::N35);
-        assert!(is_inductance_significant(&fat, Microns(2_000.0)));
-        let thin = top(TechNode::N35);
-        assert!(!is_inductance_significant(&thin, Microns(20_000.0)));
     }
 
     #[test]

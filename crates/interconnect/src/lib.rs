@@ -4,8 +4,7 @@
 //! Challenges in Nanometer Design* (Sylvester & Kaul, DAC 2001):
 //!
 //! * [`wire`] — per-layer wire geometry with Sakurai resistance /
-//!   capacitance models, including the "unscaled top level wiring" option
-//!   of ref. \[9\];
+//!   capacitance models;
 //! * [`elmore`] — distributed-RC line delay;
 //! * [`repeater`] — optimal CMOS repeater insertion (size and spacing) and
 //!   the chip-level repeater census behind the paper's "nearly 10⁶
@@ -33,7 +32,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod chip;
-pub mod crosstalk;
 pub mod elmore;
 mod error;
 pub mod inductance;

@@ -98,18 +98,6 @@ impl LowSwingLink {
         let wire = self.line.elmore_delay(r_drv, Farads(0.0));
         Seconds(wire.0 * frac + RECEIVER_DELAY_PS * 1e-12)
     }
-
-    /// Worst-case differential noise relative to the swing: coupling noise
-    /// appears common-mode on a twisted/shielded pair, so only the
-    /// residual mismatch (taken as 10 % of single-ended coupling) counts.
-    pub fn noise_margin_fraction(&self) -> f64 {
-        let g = &self.line.geometry;
-        let c_total = g.capacitance_per_micron().0;
-        let c_shield = g.capacitance_shielded_per_micron().0;
-        let coupling_fraction = (c_total - c_shield) / c_total;
-        let differential_residual = 0.1 * coupling_fraction * self.vdd.0;
-        1.0 - differential_residual / self.swing.0
-    }
 }
 
 #[cfg(test)]
@@ -171,14 +159,6 @@ mod tests {
         let tech = DriverTech::from_device(&dev, node.params().vdd).unwrap();
         let d = l.delay(&tech, Microns(20.0));
         assert!(d.as_pico() > RECEIVER_DELAY_PS);
-    }
-
-    #[test]
-    fn differential_noise_margin_is_healthy_at_10pct() {
-        // Section 2.2: low-swing differential "is more noise immune than
-        // single-ended full-swing CMOS".
-        let m = link(TechNode::N50).noise_margin_fraction();
-        assert!(m > 0.5, "got {m}");
     }
 
     #[test]

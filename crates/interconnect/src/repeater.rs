@@ -74,14 +74,6 @@ pub struct RepeaterDesign {
     pub energy_per_transition: f64,
 }
 
-impl RepeaterDesign {
-    /// Average signal velocity on the repeated line, in µm/ps — repeaters
-    /// linearize the otherwise quadratic wire delay.
-    pub fn velocity_um_per_ps(&self, line_length: Microns) -> f64 {
-        line_length.0 / self.total_delay.as_pico()
-    }
-}
-
 /// Optimally inserts repeaters in `line` using drivers from `tech`.
 ///
 /// # Errors
@@ -140,43 +132,6 @@ pub struct RepeaterCensus {
     pub power: Watts,
 }
 
-/// Power density of repeater cluster blocks (Section 2.2, footnote 2:
-/// "Repeater clusters constrain repeater placement to ease floorplanning
-/// … Resulting power densities can exceed 100 W/cm²").
-///
-/// Repeaters are gathered into cluster blocks that together occupy
-/// `block_fraction` of the die; the repeater switching power concentrates
-/// there (independent of the cluster pitch, since blocks scale with their
-/// catchments).
-///
-/// # Errors
-///
-/// Propagates census errors; rejects a block fraction outside `(0, 1]`.
-pub fn cluster_power_density(
-    node: TechNode,
-    block_fraction: f64,
-) -> Result<np_units::WattsPerCm2, InterconnectError> {
-    if !(block_fraction > 0.0 && block_fraction <= 1.0) {
-        return Err(InterconnectError::BadParameter(
-            "block fraction must be in (0, 1]",
-        ));
-    }
-    let census = repeater_census(node)?;
-    // Repeater (gate + drain cap) share of the census power, spread over
-    // the die, then concentrated into the cluster blocks.
-    let p = node.params();
-    let dev = Mosfet::for_node(node)?;
-    let tech = DriverTech::from_device(&dev, p.vdd)?;
-    let probe = RcLine::new(WireGeometry::top_level(node), Microns(10_000.0))?;
-    let design = insert_repeaters(&probe, &tech)?;
-    let rep_cap = design.width.0 * tech.c0_per_um * (1.0 + DRAIN_CAP_FRACTION);
-    let rep_energy = rep_cap * p.vdd.0 * p.vdd.0;
-    let rep_power = GLOBAL_ACTIVITY * p.global_clock.0 * rep_energy * census.repeater_count as f64;
-    let die_cm2 = p.die_area.as_cm2();
-    let uniform_density = rep_power / die_cm2;
-    Ok(np_units::WattsPerCm2(uniform_density / block_fraction))
-}
-
 /// Total switched global wire length of a node: utilization × global
 /// layers × die area / routing pitch.
 pub fn global_wire_length(node: TechNode, geometry: &WireGeometry) -> Microns {
@@ -192,19 +147,7 @@ pub fn global_wire_length(node: TechNode, geometry: &WireGeometry) -> Microns {
 ///
 /// Propagates device-calibration errors.
 pub fn repeater_census(node: TechNode) -> Result<RepeaterCensus, InterconnectError> {
-    repeater_census_with(node, WireGeometry::top_level(node))
-}
-
-/// Runs the census with an explicit wire geometry (e.g. the unscaled
-/// wiring of ref. \[9\]).
-///
-/// # Errors
-///
-/// Propagates device-calibration errors.
-pub fn repeater_census_with(
-    node: TechNode,
-    geometry: WireGeometry,
-) -> Result<RepeaterCensus, InterconnectError> {
+    let geometry = WireGeometry::top_level(node);
     let p = node.params();
     let dev = Mosfet::for_node(node)?;
     let tech = DriverTech::from_device(&dev, p.vdd)?;
@@ -307,27 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn unscaled_wiring_needs_fewer_repeaters() {
-        let scaled = repeater_census(TechNode::N35).unwrap();
-        let unscaled = repeater_census_with(
-            TechNode::N35,
-            WireGeometry::top_level_unscaled(TechNode::N35),
-        )
-        .unwrap();
-        assert!(unscaled.repeater_count < scaled.repeater_count);
-    }
-
-    #[test]
-    fn velocity_is_sane() {
-        let node = TechNode::N70;
-        let line = cm_line(node);
-        let d = insert_repeaters(&line, &tech(node)).unwrap();
-        let v = d.velocity_um_per_ps(line.length);
-        // Repeated on-chip wires run at 50-1000 µm/ps equivalent.
-        assert!((10.0..=1_000.0).contains(&v), "got {v}");
-    }
-
-    #[test]
     fn bad_driver_rejected() {
         let line = cm_line(TechNode::N70);
         let bad = DriverTech {
@@ -336,37 +258,5 @@ mod tests {
             vdd: Volts(0.9),
         };
         assert!(insert_repeaters(&line, &bad).is_err());
-    }
-}
-
-#[cfg(test)]
-mod cluster_tests {
-    use super::*;
-
-    #[test]
-    fn cluster_density_exceeds_100w_per_cm2_in_nanometer_regime() {
-        // Footnote 2: "Resulting power densities can exceed 100 W/cm²"
-        // when repeaters concentrate in cluster blocks (a few percent of
-        // the area).
-        let d = cluster_power_density(TechNode::N50, 0.04).unwrap();
-        assert!(d.0 > 100.0, "got {d}");
-        // Spread uniformly the repeaters alone are far below that.
-        let uniform = cluster_power_density(TechNode::N50, 1.0).unwrap();
-        assert!(uniform.0 < 100.0, "got {uniform}");
-    }
-
-    #[test]
-    fn cluster_density_grows_along_roadmap() {
-        // Not monotone (supply drops fight repeater proliferation), but
-        // the nanometer regime sits well above "today".
-        let early = cluster_power_density(TechNode::N180, 0.04).unwrap();
-        let late = cluster_power_density(TechNode::N35, 0.04).unwrap();
-        assert!(late.0 > 2.0 * early.0, "{} -> {}", early.0, late.0);
-    }
-
-    #[test]
-    fn cluster_bad_inputs_rejected() {
-        assert!(cluster_power_density(TechNode::N50, 0.0).is_err());
-        assert!(cluster_power_density(TechNode::N50, 1.5).is_err());
     }
 }

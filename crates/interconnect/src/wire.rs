@@ -1,14 +1,10 @@
 //! Wire geometry and per-length R/C.
 //!
 //! Capacitance uses Sakurai's closed-form fit (ground plus two-neighbour
-//! coupling); resistance is `ρ / (w · t)`. The paper's ref. \[9\] shows that
-//! ITRS global clock targets are reachable only with *unscaled* top-level
-//! wiring — [`WireGeometry::top_level_unscaled`] freezes the 180 nm global
-//! geometry at every node to model that proposal.
+//! coupling); resistance is `ρ / (w · t)`.
 
-use crate::error::InterconnectError;
 use np_roadmap::TechNode;
-use np_units::{guard, FaradsPerMicron, Microns, Ohms};
+use np_units::{FaradsPerMicron, Microns, Ohms};
 
 /// Vacuum permittivity in F/µm.
 const EPS0_F_PER_UM: f64 = 8.854e-18;
@@ -57,35 +53,6 @@ impl WireGeometry {
             k_dielectric: k,
             resistivity: RHO_CU_OHM_UM,
         }
-    }
-
-    /// The ref. \[9\] proposal: keep the fat 180 nm global geometry at every
-    /// node (only the dielectric improves), trading routing density for
-    /// global delay.
-    pub fn top_level_unscaled(node: TechNode) -> Self {
-        let mut g = Self::top_level(TechNode::N180);
-        g.k_dielectric = Self::top_level(node).k_dielectric;
-        g
-    }
-
-    /// A scaled wider trace: the same geometry with width (and thickness)
-    /// multiplied by `factor` — how the power grid sizes its rails.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InterconnectError::BadParameter`] for a non-positive
-    /// factor, [`InterconnectError::NonFinite`] for a NaN/infinite one.
-    pub fn widened(&self, factor: f64) -> Result<Self, InterconnectError> {
-        guard::finite(factor, "width factor", "WireGeometry::widened")?;
-        if !(factor > 0.0) {
-            return Err(InterconnectError::BadParameter(
-                "width factor must be positive",
-            ));
-        }
-        Ok(WireGeometry {
-            width: self.width * factor,
-            ..*self
-        })
     }
 
     /// Routing pitch (width + spacing).
@@ -161,28 +128,6 @@ mod tests {
             .resistance_per_micron()
             .0;
         assert!((r180 - 0.0172).abs() < 0.002, "got {r180}");
-    }
-
-    #[test]
-    fn unscaled_geometry_keeps_180nm_resistance() {
-        let r_scaled = WireGeometry::top_level(TechNode::N50).resistance_per_micron();
-        let r_unscaled = WireGeometry::top_level_unscaled(TechNode::N50).resistance_per_micron();
-        assert!(r_unscaled.0 < r_scaled.0 / 5.0);
-    }
-
-    #[test]
-    fn widening_reduces_resistance_linearly() {
-        let g = WireGeometry::top_level(TechNode::N35);
-        let wide = g.widened(16.0).unwrap();
-        let ratio = g.resistance_per_micron().0 / wide.resistance_per_micron().0;
-        assert!((ratio - 16.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn widened_rejects_bad_factor() {
-        let g = WireGeometry::top_level(TechNode::N35);
-        assert!(g.widened(0.0).is_err());
-        assert!(g.widened(-2.0).is_err());
     }
 
     #[test]

@@ -21,10 +21,6 @@ pub struct CombinedOptions {
     pub activity: f64,
     /// Clock frequency for the accounting; `None` = timing-context clock.
     pub frequency: Option<Hertz>,
-    /// Run the sizing stage.
-    pub enable_sizing: bool,
-    /// Run the dual-Vth stage.
-    pub enable_dual_vth: bool,
 }
 
 impl Default for CombinedOptions {
@@ -33,8 +29,6 @@ impl Default for CombinedOptions {
             cvs: CvsOptions::default(),
             activity: 0.1,
             frequency: None,
-            enable_sizing: true,
-            enable_dual_vth: true,
         }
     }
 }
@@ -46,10 +40,10 @@ pub struct CombinedResult {
     pub baseline: PowerReport,
     /// CVS stage outcome.
     pub cvs: CvsResult,
-    /// Sizing stage outcome (when enabled).
-    pub sizing: Option<SizingResult>,
-    /// Dual-Vth stage outcome (when enabled).
-    pub dual_vth: Option<DualVthResult>,
+    /// Sizing stage outcome.
+    pub sizing: SizingResult,
+    /// Dual-Vth stage outcome.
+    pub dual_vth: DualVthResult,
     /// Power of the final design.
     pub final_power: PowerReport,
 }
@@ -103,16 +97,8 @@ pub fn optimize(
     cvs_opts.activity = options.activity;
     cvs_opts.frequency = Some(freq);
     let cvs = cluster_voltage_scale(netlist, ctx, &cvs_opts)?;
-    let sizing = if options.enable_sizing {
-        Some(downsize(netlist, ctx, options.activity, Some(freq))?)
-    } else {
-        None
-    };
-    let dual_vth = if options.enable_dual_vth {
-        Some(assign_dual_vth(netlist, ctx, options.activity, Some(freq))?)
-    } else {
-        None
-    };
+    let sizing = downsize(netlist, ctx, options.activity, Some(freq))?;
+    let dual_vth = assign_dual_vth(netlist, ctx, options.activity, Some(freq))?;
     let final_power = netlist_power(netlist, ctx, options.activity, freq)?;
     Ok(CombinedResult {
         baseline,
@@ -141,16 +127,7 @@ mod tests {
         let (mut nl, ctx) = setup(1.4);
         let full = optimize(&mut nl, &ctx, &CombinedOptions::default()).unwrap();
         let (mut nl2, ctx2) = setup(1.4);
-        let cvs_only = optimize(
-            &mut nl2,
-            &ctx2,
-            &CombinedOptions {
-                enable_sizing: false,
-                enable_dual_vth: false,
-                ..CombinedOptions::default()
-            },
-        )
-        .unwrap();
+        let cvs_only = cluster_voltage_scale(&mut nl2, &ctx2, &CvsOptions::default()).unwrap();
         assert!(full.total_saving() > cvs_only.total_saving());
         assert!(full.leakage_saving() > 0.3);
         assert!(full.dynamic_saving() > 0.3);

@@ -28,7 +28,7 @@
 //! Rounds repeat — each round's accepted moves free or consume slack for
 //! the next — until a round accepts nothing or `max_rounds` is reached.
 
-use crate::cvs::{CvsStyle, CONVERTER_AREA_UNITS};
+use crate::cvs::CONVERTER_AREA_UNITS;
 use crate::error::OptError;
 use crate::sizing::{MIN_DRIVE, SIZING_STEP};
 use np_circuit::cell::{SupplyClass, VthClass};
@@ -44,6 +44,11 @@ const SCORE_CANCEL_STRIDE: usize = 1024;
 
 /// How often the accept loop polls the cancel closure, in proposals.
 const ACCEPT_CANCEL_STRIDE: usize = 256;
+
+/// Fraction of a gate's frozen slack a move's estimated delay cost may
+/// consume for the move to be proposed. The exact check at accept time is
+/// incremental STA; this only prunes hopeless candidates.
+const SLACK_SAFETY: f64 = 0.9;
 
 /// The process-wide scoring thread budget; `0` means "unset", which
 /// resolves to the machine's available parallelism.
@@ -123,18 +128,6 @@ pub struct ParallelOptions {
     /// Maximum optimization rounds (each round is one full-STA freeze +
     /// parallel scoring + sequential accept pass).
     pub max_rounds: usize,
-    /// Fraction of a gate's frozen slack its estimated delay cost may
-    /// consume for the move to be proposed (the exact check at accept
-    /// time is incremental STA; this only prunes hopeless candidates).
-    pub slack_safety: f64,
-    /// Level-conversion discipline for supply moves.
-    pub style: CvsStyle,
-    /// Propose CVS (low-supply) moves.
-    pub enable_cvs: bool,
-    /// Propose dual-Vth moves.
-    pub enable_dual_vth: bool,
-    /// Propose down-sizing moves.
-    pub enable_sizing: bool,
 }
 
 impl Default for ParallelOptions {
@@ -144,11 +137,6 @@ impl Default for ParallelOptions {
             frequency: None,
             workers: None,
             max_rounds: 8,
-            slack_safety: 0.9,
-            style: CvsStyle::Clustered,
-            enable_cvs: true,
-            enable_dual_vth: true,
-            enable_sizing: true,
         }
     }
 }
@@ -326,7 +314,6 @@ struct RoundView<'a> {
     ctx: &'a TimingContext,
     report: &'a TimingReport,
     leak: &'a LeakModel,
-    options: &'a ParallelOptions,
     /// Switching energy factor `activity × frequency` (1/s).
     af: f64,
 }
@@ -339,12 +326,12 @@ impl RoundView<'_> {
     }
 
     /// Scores the best move for one gate against the frozen round state,
-    /// or `None` when no enabled move is admissible and profitable.
+    /// or `None` when no move is admissible and profitable.
     fn score(&self, id: GateId) -> Option<Proposal> {
         let g = self.netlist.gate(id);
         let i = id.index();
         let slack = self.report.slack[i].0;
-        let budget = slack * self.options.slack_safety;
+        let budget = slack * SLACK_SAFETY;
         let delay = self.report.delay[i].0;
         let mult = self.ctx.delay_multiplier(g.supply, g.vth);
         let mut best: Option<Proposal> = None;
@@ -362,18 +349,15 @@ impl RoundView<'_> {
             }
         };
 
-        if self.options.enable_cvs && g.supply == SupplyClass::High {
+        if g.supply == SupplyClass::High {
+            // Clustered CVS: a gate may go low at an endpoint, or once
+            // every fan-out has.
             let fanouts = self.netlist.fanouts(id);
             let endpoint = fanouts.is_empty() || g.is_output;
-            let admissible = match self.options.style {
-                CvsStyle::Clustered => {
-                    endpoint
-                        || fanouts
-                            .iter()
-                            .all(|&f| self.netlist.supply(f) == SupplyClass::Low)
-                }
-                CvsStyle::Extended => true,
-            };
+            let admissible = endpoint
+                || fanouts
+                    .iter()
+                    .all(|&f| self.netlist.supply(f) == SupplyClass::Low);
             if admissible {
                 let high_fanouts = fanouts
                     .iter()
@@ -404,7 +388,7 @@ impl RoundView<'_> {
             }
         }
 
-        if self.options.enable_dual_vth && g.vth == VthClass::Low {
+        if g.vth == VthClass::Low {
             let gain = self.leakage_of(id, g.supply, VthClass::Low, g.drive)
                 - self.leakage_of(id, g.supply, VthClass::High, g.drive);
             let mult_new = self.ctx.delay_multiplier(g.supply, VthClass::High);
@@ -412,27 +396,25 @@ impl RoundView<'_> {
             consider(MoveKind::ToHighVth, gain, est, g.drive);
         }
 
-        if self.options.enable_sizing {
-            let new_drive = (g.drive * SIZING_STEP).max(MIN_DRIVE);
-            if new_drive < g.drive {
-                // Fan-in drivers lose one pin's worth of load each.
-                let dc =
-                    self.ctx.input_cap(g.kind, g.drive).0 - self.ctx.input_cap(g.kind, new_drive).0;
-                let mut gain = 0.0;
-                for &f in g.fanins {
-                    let v = self.ctx.supply_voltage(self.netlist.supply(f)).0;
-                    gain += self.af * dc * v * v;
-                }
-                gain += self.leakage_of(id, g.supply, g.vth, g.drive)
-                    - self.leakage_of(id, g.supply, g.vth, new_drive);
-                gain += self.leak.lambda_area * g.kind.relative_width() * (g.drive - new_drive);
-                // The gate's own stage effort grows as its input cap falls.
-                let tau = self.ctx.tau().0;
-                let parasitic = g.kind.parasitic_delay();
-                let h = (delay / (tau * mult) - parasitic).max(0.0);
-                let est = tau * mult * h * (g.drive / new_drive - 1.0);
-                consider(MoveKind::Downsize, gain, est, new_drive);
+        let new_drive = (g.drive * SIZING_STEP).max(MIN_DRIVE);
+        if new_drive < g.drive {
+            // Fan-in drivers lose one pin's worth of load each.
+            let dc =
+                self.ctx.input_cap(g.kind, g.drive).0 - self.ctx.input_cap(g.kind, new_drive).0;
+            let mut gain = 0.0;
+            for &f in g.fanins {
+                let v = self.ctx.supply_voltage(self.netlist.supply(f)).0;
+                gain += self.af * dc * v * v;
             }
+            gain += self.leakage_of(id, g.supply, g.vth, g.drive)
+                - self.leakage_of(id, g.supply, g.vth, new_drive);
+            gain += self.leak.lambda_area * g.kind.relative_width() * (g.drive - new_drive);
+            // The gate's own stage effort grows as its input cap falls.
+            let tau = self.ctx.tau().0;
+            let parasitic = g.kind.parasitic_delay();
+            let h = (delay / (tau * mult) - parasitic).max(0.0);
+            let est = tau * mult * h * (g.drive / new_drive - 1.0);
+            consider(MoveKind::Downsize, gain, est, new_drive);
         }
 
         best
@@ -501,9 +483,6 @@ where
     if !(options.activity > 0.0 && options.activity <= 1.0) {
         return Err(OptError::BadParameter("activity must be in (0, 1]"));
     }
-    if !(options.slack_safety > 0.0 && options.slack_safety <= 1.0) {
-        return Err(OptError::BadParameter("slack_safety must be in (0, 1]"));
-    }
     if options.max_rounds == 0 {
         return Err(OptError::BadParameter("max_rounds must be positive"));
     }
@@ -537,7 +516,6 @@ where
             ctx,
             report: &report,
             leak: &leak,
-            options,
             af,
         };
         let proposals = {
@@ -559,7 +537,7 @@ where
                     cancelled = true;
                     break;
                 }
-                if apply_proposal(netlist, &mut sta, options, p, &mut stats)? {
+                if apply_proposal(netlist, &mut sta, p, &mut stats)? {
                     stats.accepted += 1;
                 } else {
                     stats.reverted += 1;
@@ -656,7 +634,6 @@ where
 fn apply_proposal(
     netlist: &mut Netlist,
     sta: &mut IncrementalSta<'_>,
-    options: &ParallelOptions,
     p: &Proposal,
     stats: &mut RoundStats,
 ) -> Result<bool, OptError> {
@@ -669,16 +646,14 @@ fn apply_proposal(
             // were Low at freeze are still Low: this check cannot fail on
             // a proposal the frozen view admitted. It guards the
             // clustering invariant rather than reacting to reverts.
-            if options.style == CvsStyle::Clustered {
-                let fanouts = netlist.fanouts(id);
-                let endpoint = fanouts.is_empty() || netlist.is_output(id);
-                let ok = endpoint
-                    || fanouts
-                        .iter()
-                        .all(|&f| netlist.supply(f) == SupplyClass::Low);
-                if !ok {
-                    return Ok(false);
-                }
+            let fanouts = netlist.fanouts(id);
+            let endpoint = fanouts.is_empty() || netlist.is_output(id);
+            let ok = endpoint
+                || fanouts
+                    .iter()
+                    .all(|&f| netlist.supply(f) == SupplyClass::Low);
+            if !ok {
+                return Ok(false);
             }
             netlist.gate_mut(id).set_supply(SupplyClass::Low);
             stats.cone_visited += sta.reevaluate(netlist, id)?.visited;
@@ -799,10 +774,6 @@ mod tests {
                 ..ParallelOptions::default()
             },
             ParallelOptions {
-                slack_safety: 1.5,
-                ..ParallelOptions::default()
-            },
-            ParallelOptions {
                 max_rounds: 0,
                 ..ParallelOptions::default()
             },
@@ -841,26 +812,6 @@ mod tests {
         assert_eq!(r.total_accepted(), 0);
         assert_eq!(assignment_digest(&nl), before, "cancel must not half-apply");
         assert!(ctx.analyze(&nl).unwrap().is_feasible());
-    }
-
-    #[test]
-    fn single_move_families_work_alone() {
-        for (cvs, vth, sizing) in [
-            (true, false, false),
-            (false, true, false),
-            (false, false, true),
-        ] {
-            let (mut nl, ctx) = setup(17, 1.5);
-            let opts = ParallelOptions {
-                enable_cvs: cvs,
-                enable_dual_vth: vth,
-                enable_sizing: sizing,
-                ..ParallelOptions::default()
-            };
-            let r = optimize_parallel(&mut nl, &ctx, &opts).unwrap();
-            assert!(r.total_accepted() > 0, "family ({cvs},{vth},{sizing})");
-            assert!(ctx.analyze(&nl).unwrap().is_feasible());
-        }
     }
 
     #[test]

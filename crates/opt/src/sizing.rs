@@ -42,15 +42,6 @@ impl SizingResult {
     pub fn dynamic_saving(&self) -> f64 {
         1.0 - self.after.dynamic / self.before.dynamic
     }
-
-    /// The sublinearity ratio: dynamic saving per unit of gate-cap
-    /// reduction. Below 1 because interconnect capacitance stays.
-    pub fn saving_per_cap_reduction(&self) -> f64 {
-        if self.gate_cap_reduction <= 0.0 {
-            return 0.0;
-        }
-        self.dynamic_saving() / self.gate_cap_reduction
-    }
 }
 
 /// Greedy down-sizing: gates are visited most-slack-first and stepped down
@@ -220,7 +211,7 @@ mod tests {
         let (mut nl, ctx) = setup(1.3);
         let r = downsize(&mut nl, &ctx, 0.1, None).unwrap();
         assert!(r.gate_cap_reduction > 0.1);
-        let ratio = r.saving_per_cap_reduction();
+        let ratio = r.dynamic_saving() / r.gate_cap_reduction;
         assert!(
             ratio < 0.95,
             "saving per cap reduction {ratio:.2} should be sublinear"

@@ -48,7 +48,10 @@ proptest! {
         let (mut nl, ctx) = setup(seed, factor);
         let r = downsize(&mut nl, &ctx, 0.1, None).unwrap();
         prop_assert!(r.after.total() <= r.before.total() * (1.0 + 1e-12));
-        prop_assert!(r.saving_per_cap_reduction() <= 1.0 + 1e-9, "sublinearity");
+        if r.gate_cap_reduction > 0.0 {
+            let per_cap = r.dynamic_saving() / r.gate_cap_reduction;
+            prop_assert!(per_cap <= 1.0 + 1e-9, "sublinearity");
+        }
         prop_assert!(ctx.analyze(&nl).unwrap().is_feasible());
     }
 

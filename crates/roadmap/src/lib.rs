@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod interp;
 pub mod itrs;
 pub mod packaging;
 pub mod survey;

@@ -118,12 +118,6 @@ impl PackagingRoadmap {
     pub fn itrs_current_per_vdd_bump(&self) -> Amps {
         self.node.params().worst_case_current() / self.itrs_vdd_bumps() as f64
     }
-
-    /// True when the ITRS bump provisioning cannot carry the node's
-    /// worst-case supply current.
-    pub fn itrs_bumps_are_inadequate(&self) -> bool {
-        self.itrs_current_per_vdd_bump() > self.bump_current_limit
-    }
 }
 
 impl fmt::Display for PackagingRoadmap {
@@ -203,7 +197,7 @@ mod tests {
     #[test]
     fn itrs_bumps_cannot_carry_300a_at_35nm() {
         let pkg = PackagingRoadmap::for_node(TechNode::N35);
-        assert!(pkg.itrs_bumps_are_inadequate());
+        assert!(pkg.itrs_current_per_vdd_bump() > pkg.bump_current_limit);
         // ~305 A / ~1500 bumps = ~200 mA, above the 125 mA limit.
         assert!((pkg.itrs_current_per_vdd_bump().0 - 0.2).abs() < 0.02);
     }

@@ -58,12 +58,6 @@ impl DeviceReport {
     pub fn is_itrs_projection(&self) -> bool {
         self.reference == "ITRS"
     }
-
-    /// The `Ion/Ioff` ratio — the figure of merit the paper's discussion
-    /// revolves around.
-    pub fn on_off_ratio(&self) -> f64 {
-        self.ion.0 / self.ioff.0
-    }
 }
 
 impl fmt::Display for DeviceReport {
@@ -272,7 +266,7 @@ mod tests {
     fn on_off_ratios_are_positive_and_large() {
         for r in &SURVEY {
             assert!(
-                r.on_off_ratio() > 1_000.0,
+                r.ion.0 / r.ioff.0 > 1_000.0,
                 "{}: ratio too small",
                 r.reference
             );

@@ -1,7 +1,7 @@
-//! Exporters: Chrome `trace_event` JSON and a flat-text dump.
+//! Exporter: Chrome `trace_event` JSON.
 //!
-//! Both exporters render [`Collector::records`] — the deterministic
-//! span order — so two runs of the same workload produce structurally
+//! The exporter renders [`Collector::records`] — the deterministic span
+//! order — so two runs of the same workload produce structurally
 //! identical output, differing only in the timing numbers.
 
 use crate::collector::{Collector, Summary};
@@ -114,65 +114,6 @@ impl Collector {
             out.push_str("\n    ");
         }
         out.push_str("}\n  }\n}\n");
-        out
-    }
-
-    /// Exports the collector as indented flat text: one line per span
-    /// record (with nesting shown by indentation), then counters and
-    /// value statistics. Meant for eyeballs and logs, not machines.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use np_telemetry::{Collector, install, span, counter};
-    /// # if cfg!(feature = "off") { return; }
-    ///
-    /// let c = Collector::new();
-    /// {
-    ///     let _g = install(&c);
-    ///     let _outer = span("outer");
-    ///     let _inner = span("inner");
-    ///     counter("iterations", 3);
-    /// }
-    /// let text = c.flat_text();
-    /// assert!(text.contains("outer"));
-    /// assert!(text.contains("  inner"));
-    /// assert!(text.contains("counter iterations 3"));
-    /// ```
-    pub fn flat_text(&self) -> String {
-        let records = self.records();
-        let summary = self.summary();
-        let mut out = String::from("spans:\n");
-        let mut last_tid = None;
-        for r in &records {
-            if last_tid != Some(r.tid) {
-                let _ = writeln!(out, " thread {}:", r.tid);
-                last_tid = Some(r.tid);
-            }
-            let _ = writeln!(
-                out,
-                "  {}{} {} us (at +{} us)",
-                "  ".repeat(r.depth as usize),
-                r.name,
-                r.dur_us,
-                r.start_us
-            );
-        }
-        out.push_str("counters:\n");
-        for (name, total) in &summary.counters {
-            let _ = writeln!(out, "  counter {name} {total}");
-        }
-        out.push_str("values:\n");
-        for (name, stats) in &summary.values {
-            let _ = writeln!(
-                out,
-                "  value {name} count={} min={} max={} mean={}",
-                stats.count,
-                json_f64(stats.min),
-                json_f64(stats.max),
-                json_f64(stats.mean())
-            );
-        }
         out
     }
 }
@@ -288,11 +229,11 @@ mod tests {
 
     #[test]
     fn exports_are_deterministic_modulo_timestamps() {
-        // Replaces each timing number — a digit run right after one of
-        // `before` or right before one of `after` — with one '#', whatever
-        // its magnitude (9 us vs 12 us). Every other digit (counter totals,
-        // value stats, tid, depth) must match exactly.
-        let strip = |s: &str, before: &[&str], after: &[&str]| -> String {
+        // Replaces each timing number — a digit run right after `"ts": `
+        // or `"dur": ` — with one '#', whatever its magnitude (9 us vs
+        // 12 us). Every other digit (counter totals, value stats, tid,
+        // depth) must match exactly.
+        let strip = |s: &str| -> String {
             let mut out = String::with_capacity(s.len());
             let mut rest = s;
             while let Some(i) = rest.find(|c: char| c.is_ascii_digit()) {
@@ -302,35 +243,18 @@ mod tests {
                     .find(|c: char| !c.is_ascii_digit())
                     .unwrap_or(tail.len());
                 let (run, next) = tail.split_at(n);
-                let timing = before.iter().any(|p| out.ends_with(p))
-                    || after.iter().any(|p| next.starts_with(p));
+                let timing = ["\"ts\": ", "\"dur\": "].iter().any(|p| out.ends_with(p));
                 out.push_str(if timing { "#" } else { run });
                 rest = next;
             }
             out.push_str(rest);
             out
         };
-        let trace = |s: &str| strip(s, &["\"ts\": ", "\"dur\": "], &[]);
-        let a = trace(&sample().chrome_trace());
-        let b = trace(&sample().chrome_trace());
+        let a = strip(&sample().chrome_trace());
+        let b = strip(&sample().chrome_trace());
         assert_eq!(a, b);
         assert!(a.contains("\"ts\": #, \"dur\": #"), "{a}");
         assert!(a.contains("\"iters\": 42"), "{a}");
-        let text = |s: &str| strip(s, &[], &[" us"]);
-        let a = text(&sample().flat_text());
-        let b = text(&sample().flat_text());
-        assert_eq!(a, b);
-        assert!(a.contains("# us (at +# us)"), "{a}");
-        assert!(a.contains("counter iters 42"), "{a}");
-    }
-
-    #[test]
-    fn flat_text_indents_nested_spans() {
-        let text = sample().flat_text();
-        let outer = text.lines().find(|l| l.contains("outer")).unwrap();
-        let inner = text.lines().find(|l| l.contains("inner")).unwrap();
-        let lead = |l: &str| l.len() - l.trim_start().len();
-        assert_eq!(lead(inner), lead(outer) + 2, "{text}");
     }
 
     #[test]

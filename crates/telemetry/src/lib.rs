@@ -1,8 +1,8 @@
 //! # np-telemetry
 //!
 //! Zero-dependency run telemetry for the `nanopower` workspace: spans,
-//! counters, and value statistics with thread-safe collection, a
-//! Chrome `trace_event` exporter, and a flat-text exporter.
+//! counters, and value statistics with thread-safe collection, and a
+//! Chrome `trace_event` exporter.
 //!
 //! The workspace is offline (every dependency is vendored), so this
 //! crate is a deliberately small, std-only shim instead of a `tracing`
@@ -259,8 +259,8 @@ pub fn span(name: impl Into<Cow<'static, str>>) -> Span {
 /// under the `off` feature).
 ///
 /// Parallel solvers give each worker its own span this way, so a trace
-/// shows per-shard wall-clock and the flat-text/Chrome exports separate
-/// the shards into distinguishable rows. The name is only allocated when
+/// shows per-shard wall-clock and the Chrome export separates the shards
+/// into distinguishable rows. The name is only allocated when
 /// a collector is actually listening, so the helper stays free on
 /// un-instrumented runs.
 ///

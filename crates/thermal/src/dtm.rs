@@ -3,7 +3,9 @@
 //! Models the Pentium 4 thermal monitor \[7\]: an on-die temperature sensor
 //! (a biased diode with a comparator — here an ideal reading plus a fixed
 //! offset) trips when the junction crosses a trigger temperature, and the
-//! clock is throttled until the die cools through a hysteresis band.
+//! clock is throttled until the die cools through a hysteresis band. The
+//! throttle gates the clock, so power and performance both scale with the
+//! throttle factor.
 //! "The importance of dynamic thermal management techniques lies in their
 //! ability to reduce Pchip … to the effective worst-case power dissipation
 //! rather than the theoretical worst-case."
@@ -13,31 +15,6 @@ use crate::rc::ThermalRc;
 use crate::workload::WorkloadTrace;
 use np_units::{Celsius, Watts};
 use std::fmt;
-
-/// How the controller sheds power when throttled (Section 2.1 lists both:
-/// the Pentium 4 duty-cycles its clock; "Transmeta's approach dynamically
-/// varies the supply voltage").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ThrottleMode {
-    /// Clock gating / duty-cycling: power and performance both scale with
-    /// the throttle factor.
-    #[default]
-    ClockGating,
-    /// Dynamic voltage-and-frequency scaling: the supply tracks the
-    /// frequency, so power scales with the *cube* of the throttle factor
-    /// while performance scales linearly — the Transmeta advantage.
-    Dvfs,
-}
-
-impl ThrottleMode {
-    /// Dynamic-power multiplier at a given throttle factor.
-    pub fn power_factor(self, throttle: f64) -> f64 {
-        match self {
-            ThrottleMode::ClockGating => throttle,
-            ThrottleMode::Dvfs => throttle.powi(3),
-        }
-    }
-}
 
 /// DTM controller configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,8 +29,6 @@ pub struct DtmPolicy {
     /// Sensor offset: the diode reads this much below the true hot-spot
     /// temperature, so real controllers trigger early by this margin.
     pub sensor_offset: Celsius,
-    /// How power is shed while throttled.
-    pub mode: ThrottleMode,
 }
 
 impl DtmPolicy {
@@ -64,20 +39,6 @@ impl DtmPolicy {
             hysteresis: Celsius(2.0),
             throttle_factor: 0.5,
             sensor_offset: Celsius(2.0),
-            mode: ThrottleMode::ClockGating,
-        }
-    }
-
-    /// The same trigger with Transmeta-style DVFS throttling: a gentler
-    /// 0.7x frequency step whose voltage tracking sheds more power than a
-    /// 0.5x clock gate.
-    pub fn dvfs_at_trigger(trigger: Celsius) -> Self {
-        Self {
-            trigger,
-            hysteresis: Celsius(2.0),
-            throttle_factor: 0.7,
-            sensor_offset: Celsius(2.0),
-            mode: ThrottleMode::Dvfs,
         }
     }
 }
@@ -150,15 +111,12 @@ pub fn simulate(
         } else if sensed >= trip_at {
             throttled = true;
         }
-        let (factor, power_mult) = if throttled {
-            (
-                policy.throttle_factor,
-                policy.mode.power_factor(policy.throttle_factor),
-            )
+        let factor = if throttled {
+            policy.throttle_factor
         } else {
-            (1.0, 1.0)
+            1.0
         };
-        let p_eff = p * power_mult;
+        let p_eff = p * factor;
         let t = node.step(p_eff, dt);
         max_t = max_t.max(t);
         if throttled {
@@ -263,73 +221,5 @@ mod tests {
         let s = format!("{r}");
         assert!(s.contains("Tmax"));
         assert!(s.contains("throttled"));
-    }
-}
-
-#[cfg(test)]
-mod dvfs_tests {
-    use super::*;
-    use crate::package::Package;
-    use crate::rc::{ThermalRc, DEFAULT_HEAT_CAPACITY_J_PER_C};
-    use crate::workload::WorkloadTrace;
-    use np_units::{Seconds, ThermalResistance, Watts};
-
-    fn node(theta: f64) -> ThermalRc {
-        ThermalRc::new(
-            Package::new(ThermalResistance(theta), Celsius(45.0)),
-            DEFAULT_HEAT_CAPACITY_J_PER_C,
-        )
-    }
-
-    fn virus() -> WorkloadTrace {
-        WorkloadTrace::power_virus(Watts(100.0), 50_000, Seconds(1e-4))
-    }
-
-    #[test]
-    fn dvfs_mode_sheds_power_cubically() {
-        assert!((ThrottleMode::Dvfs.power_factor(0.7) - 0.343).abs() < 1e-12);
-        assert!((ThrottleMode::ClockGating.power_factor(0.7) - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dvfs_caps_the_virus_with_less_performance_loss() {
-        // Same undersized package, same trigger: the DVFS policy throttles
-        // to 0.7x speed instead of 0.5x, yet its cubic power shed still
-        // holds the cap — Transmeta's pitch in the paper's Section 2.1.
-        let gating = simulate(
-            node(0.733),
-            &virus(),
-            &DtmPolicy::at_trigger(Celsius(100.0)),
-        )
-        .unwrap();
-        let dvfs = simulate(
-            node(0.733),
-            &virus(),
-            &DtmPolicy::dvfs_at_trigger(Celsius(100.0)),
-        )
-        .unwrap();
-        assert!(
-            dvfs.max_temperature <= Celsius(101.5),
-            "{}",
-            dvfs.max_temperature
-        );
-        assert!(gating.max_temperature <= Celsius(101.5));
-        assert!(
-            dvfs.performance > gating.performance,
-            "DVFS {:.3} vs gating {:.3}",
-            dvfs.performance,
-            gating.performance
-        );
-    }
-
-    #[test]
-    fn dvfs_mean_power_is_lower_while_throttled() {
-        let dvfs = simulate(
-            node(0.733),
-            &virus(),
-            &DtmPolicy::dvfs_at_trigger(Celsius(100.0)),
-        )
-        .unwrap();
-        assert!(dvfs.mean_power < Watts(100.0));
     }
 }

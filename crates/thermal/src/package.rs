@@ -7,7 +7,6 @@
 
 use crate::error::ThermalError;
 use np_device::Mosfet;
-use np_roadmap::TechNode;
 use np_units::convergence::{Breakdown, ResidualTrace};
 use np_units::{guard, Celsius, Microns, ThermalResistance, Volts, Watts};
 
@@ -28,12 +27,6 @@ impl Package {
             theta_ja,
             t_ambient,
         }
-    }
-
-    /// The package required for `node` under ITRS junction limits.
-    pub fn itrs_required(node: TechNode) -> Self {
-        let pkg = np_roadmap::PackagingRoadmap::for_node(node);
-        Self::new(pkg.required_theta_ja(), pkg.t_ambient)
     }
 
     /// Eq. 1 solved for `Tchip`: the junction temperature at dissipation
@@ -61,14 +54,6 @@ impl Package {
         t_ambient: Celsius,
     ) -> ThermalResistance {
         ThermalResistance((t_max - t_ambient).0 / power.0)
-    }
-
-    /// The paper's DTM headroom argument: if the *effective* worst case is
-    /// `effective_fraction` (≈0.75) of the theoretical worst case, the
-    /// allowable θja is `1/effective_fraction` (≈1.33×) higher — "the
-    /// allowable θja is 33 % higher".
-    pub fn theta_headroom(effective_fraction: f64) -> f64 {
-        1.0 / effective_fraction
     }
 
     /// Solves the electro-thermal fixed point: junction temperature where
@@ -165,6 +150,7 @@ impl Package {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use np_roadmap::TechNode;
 
     fn pkg() -> Package {
         Package::new(ThermalResistance(0.8), Celsius(45.0))
@@ -182,18 +168,10 @@ mod tests {
     }
 
     #[test]
-    fn dtm_headroom_is_33_percent() {
-        // Section 2.1: "With an effective 25% reduction in Pchip, the
-        // allowable θja is 33% higher".
-        let h = Package::theta_headroom(0.75);
-        assert!((h - 4.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn itrs_package_tightens_with_node() {
-        let p180 = Package::itrs_required(TechNode::N180);
-        let p35 = Package::itrs_required(TechNode::N35);
-        assert!(p35.theta_ja < p180.theta_ja);
+        let p180 = np_roadmap::PackagingRoadmap::for_node(TechNode::N180);
+        let p35 = np_roadmap::PackagingRoadmap::for_node(TechNode::N35);
+        assert!(p35.required_theta_ja() < p180.required_theta_ja());
         assert_eq!(p35.t_ambient, Celsius(45.0));
     }
 

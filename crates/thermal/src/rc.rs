@@ -41,25 +41,6 @@ impl ThermalRc {
         }
     }
 
-    /// A node starting at ambient, with the capacity validated instead of
-    /// asserted — the panic-free form of [`ThermalRc::new`].
-    ///
-    /// # Errors
-    ///
-    /// [`ThermalError::NonFinite`] when the heat capacity, θja, or the
-    /// ambient temperature is NaN, infinite, or non-positive.
-    pub fn try_new(package: Package, heat_capacity: f64) -> Result<Self, ThermalError> {
-        let ctx = "ThermalRc::try_new";
-        guard::finite_positive(heat_capacity, "heat capacity", ctx)?;
-        guard::finite_positive(package.theta_ja.0, "theta_ja", ctx)?;
-        guard::finite(package.t_ambient.0, "ambient temperature", ctx)?;
-        Ok(Self {
-            package,
-            heat_capacity,
-            temperature: package.t_ambient,
-        })
-    }
-
     /// The thermal time constant `τ = θja · C_th`.
     pub fn time_constant(&self) -> Seconds {
         Seconds(self.package.theta_ja.0 * self.heat_capacity)
@@ -68,7 +49,7 @@ impl ThermalRc {
     /// Steps the node at constant dissipation until the temperature
     /// update falls below `tol_c` degrees, returning the settled
     /// temperature — the iterative counterpart of
-    /// [`ThermalRc::steady_state`], with a watchdog: if `max_steps`
+    /// [`Package::junction_temperature`], with a watchdog: if `max_steps`
     /// elapse first, the error's [`Convergence`] diagnostic carries the
     /// step count and the tail of the update history.
     ///
@@ -127,11 +108,6 @@ impl ThermalRc {
         self.temperature = t_inf + (self.temperature - t_inf) * alpha;
         self.temperature
     }
-
-    /// The steady-state temperature at constant dissipation.
-    pub fn steady_state(&self, power: Watts) -> Celsius {
-        self.package.junction_temperature(power)
-    }
 }
 
 #[cfg(test)]
@@ -158,7 +134,7 @@ mod tests {
         for _ in 0..10_000 {
             n.step(p, Seconds(1e-3));
         }
-        let expect = n.steady_state(p);
+        let expect = n.package.junction_temperature(p);
         assert!((n.temperature - expect).abs().0 < 0.01);
     }
 
@@ -166,7 +142,7 @@ mod tests {
     fn exact_step_is_stable_for_huge_dt() {
         let mut n = node();
         let t = n.step(Watts(60.0), Seconds(1e6));
-        assert!((t - n.steady_state(Watts(60.0))).abs().0 < 1e-6);
+        assert!((t - n.package.junction_temperature(Watts(60.0))).abs().0 < 1e-6);
     }
 
     #[test]
@@ -202,24 +178,11 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_bad_capacity_without_panicking() {
-        use crate::error::ThermalError;
-        let pkg = Package::new(ThermalResistance(0.8), Celsius(45.0));
-        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            assert!(matches!(
-                ThermalRc::try_new(pkg, bad),
-                Err(ThermalError::NonFinite(_))
-            ));
-        }
-        assert!(ThermalRc::try_new(pkg, 0.08).is_ok());
-    }
-
-    #[test]
     fn settle_matches_steady_state() {
         let mut n = node();
         let p = Watts(60.0);
         let settled = n.settle(p, Seconds(1e-3), 1e-9, 2_000_000).unwrap();
-        assert!((settled - n.steady_state(p)).abs().0 < 1e-3);
+        assert!((settled - n.package.junction_temperature(p)).abs().0 < 1e-3);
     }
 
     #[test]

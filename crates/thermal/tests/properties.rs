@@ -33,7 +33,7 @@ proptest! {
     ) {
         let pkg = Package::new(ThermalResistance(theta), Celsius(45.0));
         let mut node = ThermalRc::new(pkg, DEFAULT_HEAT_CAPACITY_J_PER_C);
-        let t_inf = node.steady_state(Watts(p));
+        let t_inf = pkg.junction_temperature(Watts(p));
         for _ in 0..steps {
             let t = node.step(Watts(p), Seconds(dt));
             prop_assert!(t.0 <= t_inf.0 + 1e-9, "overshoot: {t} vs {t_inf}");

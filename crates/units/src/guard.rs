@@ -104,29 +104,6 @@ pub fn finite_non_negative(
     }
 }
 
-/// Accepts finite values inside the inclusive range `[lo, hi]`.
-///
-/// # Errors
-///
-/// [`NonFinite`] when `value` is NaN, infinite, or outside the range.
-pub fn in_range(
-    value: f64,
-    lo: f64,
-    hi: f64,
-    quantity: &'static str,
-    context: &'static str,
-) -> Result<f64, NonFinite> {
-    if value.is_finite() && (lo..=hi).contains(&value) {
-        Ok(value)
-    } else {
-        Err(NonFinite {
-            quantity,
-            value,
-            context,
-        })
-    }
-}
-
 /// Accepts a slice in which every element is finite; returns the index
 /// and value of the first offender otherwise.
 ///
@@ -177,14 +154,6 @@ mod tests {
         assert!(finite_non_negative(0.0, "x", "t").is_ok());
         assert!(finite_non_negative(-0.1, "x", "t").is_err());
         assert!(finite_non_negative(f64::NAN, "x", "t").is_err());
-    }
-
-    #[test]
-    fn range_is_inclusive() {
-        assert!(in_range(0.0, 0.0, 1.0, "x", "t").is_ok());
-        assert!(in_range(1.0, 0.0, 1.0, "x", "t").is_ok());
-        assert!(in_range(1.0001, 0.0, 1.0, "x", "t").is_err());
-        assert!(in_range(f64::NAN, 0.0, 1.0, "x", "t").is_err());
     }
 
     #[test]

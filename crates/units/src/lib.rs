@@ -11,10 +11,10 @@
 //! with the arithmetic that is physically meaningful — and only that
 //! arithmetic — implemented ([C-OVERLOAD]).
 //!
-//! The [`math`], [`interp`] and [`stats`] modules provide the root finding,
-//! table interpolation, and descriptive statistics that the analytical models
-//! in the rest of the workspace need. They are implemented in-repo because
-//! the models require only small, well-understood numerics.
+//! The [`math`] and [`stats`] modules provide the root finding and
+//! descriptive statistics that the analytical models in the rest of the
+//! workspace need. They are implemented in-repo because the models require
+//! only small, well-understood numerics.
 //!
 //! # Examples
 //!
@@ -39,7 +39,6 @@
 
 pub mod convergence;
 pub mod guard;
-pub mod interp;
 pub mod math;
 pub mod quantity;
 pub mod stats;

@@ -136,78 +136,6 @@ pub fn bisect<F: FnMut(f64) -> f64>(
     })
 }
 
-/// Finds the minimizer of a unimodal function on `[lo, hi]` by golden-section
-/// search, to an argument tolerance `tol`.
-///
-/// # Errors
-///
-/// Returns [`SolveError::BadArguments`] for a malformed interval or
-/// tolerance, and [`SolveError::NonFinite`] when the function misbehaves.
-///
-/// # Examples
-///
-/// ```
-/// # fn main() -> Result<(), np_units::math::SolveError> {
-/// let x = np_units::math::golden_min(|x| (x - 3.0) * (x - 3.0), 0.0, 10.0, 1e-9)?;
-/// assert!((x - 3.0).abs() < 1e-6);
-/// # Ok(())
-/// # }
-/// ```
-pub fn golden_min<F: FnMut(f64) -> f64>(
-    mut f: F,
-    lo: f64,
-    hi: f64,
-    tol: f64,
-) -> Result<f64, SolveError> {
-    if !(lo < hi) {
-        return Err(SolveError::BadArguments("require lo < hi"));
-    }
-    if !(tol > 0.0) {
-        return Err(SolveError::BadArguments("require tol > 0"));
-    }
-    const INV_PHI: f64 = 0.618_033_988_749_894_8;
-    let (mut a, mut b) = (lo, hi);
-    let mut c = b - INV_PHI * (b - a);
-    let mut d = a + INV_PHI * (b - a);
-    let mut fc = f(c);
-    let mut fd = f(d);
-    if !fc.is_finite() {
-        return Err(SolveError::NonFinite { at: c });
-    }
-    if !fd.is_finite() {
-        return Err(SolveError::NonFinite { at: d });
-    }
-    const MAX_ITERS: usize = 300;
-    for _ in 0..MAX_ITERS {
-        if (b - a) <= tol {
-            return Ok(0.5 * (a + b));
-        }
-        if fc < fd {
-            b = d;
-            d = c;
-            fd = fc;
-            c = b - INV_PHI * (b - a);
-            fc = f(c);
-            if !fc.is_finite() {
-                return Err(SolveError::NonFinite { at: c });
-            }
-        } else {
-            a = c;
-            c = d;
-            fc = fd;
-            d = a + INV_PHI * (b - a);
-            fd = f(d);
-            if !fd.is_finite() {
-                return Err(SolveError::NonFinite { at: d });
-            }
-        }
-    }
-    Err(SolveError::NoConvergence {
-        iterations: MAX_ITERS,
-        best: 0.5 * (a + b),
-    })
-}
-
 /// Returns `n` evenly spaced points covering `[lo, hi]` inclusive.
 ///
 /// # Panics
@@ -327,20 +255,6 @@ mod tests {
     fn bisect_detects_non_finite() {
         let err = bisect(|x| if x > 0.5 { f64::NAN } else { -1.0 }, 0.0, 1.0, 1e-9).unwrap_err();
         assert!(matches!(err, SolveError::NonFinite { .. }));
-    }
-
-    #[test]
-    fn golden_finds_quadratic_min() {
-        let x = golden_min(|x| (x - 3.0).powi(2) + 1.0, -10.0, 10.0, 1e-10).expect("solve");
-        assert!((x - 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn golden_rejects_bad_interval() {
-        assert!(matches!(
-            golden_min(|x| x, 2.0, 1.0, 1e-9),
-            Err(SolveError::BadArguments(_))
-        ));
     }
 
     #[test]

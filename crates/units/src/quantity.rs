@@ -317,12 +317,6 @@ impl Amps {
         Self(ma * 1e-3)
     }
 
-    /// Creates a value from microamperes.
-    #[inline]
-    pub fn from_micro(ua: f64) -> Self {
-        Self(ua * 1e-6)
-    }
-
     /// Creates a value from nanoamperes.
     #[inline]
     pub fn from_nano(na: f64) -> Self {
@@ -341,12 +335,6 @@ impl Watts {
     #[inline]
     pub fn from_milli(mw: f64) -> Self {
         Self(mw * 1e-3)
-    }
-
-    /// Creates a value from microwatts.
-    #[inline]
-    pub fn from_micro(uw: f64) -> Self {
-        Self(uw * 1e-6)
     }
 
     /// Creates a value from nanowatts.
@@ -421,24 +409,6 @@ impl Seconds {
 }
 
 impl Hertz {
-    /// Creates a value from gigahertz.
-    #[inline]
-    pub fn from_giga(ghz: f64) -> Self {
-        Self(ghz * 1e9)
-    }
-
-    /// Creates a value from megahertz.
-    #[inline]
-    pub fn from_mega(mhz: f64) -> Self {
-        Self(mhz * 1e6)
-    }
-
-    /// Returns the value in gigahertz.
-    #[inline]
-    pub fn as_giga(self) -> f64 {
-        self.0 * 1e-9
-    }
-
     /// The period `1/f`.
     ///
     /// # Panics
@@ -459,21 +429,7 @@ impl Celsius {
     }
 }
 
-impl Kelvin {
-    /// Converts to the Celsius scale.
-    #[inline]
-    pub fn to_celsius(self) -> Celsius {
-        Celsius(self.0 - 273.15)
-    }
-}
-
 impl Microns {
-    /// Converts to nanometers.
-    #[inline]
-    pub fn to_nanometers(self) -> Nanometers {
-        Nanometers(self.0 * 1e3)
-    }
-
     /// Returns the value in centimeters (for areal-density math).
     #[inline]
     pub fn as_cm(self) -> f64 {
@@ -502,13 +458,6 @@ impl Nanometers {
 }
 
 impl MicroampsPerMicron {
-    /// Creates a value from nanoamperes per micron — the unit the paper
-    /// quotes `Ioff` in.
-    #[inline]
-    pub fn from_nano_per_micron(na_per_um: f64) -> Self {
-        Self(na_per_um * 1e-3)
-    }
-
     /// Returns the value in nanoamperes per micron.
     #[inline]
     pub fn as_nano_per_micron(self) -> f64 {
@@ -694,22 +643,19 @@ mod tests {
     #[test]
     fn unit_scaled_ctors() {
         assert!((Volts::from_milli(850.0).0 - 0.85).abs() < 1e-12);
-        assert!((Amps::from_micro(750.0).as_micro() - 750.0).abs() < 1e-9);
+        assert!((Amps::from_nano(750.0).as_micro() - 0.75).abs() < 1e-12);
         assert!((Farads::from_femto(1.5).as_femto() - 1.5).abs() < 1e-9);
         assert!((Seconds::from_pico(12.0).as_pico() - 12.0).abs() < 1e-9);
-        assert!((Hertz::from_giga(2.0).as_giga() - 2.0).abs() < 1e-12);
         assert!((Watts::from_milli(60.0).0 - 0.06).abs() < 1e-15);
     }
 
     #[test]
     fn temperature_scales() {
         assert!((Celsius(85.0).to_kelvin().0 - 358.15).abs() < 1e-9);
-        assert!((Kelvin(300.0).to_celsius().0 - 26.85).abs() < 1e-9);
     }
 
     #[test]
     fn length_conversions() {
-        assert!((Microns(1.0).to_nanometers().0 - 1000.0).abs() < 1e-9);
         assert!((Nanometers(22.0).to_microns().0 - 0.022).abs() < 1e-12);
         assert!((Microns(10_000.0).as_cm() - 1.0).abs() < 1e-12);
         assert!((Nanometers(10.0).as_cm() - 1e-6).abs() < 1e-18);
@@ -720,13 +666,13 @@ mod tests {
         let ion = MicroampsPerMicron(750.0);
         let i = ion.total(Microns(2.0));
         assert!((i.0 - 1.5e-3).abs() < 1e-12);
-        let ioff = MicroampsPerMicron::from_nano_per_micron(40.0);
+        let ioff = MicroampsPerMicron(0.040);
         assert!((ioff.as_nano_per_micron() - 40.0).abs() < 1e-9);
     }
 
     #[test]
     fn period_of_clock() {
-        let f = Hertz::from_giga(2.0);
+        let f = Hertz(2e9);
         assert!((f.period().as_pico() - 500.0).abs() < 1e-6);
     }
 

@@ -73,24 +73,6 @@ pub fn quantile(samples: &[f64], q: f64) -> Option<f64> {
     Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
 }
 
-/// Fraction of samples satisfying a predicate.
-///
-/// Returns 0 for an empty sample (the conservative answer for "what share
-/// of paths have slack", which is how the workspace uses it).
-///
-/// # Examples
-///
-/// ```
-/// let f = np_units::stats::fraction_where(&[1.0, 2.0, 3.0, 4.0], |x| x > 2.0);
-/// assert_eq!(f, 0.5);
-/// ```
-pub fn fraction_where<F: Fn(f64) -> bool>(samples: &[f64], pred: F) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.iter().filter(|&&x| pred(x)).count() as f64 / samples.len() as f64
-}
-
 /// Builds a histogram of `samples` over `bins` equal-width bins spanning
 /// `[lo, hi]`; out-of-range samples are clamped into the end bins.
 ///
@@ -141,13 +123,6 @@ mod tests {
         assert_eq!(quantile(&[1.0], -0.1), None);
         assert_eq!(quantile(&[1.0], 1.1), None);
         assert_eq!(quantile(&[], 0.5), None);
-    }
-
-    #[test]
-    fn fraction_counts() {
-        assert_eq!(fraction_where(&[], |_| true), 0.0);
-        assert_eq!(fraction_where(&[1.0, 2.0], |x| x > 0.0), 1.0);
-        assert_eq!(fraction_where(&[1.0, 2.0], |x| x > 1.5), 0.5);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Property-based tests for the quantity algebra and numerics.
 
-use np_units::interp::Table1d;
 use np_units::math::{bisect, linspace, logspace};
 use np_units::stats::{quantile, Summary};
 use np_units::{Amps, Ohms, Volts, Watts};
@@ -70,21 +69,6 @@ proptest! {
         for w in xs.windows(2) {
             prop_assert!((w[1] / w[0] / r0 - 1.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn table_interpolation_is_bounded_by_knots(
-        ys in proptest::collection::vec(-100.0..100.0f64, 2..10),
-        q in 0.0..1.0f64,
-    ) {
-        let n = ys.len();
-        let xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let t = Table1d::new(xs, ys.clone()).unwrap();
-        let x = q * (n - 1) as f64;
-        let y = t.eval(x).unwrap();
-        let lo = ys.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = ys.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(y >= lo - 1e-9 && y <= hi + 1e-9);
     }
 
     #[test]

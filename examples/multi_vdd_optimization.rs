@@ -27,20 +27,16 @@ fn main() -> Result<(), nanopower::Error> {
         result.cvs.converters,
         result.cvs.dynamic_saving() * 100.0
     );
-    if let Some(sizing) = &result.sizing {
-        println!(
-            "Stage 2 — sizing: {} gates downsized, further dynamic -{:.0}%",
-            sizing.resized_count,
-            sizing.dynamic_saving() * 100.0
-        );
-    }
-    if let Some(dv) = &result.dual_vth {
-        println!(
-            "Stage 3 — dual-Vth: {:.0}% of gates on high Vth, leakage -{:.0}%",
-            dv.fraction_high * 100.0,
-            dv.leakage_saving() * 100.0
-        );
-    }
+    println!(
+        "Stage 2 — sizing: {} gates downsized, further dynamic -{:.0}%",
+        result.sizing.resized_count,
+        result.sizing.dynamic_saving() * 100.0
+    );
+    println!(
+        "Stage 3 — dual-Vth: {:.0}% of gates on high Vth, leakage -{:.0}%",
+        result.dual_vth.fraction_high * 100.0,
+        result.dual_vth.leakage_saving() * 100.0
+    );
     println!("\n{result}");
     let timing = ctx.analyze(&netlist)?;
     println!(

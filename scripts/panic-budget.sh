@@ -39,7 +39,12 @@ cd "$(dirname "$0")/.."
 # Lowered 543 -> 542: `np_thermal::network` (no caller outside its own
 # tests) went with the 1 token of those tests; the grid kernel oracle
 # and bit-pin tests added alongside use `?` and `prop_assert!`.
-BASELINE=542
+# Lowered 542 -> 470: the `accept` unit tests that pushed the count to
+# 552 return `io::Result` and use `?` (10 fewer), and the library items
+# only tests reached went with the 72 tokens of their tests (the
+# `unreached.sh` deletions: six modules, `Chip::optimize`, the DVFS
+# policy and the test-only optimizer options).
+BASELINE=470
 
 count=$(grep -rEo 'unwrap\(|expect\(|panic!' crates/*/src --include='*.rs' | wc -l)
 

@@ -46,7 +46,7 @@ fn netlist_leakage_recomputable_from_device_model() {
     // with the power module.
     let nl = generate_netlist(&NetlistSpec::small(13));
     let ctx = TimingContext::for_node(TechNode::N70).expect("ctx");
-    let freq = Hertz::from_giga(1.0);
+    let freq = Hertz(1e9);
     let report = netlist_power(&nl, &ctx, 0.1, freq).expect("power");
     let dev = ctx.device();
     let mut hand = 0.0;

@@ -63,7 +63,7 @@ fn solved_widths_verified_by_mesh() {
 fn bump_current_and_wakeup_noise_limits() {
     let node = TechNode::N35;
     let pkg = PackagingRoadmap::for_node(node);
-    assert!(pkg.itrs_bumps_are_inadequate());
+    assert!(pkg.itrs_current_per_vdd_bump() > pkg.bump_current_limit);
     let wake = WakeUpEvent::for_node(node, Seconds::from_nano(50.0));
     let (itrs, min_pitch) = wake.noise_comparison(node).expect("noise");
     assert!(itrs > min_pitch * 5.0);

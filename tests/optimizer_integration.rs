@@ -53,21 +53,6 @@ fn stage_ordering_matters() {
 }
 
 #[test]
-fn disabled_stages_do_nothing() {
-    let (mut nl, ctx) = setup(9, 1.3);
-    let opts = CombinedOptions {
-        enable_sizing: false,
-        enable_dual_vth: false,
-        ..CombinedOptions::default()
-    };
-    let r = optimize(&mut nl, &ctx, &opts).expect("optimize");
-    assert!(r.sizing.is_none());
-    assert!(r.dual_vth.is_none());
-    // All savings then come from CVS alone.
-    assert!((r.dynamic_saving() - r.cvs.dynamic_saving()).abs() < 1e-9);
-}
-
-#[test]
 fn infeasible_designs_are_rejected_up_front() {
     let (mut nl, ctx) = setup(5, 0.6);
     let err = optimize(&mut nl, &ctx, &CombinedOptions::default()).unwrap_err();

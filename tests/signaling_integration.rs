@@ -76,13 +76,3 @@ fn repeated_wires_meet_global_clocks() {
         );
     }
 }
-
-#[test]
-fn unscaled_wiring_cuts_repeater_count() {
-    use nanopower::interconnect::repeater::repeater_census_with;
-    let node = TechNode::N35;
-    let scaled = repeater_census(node).expect("census");
-    let unscaled =
-        repeater_census_with(node, WireGeometry::top_level_unscaled(node)).expect("census");
-    assert!(unscaled.repeater_count < scaled.repeater_count / 2);
-}
