@@ -25,7 +25,7 @@ use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// One per-connection fault, applied to the client→daemon byte stream
@@ -128,15 +128,14 @@ impl ChaosSchedule {
 }
 
 /// A running fault-injection proxy between a listen socket and an
-/// upstream daemon socket. Dropping (or [`ChaosProxy::stop`]) wakes and
-/// ends the blocking accept loop; in-flight pumps end when their streams
-/// close.
+/// upstream daemon socket. Dropping it wakes and ends the blocking
+/// accept loop and removes the listen socket; in-flight pumps end when
+/// their streams close.
 #[derive(Debug)]
 pub struct ChaosProxy {
     listen_path: PathBuf,
     stop: Arc<Stop>,
     accepted: Arc<AtomicUsize>,
-    applied: Arc<Mutex<Vec<Fault>>>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -158,24 +157,16 @@ impl ChaosProxy {
         let listener = UnixListener::bind(&listen_path)?;
         let stop = Arc::new(Stop::new());
         let accepted = Arc::new(AtomicUsize::new(0));
-        let applied = Arc::new(Mutex::new(Vec::new()));
         let accept_thread = {
             let stop = Arc::clone(&stop);
             let accepted = Arc::clone(&accepted);
-            let applied = Arc::clone(&applied);
             std::thread::spawn(move || {
-                // A stop's waking connection never reaches `serve`, so it
-                // takes no accept index and no slot of the schedule.
                 let _ = accept_until(&listener, &stop, |conn| {
                     let Ok(client) = conn else {
                         return;
                     };
                     let index = accepted.fetch_add(1, Ordering::SeqCst);
                     let fault = schedule.fault_for(index);
-                    applied
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push(fault);
                     match UnixStream::connect(&upstream) {
                         Ok(daemon) => proxy_connection(client, daemon, fault),
                         // No upstream: drop the client — exactly what a
@@ -189,7 +180,6 @@ impl ChaosProxy {
             listen_path,
             stop,
             accepted,
-            applied,
             accept_thread: Some(accept_thread),
         })
     }
@@ -198,32 +188,15 @@ impl ChaosProxy {
     pub fn accepted(&self) -> usize {
         self.accepted.load(Ordering::SeqCst)
     }
+}
 
-    /// The faults applied so far, in accept order.
-    pub fn applied(&self) -> Vec<Fault> {
-        self.applied
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Stops accepting and removes the listen socket.
-    pub fn stop(mut self) {
-        self.shutdown_now();
-    }
-
-    fn shutdown_now(&mut self) {
+impl Drop for ChaosProxy {
+    fn drop(&mut self) {
         self.stop.request();
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
         }
         let _ = std::fs::remove_file(&self.listen_path);
-    }
-}
-
-impl Drop for ChaosProxy {
-    fn drop(&mut self) {
-        self.shutdown_now();
     }
 }
 
@@ -327,198 +300,6 @@ fn copy_bytes(
     }
 }
 
-// ---------------------------------------------------------------------
-// scenario-spec fuzzing
-// ---------------------------------------------------------------------
-
-/// The typed response class one spec fuzz case must draw from the
-/// daemon — anything else (a dropped connection, an untyped error, a
-/// daemon panic) is a fuzz failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpecExpectation {
-    /// A well-formed, in-budget spec request: a terminal report with no
-    /// failed records.
-    Report,
-    /// A field-level violation: a typed `invalid_spec` naming the
-    /// offending field.
-    InvalidSpec,
-    /// A well-formed request whose static cost estimate exceeds the
-    /// default budget: a typed `too_expensive`.
-    TooExpensive,
-    /// Malformed JSON or an unknown `run` key: a typed protocol error.
-    Protocol,
-}
-
-/// One generated fuzz case: the raw request line (sent verbatim, so a
-/// malformed body stays malformed on the wire) plus the typed response
-/// class the daemon is required to produce.
-#[derive(Debug, Clone)]
-pub struct SpecCase {
-    /// The full request line to send.
-    pub line: String,
-    /// The typed response class required of the daemon.
-    pub expect: SpecExpectation,
-}
-
-/// Deterministic scenario-spec fuzzer: case `i` is a pure function of
-/// `(seed, i)`, so a CI run with a fixed seed replays byte-identically
-/// and parallel drivers agree on every case. The mix covers valid and
-/// boundary specs (shuffled key order, optional legs, CSV form),
-/// field-level violations, over-budget requests, and protocol-level
-/// garbage — each tagged with the typed response it must draw.
-#[derive(Debug, Clone)]
-pub struct SpecFuzzer {
-    seed: u64,
-}
-
-impl SpecFuzzer {
-    /// A fuzzer for `seed`; equal seeds generate equal case streams.
-    pub fn new(seed: u64) -> SpecFuzzer {
-        SpecFuzzer { seed }
-    }
-
-    /// The `index`-th case.
-    pub fn case(&self, index: usize) -> SpecCase {
-        let mixed = self.seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut rng = StdRng::seed_from_u64(mixed);
-        match rng.random_range(0..10u32) {
-            0..=4 => Self::valid_case(&mut rng),
-            5..=7 => Self::invalid_case(&mut rng),
-            8 => Self::expensive_case(&mut rng),
-            _ => Self::protocol_case(&mut rng),
-        }
-    }
-
-    /// Wraps spec bodies into one `run` request line.
-    fn wrap(bodies: &[String], csv: bool) -> String {
-        let csv = if csv { ", \"csv\": true" } else { "" };
-        format!("{{\"run\": {{\"specs\": [{}]{csv}}}}}", bodies.join(", "))
-    }
-
-    /// A well-formed spec with random (including boundary) field values,
-    /// optional legs, and shuffled key order — the canonical digest must
-    /// not care about any of that.
-    fn valid_case(rng: &mut StdRng) -> SpecCase {
-        let nodes = [180u32, 130, 100, 70, 50, 35];
-        let node = nodes[rng.random_range(0..nodes.len())];
-        // Percent-grained draws land exactly on the 0.01 and 1.0
-        // boundaries often enough to keep them covered.
-        let pct = |rng: &mut StdRng| f64::from(rng.random_range(1..101u32)) / 100.0;
-        let mut fields = vec![
-            format!("\"node\": {node}"),
-            format!("\"activity\": {}", pct(rng)),
-            format!("\"effective_fraction\": {}", pct(rng)),
-            format!("\"workload_ratio\": {}", pct(rng)),
-        ];
-        if rng.random_range(0..10u32) < 3 {
-            fields.push(format!(
-                "\"junction_temp_c\": {}",
-                rng.random_range(25..111u32)
-            ));
-        }
-        if rng.random_range(0..10u32) < 3 {
-            let resolution = [5usize, 9, 17, 33][rng.random_range(0..4)];
-            fields.push(format!("\"grid\": {{\"resolution\": {resolution}}}"));
-        }
-        if rng.random_range(0..10u32) < 2 {
-            fields.push(format!(
-                "\"netlist\": {{\"cells\": {}, \"seed\": {}}}",
-                rng.random_range(100..2001u32),
-                rng.random_range(0..1000u32)
-            ));
-        }
-        // Fisher-Yates: the daemon must digest shuffled keys equally.
-        for i in (1..fields.len()).rev() {
-            fields.swap(i, rng.random_range(0..i + 1));
-        }
-        let csv = rng.random_range(0..4u32) == 0;
-        SpecCase {
-            line: Self::wrap(&[format!("{{{}}}", fields.join(", "))], csv),
-            expect: SpecExpectation::Report,
-        }
-    }
-
-    /// A spec violating exactly one field contract: out-of-range,
-    /// non-integral, wrong type, unknown key, or missing requirement.
-    fn invalid_case(rng: &mut StdRng) -> SpecCase {
-        const BODIES: &[&str] = &[
-            "{\"activity\": 0.5}",
-            "{\"node\": 71}",
-            "{\"node\": \"70nm\"}",
-            "{\"node\": 70.5}",
-            "{\"node\": 70, \"activity\": 0}",
-            "{\"node\": 70, \"activity\": 2.5}",
-            "{\"node\": 70, \"activity\": -0.25}",
-            "{\"node\": 70, \"effective_fraction\": 0}",
-            "{\"node\": 70, \"workload_ratio\": 1.5}",
-            "{\"node\": 70, \"junction_temp_c\": 400}",
-            "{\"node\": 70, \"junction_temp_c\": -100}",
-            "{\"node\": 70, \"grid\": {}}",
-            "{\"node\": 70, \"grid\": {\"resolution\": 3}}",
-            "{\"node\": 70, \"grid\": {\"resolution\": 2000}}",
-            "{\"node\": 70, \"grid\": {\"resolution\": 33.5}}",
-            "{\"node\": 70, \"grid\": {\"resolution\": 17, \"pitch\": 2}}",
-            "{\"node\": 70, \"grid\": 17}",
-            "{\"node\": 70, \"netlist\": {\"cells\": 10, \"seed\": 1}}",
-            "{\"node\": 70, \"netlist\": {\"seed\": 1}}",
-            "{\"node\": 70, \"netlist\": {\"cells\": 500, \"seed\": -1}}",
-            "{\"node\": 70, \"nodee\": 1}",
-            "{\"node\": 70, \"chaos\": \"explode\"}",
-            "{\"node\": 70, \"chaos\": 7}",
-            "70",
-            "[1, 2]",
-        ];
-        let body = BODIES[rng.random_range(0..BODIES.len())];
-        SpecCase {
-            line: Self::wrap(&[body.to_owned()], false),
-            expect: SpecExpectation::InvalidSpec,
-        }
-    }
-
-    /// A well-formed request whose static cost estimate exceeds the
-    /// default budget — one oversized netlist tier, or several maximal
-    /// mesh legs summing over it.
-    fn expensive_case(rng: &mut StdRng) -> SpecCase {
-        if rng.random_range(0..2u32) == 0 {
-            let body = format!(
-                "{{\"node\": 70, \"netlist\": {{\"cells\": 10000000, \"seed\": {}}}}}",
-                rng.random_range(0..1000u32)
-            );
-            SpecCase {
-                line: Self::wrap(&[body], false),
-                expect: SpecExpectation::TooExpensive,
-            }
-        } else {
-            let bodies: Vec<String> = (0..4)
-                .map(|i| format!("{{\"node\": 70, \"workload_ratio\": 0.{}1, \"grid\": {{\"resolution\": 1025}}}}", i + 1))
-                .collect();
-            SpecCase {
-                line: Self::wrap(&bodies, false),
-                expect: SpecExpectation::TooExpensive,
-            }
-        }
-    }
-
-    /// Protocol-level garbage: malformed JSON, torn frames, unknown
-    /// `run` keys, and the wrong shapes for `specs`.
-    fn protocol_case(rng: &mut StdRng) -> SpecCase {
-        const LINES: &[&str] = &[
-            "{\"run\": {\"specs\": [{\"node\": 70}], \"spces\": true}}",
-            "{\"run\": {\"names\": [\"fig5\"], \"deadlne_ms\": 5}}",
-            "{\"run\": {\"specs\": {\"node\": 70}}}",
-            "{\"run\": {\"specs\": [{\"node\": 70, \"activity\": 1e999}]}}",
-            "{\"run\": {\"specs\": [{\"node\": 70",
-            "\"just a string\"",
-            "[{\"node\": 70}]",
-        ];
-        let line = LINES[rng.random_range(0..LINES.len())];
-        SpecCase {
-            line: line.to_owned(),
-            expect: SpecExpectation::Protocol,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -560,69 +341,6 @@ mod tests {
             ChaosSchedule::Cycle(Vec::new()).fault_for(7),
             Fault::Passthrough
         );
-    }
-
-    #[test]
-    fn spec_fuzzer_is_deterministic_and_mixes_every_class() {
-        let fuzzer = SpecFuzzer::new(7);
-        let replay = SpecFuzzer::new(7);
-        let mut seen = [false; 4];
-        for i in 0..128 {
-            let case = fuzzer.case(i);
-            let again = replay.case(i);
-            assert_eq!(case.line, again.line, "case {i} not deterministic");
-            assert_eq!(case.expect, again.expect);
-            seen[match case.expect {
-                SpecExpectation::Report => 0,
-                SpecExpectation::InvalidSpec => 1,
-                SpecExpectation::TooExpensive => 2,
-                SpecExpectation::Protocol => 3,
-            }] = true;
-        }
-        assert_eq!(seen, [true; 4], "128 draws must cover every class");
-        let other = SpecFuzzer::new(8).case(0);
-        let this = fuzzer.case(0);
-        assert!(
-            other.line != this.line
-                || other.expect != this.expect
-                || fuzzer.case(1).line != SpecFuzzer::new(8).case(1).line,
-            "different seeds should diverge"
-        );
-    }
-
-    #[test]
-    fn every_fuzz_case_classifies_exactly_at_the_parser() {
-        use nanopower::spec::DEFAULT_COST_BUDGET;
-        use nanopower::Error;
-        let fuzzer = SpecFuzzer::new(1);
-        for i in 0..512 {
-            let case = fuzzer.case(i);
-            let parsed = Request::parse(&case.line);
-            match case.expect {
-                SpecExpectation::Report => {
-                    let Ok(Request::Run(run)) = parsed else {
-                        panic!("valid case {i} rejected: {case:?}");
-                    };
-                    let cost: u64 = run.specs.iter().map(|s| s.cost()).sum();
-                    assert!(cost <= DEFAULT_COST_BUDGET, "case {i} over budget: {cost}");
-                }
-                SpecExpectation::TooExpensive => {
-                    let Ok(Request::Run(run)) = parsed else {
-                        panic!("expensive case {i} must still parse: {case:?}");
-                    };
-                    let cost: u64 = run.specs.iter().map(|s| s.cost()).sum();
-                    assert!(cost > DEFAULT_COST_BUDGET, "case {i} under budget: {cost}");
-                }
-                SpecExpectation::InvalidSpec => assert!(
-                    matches!(parsed, Err(Error::InvalidSpec { .. })),
-                    "case {i} not invalid_spec: {case:?} -> {parsed:?}"
-                ),
-                SpecExpectation::Protocol => assert!(
-                    matches!(parsed, Err(Error::Protocol { .. })),
-                    "case {i} not protocol: {case:?} -> {parsed:?}"
-                ),
-            }
-        }
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub mod figures;
 pub mod golden;
 pub mod perf;
 pub mod registry;
-pub mod serve;
 pub mod tables;
 
 /// Wire-load model shared by the Fig. 1 and Fig. 4 scenarios: the

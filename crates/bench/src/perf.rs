@@ -342,14 +342,6 @@ pub fn run(opts: BenchOptions) -> BenchReport {
 }
 
 impl BenchReport {
-    /// Mean time of `name` at mesh size `mesh`, if that kernel ran.
-    pub fn mean_ns(&self, name: &str, mesh: usize) -> Option<f64> {
-        self.kernels
-            .iter()
-            .find(|k| k.name == name && k.mesh == mesh)
-            .map(|k| k.mean_ns)
-    }
-
     /// Serializes the report as `nanopower-bench/v3` JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
@@ -589,10 +581,17 @@ mod tests {
     #[test]
     fn quick_run_times_every_kernel_and_serializes() {
         let report = run(BenchOptions { quick: true });
+        let mean_ns = |name: &str, mesh: usize| {
+            report
+                .kernels
+                .iter()
+                .find(|k| k.name == name && k.mesh == mesh)
+                .map(|k| k.mean_ns)
+        };
         assert_eq!(report.mesh_sizes, vec![33]);
         for name in ["grid.sor.seq", "grid.pcg.seq", "grid.mgcg.seq"] {
             assert!(
-                report.mean_ns(name, 33).is_some_and(|ns| ns > 0.0),
+                mean_ns(name, 33).is_some_and(|ns| ns > 0.0),
                 "{name} missing or unmeasured"
             );
         }
@@ -605,7 +604,7 @@ mod tests {
             "opt.parallel.round",
         ] {
             assert!(
-                report.mean_ns(name, 0).is_some_and(|ns| ns > 0.0),
+                mean_ns(name, 0).is_some_and(|ns| ns > 0.0),
                 "{name} missing or unmeasured"
             );
         }

@@ -58,27 +58,6 @@ impl Artifact {
         }
     }
 
-    /// Renders the artifact in the requested form and returns the
-    /// stable content digest of the output (`fnv1a:%016x`, matching
-    /// [`nanopower::engine::JobRecord::digest`] and the run journal's
-    /// per-entry hash).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`render_text`](Self::render_text) /
-    /// [`render_csv`](Self::render_csv).
-    pub fn digest(&self, csv: bool) -> Result<String, Error> {
-        let out = if csv {
-            self.render_csv()?
-        } else {
-            self.render_text()?
-        };
-        Ok(format!(
-            "fnv1a:{:016x}",
-            nanopower::engine::fnv1a64(out.as_bytes())
-        ))
-    }
-
     /// An engine [`Job`] rendering this artifact in the requested form.
     pub fn job(&'static self, csv: bool) -> Job {
         if csv {
@@ -275,23 +254,6 @@ mod tests {
                 a.name
             );
         }
-    }
-
-    #[test]
-    fn digests_are_stable_and_form_specific() {
-        let a = find("table1").unwrap();
-        let d = a.digest(false).unwrap();
-        assert!(
-            d.starts_with("fnv1a:") && d.len() == "fnv1a:".len() + 16,
-            "{d}"
-        );
-        assert_eq!(d, a.digest(false).unwrap(), "digest must be deterministic");
-        let f = find("fig1").unwrap();
-        assert_ne!(
-            f.digest(false).unwrap(),
-            f.digest(true).unwrap(),
-            "text and CSV forms hash differently"
-        );
     }
 
     #[test]

@@ -7,17 +7,20 @@
 //!    generated spec, and the digest ignores client key order and
 //!    explicit defaults (the canonical form is the identity, not the
 //!    wire bytes).
-//! 2. **Live fuzz** — `np_bench::chaos::SpecFuzzer` drives a real
-//!    daemon with a seeded mix of valid, boundary, malformed, and
-//!    over-budget request lines; every response must be the typed class
+//! 2. **Live fuzz** — [`SpecFuzzer`] drives a real daemon with a
+//!    seeded mix of valid, boundary, malformed, and over-budget request
+//!    lines; every response must be the typed class
 //!    the case was generated for, and the daemon must stay ready
 //!    throughout. Case count is `NP_SPEC_FUZZ_CASES` (default 1000),
 //!    seed is `NP_SPEC_FUZZ_SEED` (default 1) — a failing case replays
 //!    from those two numbers alone.
 
+use nanopower::proto::Request;
 use nanopower::spec::{GridSpec, NetlistTier, ScenarioSpec};
 use np_roadmap::TechNode;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Builds one spec from plain draws (the shim has no composite
 /// strategies, so the test folds the option toggles in by hand).
@@ -139,13 +142,268 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// seeded case generator
+// ---------------------------------------------------------------------
+
+/// The typed response class one spec fuzz case must draw from the
+/// daemon — anything else (a dropped connection, an untyped error, a
+/// daemon panic) is a fuzz failure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SpecExpectation {
+    /// A well-formed, in-budget spec request: a terminal report with no
+    /// failed records.
+    Report,
+    /// A field-level violation: a typed `invalid_spec` naming the
+    /// offending field.
+    InvalidSpec,
+    /// A well-formed request whose static cost estimate exceeds the
+    /// default budget: a typed `too_expensive`.
+    TooExpensive,
+    /// Malformed JSON or an unknown `run` key: a typed protocol error.
+    Protocol,
+}
+
+/// One generated fuzz case: the raw request line (sent verbatim, so a
+/// malformed body stays malformed on the wire) plus the typed response
+/// class the daemon is required to produce.
+#[derive(Debug, Clone)]
+struct SpecCase {
+    /// The full request line to send.
+    line: String,
+    /// The typed response class required of the daemon.
+    expect: SpecExpectation,
+}
+
+/// Deterministic scenario-spec fuzzer: case `i` is a pure function of
+/// `(seed, i)`, so a CI run with a fixed seed replays byte-identically
+/// and parallel drivers agree on every case. The mix covers valid and
+/// boundary specs (shuffled key order, optional legs, CSV form),
+/// field-level violations, over-budget requests, and protocol-level
+/// garbage — each tagged with the typed response it must draw.
+#[derive(Debug, Clone)]
+struct SpecFuzzer {
+    seed: u64,
+}
+
+impl SpecFuzzer {
+    /// A fuzzer for `seed`; equal seeds generate equal case streams.
+    fn new(seed: u64) -> SpecFuzzer {
+        SpecFuzzer { seed }
+    }
+
+    /// The `index`-th case.
+    fn case(&self, index: usize) -> SpecCase {
+        let mixed = self.seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut rng = StdRng::seed_from_u64(mixed);
+        match rng.random_range(0..10u32) {
+            0..=4 => Self::valid_case(&mut rng),
+            5..=7 => Self::invalid_case(&mut rng),
+            8 => Self::expensive_case(&mut rng),
+            _ => Self::protocol_case(&mut rng),
+        }
+    }
+
+    /// Wraps spec bodies into one `run` request line.
+    fn wrap(bodies: &[String], csv: bool) -> String {
+        let csv = if csv { ", \"csv\": true" } else { "" };
+        format!("{{\"run\": {{\"specs\": [{}]{csv}}}}}", bodies.join(", "))
+    }
+
+    /// A well-formed spec with random (including boundary) field values,
+    /// optional legs, and shuffled key order — the canonical digest must
+    /// not care about any of that.
+    fn valid_case(rng: &mut StdRng) -> SpecCase {
+        let nodes = [180u32, 130, 100, 70, 50, 35];
+        let node = nodes[rng.random_range(0..nodes.len())];
+        // Percent-grained draws land exactly on the 0.01 and 1.0
+        // boundaries often enough to keep them covered.
+        let pct = |rng: &mut StdRng| f64::from(rng.random_range(1..101u32)) / 100.0;
+        let mut fields = vec![
+            format!("\"node\": {node}"),
+            format!("\"activity\": {}", pct(rng)),
+            format!("\"effective_fraction\": {}", pct(rng)),
+            format!("\"workload_ratio\": {}", pct(rng)),
+        ];
+        if rng.random_range(0..10u32) < 3 {
+            fields.push(format!(
+                "\"junction_temp_c\": {}",
+                rng.random_range(25..111u32)
+            ));
+        }
+        if rng.random_range(0..10u32) < 3 {
+            let resolution = [5usize, 9, 17, 33][rng.random_range(0..4)];
+            fields.push(format!("\"grid\": {{\"resolution\": {resolution}}}"));
+        }
+        if rng.random_range(0..10u32) < 2 {
+            fields.push(format!(
+                "\"netlist\": {{\"cells\": {}, \"seed\": {}}}",
+                rng.random_range(100..2001u32),
+                rng.random_range(0..1000u32)
+            ));
+        }
+        // Fisher-Yates: the daemon must digest shuffled keys equally.
+        for i in (1..fields.len()).rev() {
+            fields.swap(i, rng.random_range(0..i + 1));
+        }
+        let csv = rng.random_range(0..4u32) == 0;
+        SpecCase {
+            line: Self::wrap(&[format!("{{{}}}", fields.join(", "))], csv),
+            expect: SpecExpectation::Report,
+        }
+    }
+
+    /// A spec violating exactly one field contract: out-of-range,
+    /// non-integral, wrong type, unknown key, or missing requirement.
+    fn invalid_case(rng: &mut StdRng) -> SpecCase {
+        const BODIES: &[&str] = &[
+            "{\"activity\": 0.5}",
+            "{\"node\": 71}",
+            "{\"node\": \"70nm\"}",
+            "{\"node\": 70.5}",
+            "{\"node\": 70, \"activity\": 0}",
+            "{\"node\": 70, \"activity\": 2.5}",
+            "{\"node\": 70, \"activity\": -0.25}",
+            "{\"node\": 70, \"effective_fraction\": 0}",
+            "{\"node\": 70, \"workload_ratio\": 1.5}",
+            "{\"node\": 70, \"junction_temp_c\": 400}",
+            "{\"node\": 70, \"junction_temp_c\": -100}",
+            "{\"node\": 70, \"grid\": {}}",
+            "{\"node\": 70, \"grid\": {\"resolution\": 3}}",
+            "{\"node\": 70, \"grid\": {\"resolution\": 2000}}",
+            "{\"node\": 70, \"grid\": {\"resolution\": 33.5}}",
+            "{\"node\": 70, \"grid\": {\"resolution\": 17, \"pitch\": 2}}",
+            "{\"node\": 70, \"grid\": 17}",
+            "{\"node\": 70, \"netlist\": {\"cells\": 10, \"seed\": 1}}",
+            "{\"node\": 70, \"netlist\": {\"seed\": 1}}",
+            "{\"node\": 70, \"netlist\": {\"cells\": 500, \"seed\": -1}}",
+            "{\"node\": 70, \"nodee\": 1}",
+            "{\"node\": 70, \"chaos\": \"explode\"}",
+            "{\"node\": 70, \"chaos\": 7}",
+            "70",
+            "[1, 2]",
+        ];
+        let body = BODIES[rng.random_range(0..BODIES.len())];
+        SpecCase {
+            line: Self::wrap(&[body.to_owned()], false),
+            expect: SpecExpectation::InvalidSpec,
+        }
+    }
+
+    /// A well-formed request whose static cost estimate exceeds the
+    /// default budget — one oversized netlist tier, or several maximal
+    /// mesh legs summing over it.
+    fn expensive_case(rng: &mut StdRng) -> SpecCase {
+        if rng.random_range(0..2u32) == 0 {
+            let body = format!(
+                "{{\"node\": 70, \"netlist\": {{\"cells\": 10000000, \"seed\": {}}}}}",
+                rng.random_range(0..1000u32)
+            );
+            SpecCase {
+                line: Self::wrap(&[body], false),
+                expect: SpecExpectation::TooExpensive,
+            }
+        } else {
+            let bodies: Vec<String> = (0..4)
+                .map(|i| format!("{{\"node\": 70, \"workload_ratio\": 0.{}1, \"grid\": {{\"resolution\": 1025}}}}", i + 1))
+                .collect();
+            SpecCase {
+                line: Self::wrap(&bodies, false),
+                expect: SpecExpectation::TooExpensive,
+            }
+        }
+    }
+
+    /// Protocol-level garbage: malformed JSON, torn frames, unknown
+    /// `run` keys, and the wrong shapes for `specs`.
+    fn protocol_case(rng: &mut StdRng) -> SpecCase {
+        const LINES: &[&str] = &[
+            "{\"run\": {\"specs\": [{\"node\": 70}], \"spces\": true}}",
+            "{\"run\": {\"names\": [\"fig5\"], \"deadlne_ms\": 5}}",
+            "{\"run\": {\"specs\": {\"node\": 70}}}",
+            "{\"run\": {\"specs\": [{\"node\": 70, \"activity\": 1e999}]}}",
+            "{\"run\": {\"specs\": [{\"node\": 70",
+            "\"just a string\"",
+            "[{\"node\": 70}]",
+        ];
+        let line = LINES[rng.random_range(0..LINES.len())];
+        SpecCase {
+            line: line.to_owned(),
+            expect: SpecExpectation::Protocol,
+        }
+    }
+}
+
+#[test]
+fn spec_fuzzer_is_deterministic_and_mixes_every_class() {
+    let fuzzer = SpecFuzzer::new(7);
+    let replay = SpecFuzzer::new(7);
+    let mut seen = [false; 4];
+    for i in 0..128 {
+        let case = fuzzer.case(i);
+        let again = replay.case(i);
+        assert_eq!(case.line, again.line, "case {i} not deterministic");
+        assert_eq!(case.expect, again.expect);
+        seen[match case.expect {
+            SpecExpectation::Report => 0,
+            SpecExpectation::InvalidSpec => 1,
+            SpecExpectation::TooExpensive => 2,
+            SpecExpectation::Protocol => 3,
+        }] = true;
+    }
+    assert_eq!(seen, [true; 4], "128 draws must cover every class");
+    let other = SpecFuzzer::new(8).case(0);
+    let this = fuzzer.case(0);
+    assert!(
+        other.line != this.line
+            || other.expect != this.expect
+            || fuzzer.case(1).line != SpecFuzzer::new(8).case(1).line,
+        "different seeds should diverge"
+    );
+}
+
+#[test]
+fn every_fuzz_case_classifies_exactly_at_the_parser() {
+    use nanopower::spec::DEFAULT_COST_BUDGET;
+    use nanopower::Error;
+    let fuzzer = SpecFuzzer::new(1);
+    for i in 0..512 {
+        let case = fuzzer.case(i);
+        let parsed = Request::parse(&case.line);
+        match case.expect {
+            SpecExpectation::Report => {
+                let Ok(Request::Run(run)) = parsed else {
+                    panic!("valid case {i} rejected: {case:?}");
+                };
+                let cost: u64 = run.specs.iter().map(|s| s.cost()).sum();
+                assert!(cost <= DEFAULT_COST_BUDGET, "case {i} over budget: {cost}");
+            }
+            SpecExpectation::TooExpensive => {
+                let Ok(Request::Run(run)) = parsed else {
+                    panic!("expensive case {i} must still parse: {case:?}");
+                };
+                let cost: u64 = run.specs.iter().map(|s| s.cost()).sum();
+                assert!(cost > DEFAULT_COST_BUDGET, "case {i} under budget: {cost}");
+            }
+            SpecExpectation::InvalidSpec => assert!(
+                matches!(parsed, Err(Error::InvalidSpec { .. })),
+                "case {i} not invalid_spec: {case:?} -> {parsed:?}"
+            ),
+            SpecExpectation::Protocol => assert!(
+                matches!(parsed, Err(Error::Protocol { .. })),
+                "case {i} not protocol: {case:?} -> {parsed:?}"
+            ),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // live-daemon fuzz
 // ---------------------------------------------------------------------
 
 #[cfg(unix)]
 mod live {
+    use super::{SpecCase, SpecExpectation, SpecFuzzer};
     use nanopower::proto::Response;
-    use np_bench::chaos::{SpecCase, SpecExpectation, SpecFuzzer};
     use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::UnixStream;
     use std::path::PathBuf;

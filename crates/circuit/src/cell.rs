@@ -37,17 +37,6 @@ pub enum CellKind {
 }
 
 impl CellKind {
-    /// All cell kinds, in library order.
-    pub const ALL: [CellKind; 7] = [
-        CellKind::Inverter,
-        CellKind::Buffer,
-        CellKind::Nand2,
-        CellKind::Nand3,
-        CellKind::Nor2,
-        CellKind::Nor3,
-        CellKind::LevelConverter,
-    ];
-
     /// Logical effort `g` of the cell's worst input.
     pub fn logical_effort(self) -> f64 {
         match self {

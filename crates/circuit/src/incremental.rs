@@ -40,9 +40,8 @@
 //! pass propagates falls and rises alike, after which every arrival and
 //! the count are exact. So [`IncrementalSta::is_feasible`] is exact, and
 //! O(1), after every call, while an accepted move pays only for its
-//! rises. The arrival reads ([`IncrementalSta::arrival_of`],
-//! [`IncrementalSta::critical_delay`]) settle first, so no read returns an
-//! upper bound. Settling costs one
+//! rises. The arrival read ([`IncrementalSta::arrival_of`]) settles
+//! first, so no read returns an upper bound. Settling costs one
 //! pass over the stale summary words plus the stale words they name.
 //!
 //! # View validity
@@ -104,7 +103,7 @@ pub struct ConeStats {
 /// assert!(sta.is_feasible());
 /// // Reads settle any deferred falls first, so they match full STA.
 /// let full = ctx.analyze(&netlist)?;
-/// assert!((sta.critical_delay(&netlist)?.0 - full.critical_delay().0).abs() < 1e-18);
+/// assert!((sta.arrival_of(&netlist, id)?.0 - full.arrival[id.index()].0).abs() < 1e-18);
 /// # Ok(())
 /// # }
 /// ```
@@ -199,25 +198,9 @@ impl<'a> IncrementalSta<'a> {
     /// [`CircuitError::StaleTimingView`] when `netlist`'s topology digest
     /// differs from the one captured at [`IncrementalSta::new`].
     pub fn arrival_of(&mut self, netlist: &Netlist, id: GateId) -> Result<Seconds, CircuitError> {
-        Ok(self.settled(netlist)?[id.index()])
-    }
-
-    /// Exact critical (maximum) arrival, after settling any deferred
-    /// falls. O(n) — intended for reporting, not inner-loop probing.
-    ///
-    /// # Errors
-    ///
-    /// [`CircuitError::StaleTimingView`] when `netlist`'s topology digest
-    /// differs from the one captured at [`IncrementalSta::new`].
-    pub fn critical_delay(&mut self, netlist: &Netlist) -> Result<Seconds, CircuitError> {
-        Ok(crate::sta::latest_arrival(self.settled(netlist)?))
-    }
-
-    /// The exact arrivals, after settling every deferred fall.
-    fn settled(&mut self, netlist: &Netlist) -> Result<&[Seconds], CircuitError> {
         self.check_view(netlist)?;
         self.settle(netlist, &mut ConeStats::default());
-        Ok(&self.arrival)
+        Ok(self.arrival[id.index()])
     }
 
     /// True when every timing endpoint meets the context clock. O(1):
@@ -588,7 +571,8 @@ mod tests {
         assert_eq!(inc.is_feasible(), full.is_feasible());
         let stored = crate::sta::latest_arrival(&inc.arrival);
         assert!(stored.0 >= full.critical_delay().0 - 1e-18);
-        let settled = inc.critical_delay(&nl)?;
+        inc.arrival_of(&nl, ids[0])?;
+        let settled = crate::sta::latest_arrival(&inc.arrival);
         assert!((settled.0 - full.critical_delay().0).abs() < 1e-18);
         Ok(())
     }

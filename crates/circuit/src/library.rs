@@ -32,7 +32,7 @@ pub const UNIT_INV_WIDTH_PER_DRAWN: f64 = 4.4;
 ///
 /// let lib = Library::rich(TechNode::N180)?;
 /// // The Section 2.3 anchor: smallest inverter ≈ 1.5 fF input capacitance.
-/// let smallest = lib.smallest(CellKind::Inverter).expect("has inverters");
+/// let smallest = lib.nearest(CellKind::Inverter, 1.0)?;
 /// assert!((smallest.input_cap.as_femto() - 1.5).abs() < 0.3);
 /// assert_eq!(lib.drive_count(CellKind::Inverter), 16);
 /// assert_eq!(lib.drive_count(CellKind::Nand2), 11);
@@ -42,8 +42,6 @@ pub const UNIT_INV_WIDTH_PER_DRAWN: f64 = 4.4;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Library {
     node: TechNode,
-    unit_cap: Farads,
-    unit_width: Microns,
     cells: Vec<Cell>,
 }
 
@@ -94,12 +92,7 @@ impl Library {
             unit_cap,
             unit_width,
         ));
-        Ok(Self {
-            node,
-            unit_cap,
-            unit_width,
-            cells,
-        })
+        Ok(Self { node, cells })
     }
 
     /// The rich, SA-27E-like library: 16 inverter drives (from 1× — the
@@ -130,37 +123,9 @@ impl Library {
         Self::with_drives(node, &drives, &drives, &drives)
     }
 
-    /// The node this library characterizes.
-    pub fn node(&self) -> TechNode {
-        self.node
-    }
-
-    /// The unit inverter input capacitance of the technology.
-    pub fn unit_cap(&self) -> Farads {
-        self.unit_cap
-    }
-
-    /// The unit inverter total transistor width.
-    pub fn unit_width(&self) -> Microns {
-        self.unit_width
-    }
-
-    /// All cells in the library.
-    pub fn cells(&self) -> &[Cell] {
-        &self.cells
-    }
-
     /// Number of distinct drive strengths for a kind.
     pub fn drive_count(&self, kind: CellKind) -> usize {
         self.cells.iter().filter(|c| c.kind == kind).count()
-    }
-
-    /// The smallest-drive cell of a kind, if the kind is in the library.
-    pub fn smallest(&self, kind: CellKind) -> Option<&Cell> {
-        self.cells
-            .iter()
-            .filter(|c| c.kind == kind)
-            .min_by(|a, b| a.drive.total_cmp(&b.drive))
     }
 
     /// The library cell of `kind` whose drive is nearest to `drive`
@@ -205,7 +170,7 @@ mod tests {
     #[test]
     fn rich_library_matches_sa27e_anchors() {
         let lib = Library::rich(TechNode::N180).unwrap();
-        let smallest = lib.smallest(CellKind::Inverter).unwrap();
+        let smallest = lib.nearest(CellKind::Inverter, 1.0).unwrap();
         // Section 2.3: "the smallest standard cell inverter has an input
         // capacitance of just 1.5 fF".
         assert!(
@@ -221,8 +186,8 @@ mod tests {
     fn coarse_library_is_10x_minimum() {
         let rich = Library::rich(TechNode::N180).unwrap();
         let coarse = Library::coarse(TechNode::N180).unwrap();
-        let ratio = coarse.smallest(CellKind::Inverter).unwrap().drive
-            / rich.smallest(CellKind::Inverter).unwrap().drive;
+        let ratio = coarse.nearest(CellKind::Inverter, 1.0).unwrap().drive
+            / rich.nearest(CellKind::Inverter, 1.0).unwrap().drive;
         assert!((ratio - 10.0).abs() < 1e-9);
     }
 
@@ -246,9 +211,11 @@ mod tests {
 
     #[test]
     fn unit_cap_scales_down_with_node() {
-        let c180 = Library::rich(TechNode::N180).unwrap().unit_cap();
-        let c35 = Library::rich(TechNode::N35).unwrap().unit_cap();
-        assert!(c35.0 < c180.0 / 2.0);
+        let unit_cap = |node| {
+            let lib = Library::rich(node).unwrap();
+            lib.nearest(CellKind::Inverter, 1.0).unwrap().input_cap
+        };
+        assert!(unit_cap(TechNode::N35).0 < unit_cap(TechNode::N180).0 / 2.0);
     }
 
     #[test]

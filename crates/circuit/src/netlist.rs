@@ -475,7 +475,7 @@ impl Netlist {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct NetlistBuilder {
     kinds: Vec<CellKind>,
     drives: Vec<f64>,
@@ -488,11 +488,6 @@ pub struct NetlistBuilder {
 }
 
 impl NetlistBuilder {
-    /// An empty builder.
-    pub fn new() -> Self {
-        Self::with_capacity(0, 0)
-    }
-
     /// An empty builder with column capacity for `gates` gates and
     /// `edges` fan-in edges.
     pub fn with_capacity(gates: usize, edges: usize) -> Self {
@@ -508,16 +503,6 @@ impl NetlistBuilder {
             fanin_offsets,
             fanin_edges: Vec::with_capacity(edges),
         }
-    }
-
-    /// Gates pushed so far.
-    pub fn len(&self) -> usize {
-        self.kinds.len()
-    }
-
-    /// True before the first push.
-    pub fn is_empty(&self) -> bool {
-        self.kinds.is_empty()
     }
 
     /// Appends a gate (copied out of `gate` — callers stream by reusing
@@ -831,14 +816,13 @@ mod tests {
 
     #[test]
     fn builder_rejects_forward_references_and_empty() {
-        let mut b = NetlistBuilder::new();
-        assert!(b.is_empty());
+        let mut b = NetlistBuilder::with_capacity(0, 0);
         let err = b
             .push(&Gate::new(CellKind::Inverter, vec![GateId::from_index(1)]))
             .unwrap_err();
         assert!(matches!(err, CircuitError::UnknownGate { index: 1 }));
         assert!(matches!(
-            NetlistBuilder::new().finish(),
+            NetlistBuilder::with_capacity(0, 0).finish(),
             Err(CircuitError::EmptyNetlist)
         ));
     }

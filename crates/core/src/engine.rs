@@ -73,21 +73,27 @@ use std::time::{Duration, Instant};
 /// and their backoff sleeps instead of prolonging the drain.
 ///
 /// Clones share the same flag, so the caller can hand one clone to a
-/// signal handler thread and another to [`Session::cancel`].
+/// signal handler thread and another to [`Session::cancel`]. A token
+/// made with [`CancelToken::with_deadline`] also reads as cancelled once
+/// its deadline has passed, with no thread to fire it: every reader
+/// polls.
 ///
 /// # Examples
 ///
 /// ```
 /// use nanopower::engine::CancelToken;
+/// use std::time::Instant;
 ///
 /// let token = CancelToken::new();
 /// assert!(!token.is_cancelled());
 /// token.cancel();
 /// assert!(token.is_cancelled());
+/// assert!(CancelToken::with_deadline(Instant::now()).is_cancelled());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
+    deadline: Option<Instant>,
 }
 
 impl CancelToken {
@@ -96,14 +102,23 @@ impl CancelToken {
         Self::default()
     }
 
+    /// A fresh token that cancels itself at `deadline`.
+    pub fn with_deadline(deadline: Instant) -> Self {
+        Self {
+            deadline: Some(deadline),
+            ..Self::default()
+        }
+    }
+
     /// Requests cancellation. Idempotent; never blocks.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::SeqCst);
     }
 
-    /// Whether cancellation has been requested.
+    /// Whether cancellation has been requested or the deadline has
+    /// passed.
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
+        self.flag.load(Ordering::SeqCst) || self.deadline.is_some_and(|at| Instant::now() >= at)
     }
 }
 
@@ -171,11 +186,6 @@ impl Job {
     pub fn transient(mut self, transient: bool) -> Self {
         self.transient = transient;
         self
-    }
-
-    /// The job's name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 }
 

@@ -184,11 +184,6 @@ impl Journal {
         self.write_line(&entry_line(record))
     }
 
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     fn write_line(&mut self, line: &str) -> Result<(), Error> {
         let mut buf = String::with_capacity(line.len() + 1);
         buf.push_str(line);

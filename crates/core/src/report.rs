@@ -44,16 +44,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no data rows have been added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with aligned columns and a separator line.
     pub fn render(&self) -> String {
         let cols = self.headers.len();
@@ -118,8 +108,6 @@ mod tests {
     fn pads_short_rows() {
         let mut t = TextTable::new(&["a", "b", "c"]);
         t.row(&["1"]);
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
         assert!(t.render().contains('1'));
     }
 

@@ -145,8 +145,6 @@ struct MemoState {
 pub struct ArtifactMemo {
     state: Mutex<MemoState>,
     config: MemoConfig,
-    hits: AtomicU64,
-    misses: AtomicU64,
     evictions: AtomicU64,
     spill_errors: AtomicU64,
 }
@@ -244,21 +242,12 @@ impl ArtifactMemo {
         fnv1a64(descriptor.as_bytes())
     }
 
-    /// Looks up a memoized output, counting a hit or miss and marking
-    /// the entry most-recently-used.
+    /// Looks up a memoized output, marking the entry most-recently-used.
     pub fn get(&self, key: u64) -> Option<MemoEntry> {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        match state.entries.get(&key).cloned() {
-            Some(entry) => {
-                touch(&mut state.order, key);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let entry = state.entries.get(&key).cloned()?;
+        touch(&mut state.order, key);
+        Some(entry)
     }
 
     /// Memoizes a rendered output under `key`, computing its digest,
@@ -326,14 +315,6 @@ impl ArtifactMemo {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .bytes
-    }
-
-    /// Lifetime `(hits, misses)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
     }
 
     /// Entries evicted by the entry/byte bounds over the memo's life.
@@ -713,7 +694,6 @@ struct QuarantineState {
 pub struct Quarantine {
     state: Mutex<QuarantineState>,
     max_entries: usize,
-    rejections: AtomicU64,
 }
 
 impl Quarantine {
@@ -726,18 +706,16 @@ impl Quarantine {
         Quarantine {
             state: Mutex::new(QuarantineState::default()),
             max_entries: max_entries.max(1),
-            rejections: AtomicU64::new(0),
         }
     }
 
     /// Whether `digest` is quarantined; a hit returns the original
-    /// panic message, counts a rejection, and marks the digest
-    /// most-recently-used (repeat offenders stay resident).
+    /// panic message and marks the digest most-recently-used (repeat
+    /// offenders stay resident).
     pub fn check(&self, digest: u64) -> Option<String> {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let message = state.entries.get(&digest).cloned()?;
         touch(&mut state.order, digest);
-        self.rejections.fetch_add(1, Ordering::Relaxed);
         Some(message)
     }
 
@@ -768,16 +746,6 @@ impl Quarantine {
     /// Whether the quarantine holds no digests.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The digest capacity.
-    pub fn capacity(&self) -> usize {
-        self.max_entries
-    }
-
-    /// Lifetime count of repeats rejected from quarantine.
-    pub fn rejections(&self) -> u64 {
-        self.rejections.load(Ordering::Relaxed)
     }
 }
 
@@ -882,7 +850,6 @@ mod tests {
         let entry = memo.get(key).expect("present after insert");
         assert_eq!(entry.output, "v,drop\n0,1\n");
         assert!(entry.digest.starts_with("fnv1a:"));
-        assert_eq!(memo.stats(), (1, 1));
         assert_eq!(memo.len(), 1);
         assert_eq!(memo.approx_bytes(), "v,drop\n0,1\n".len());
         assert!(!memo.is_empty());
@@ -1185,12 +1152,10 @@ mod tests {
         let q = Quarantine::new(8);
         assert!(q.is_empty());
         assert_eq!(q.check(1), None, "unknown digest passes");
-        assert_eq!(q.rejections(), 0);
         q.insert(1, "panicked: boom".into());
         assert_eq!(q.len(), 1);
         assert_eq!(q.check(1).as_deref(), Some("panicked: boom"));
         assert_eq!(q.check(1).as_deref(), Some("panicked: boom"));
-        assert_eq!(q.rejections(), 2);
         assert_eq!(q.check(2), None, "other digests unaffected");
     }
 
@@ -1226,7 +1191,6 @@ mod tests {
     #[test]
     fn quarantine_clamps_zero_capacity_to_one() {
         let q = Quarantine::new(0);
-        assert_eq!(q.capacity(), 1);
         q.insert(1, "a".into());
         q.insert(2, "b".into());
         assert_eq!(q.len(), 1);

@@ -924,17 +924,33 @@ mod tests {
                 .grid
                 .map(|g| (g.resolution, g.analytic.0.to_bits(), g.mesh.0.to_bits()))
         };
+        let collector = np_telemetry::Collector::new();
         let mesh = np_grid::mesh::MeshCache::new();
         for node in [TechNode::N70, TechNode::N35] {
             let mut spec = ScenarioSpec::at_node(node);
             spec.grid = Some(GridSpec { resolution: 33 });
-            let shared = bits(spec.evaluate_in(&mesh)?);
+            let shared = {
+                let _guard = np_telemetry::install(&collector);
+                bits(spec.evaluate_in(&mesh)?)
+            };
             assert!(shared.is_some(), "{node:?} has a grid leg");
             assert_eq!(shared, bits(spec.evaluate()?), "{node:?}");
         }
         // The second node at the same resolution read the first one's
         // unit solve.
-        assert_eq!((mesh.misses(), mesh.hits()), (1, 1));
+        let lookups: Vec<_> = collector
+            .summary()
+            .counters
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("grid.mesh_cache."))
+            .collect();
+        assert_eq!(
+            lookups,
+            [
+                ("grid.mesh_cache.hit".into(), 1),
+                ("grid.mesh_cache.miss".into(), 1)
+            ]
+        );
         Ok(())
     }
 

@@ -44,16 +44,6 @@ pub struct SubthresholdStack {
 }
 
 impl SubthresholdStack {
-    /// A stack of the given devices, listed bottom (source-side) first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `devices` is empty.
-    pub fn new(devices: Vec<Mosfet>) -> Self {
-        assert!(!devices.is_empty(), "stack needs at least one device");
-        Self { devices }
-    }
-
     /// A stack of `n` copies of one device.
     ///
     /// # Panics
@@ -64,21 +54,6 @@ impl SubthresholdStack {
         Self {
             devices: vec![device.clone(); n],
         }
-    }
-
-    /// Stack depth.
-    pub fn len(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Always false (construction requires at least one device).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The devices, bottom first.
-    pub fn devices(&self) -> &[Mosfet] {
-        &self.devices
     }
 
     /// Leakage current of the stack with all gates at 0 V and the top
@@ -202,36 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn mixed_vth_stack_beats_uniform_low_vth() {
-        // Section 3.3: a high-Vth device in the stack buys extra
-        // suppression even when the other device stays fast.
-        let low = dev();
-        let high = low.with_vth(low.vth + Volts(0.1));
-        let v = low.nominal_vdd();
-        let uniform = SubthresholdStack::uniform(&low, 2).leakage(v).unwrap();
-        let mixed = SubthresholdStack::new(vec![high.clone(), low.clone()])
-            .leakage(v)
-            .unwrap();
-        assert!(mixed < uniform);
-    }
-
-    #[test]
-    fn high_vth_position_matters_little_but_both_work() {
-        let low = dev();
-        let high = low.with_vth(low.vth + Volts(0.1));
-        let v = low.nominal_vdd();
-        let bottom = SubthresholdStack::new(vec![high.clone(), low.clone()])
-            .leakage(v)
-            .unwrap();
-        let top = SubthresholdStack::new(vec![low.clone(), high.clone()])
-            .leakage(v)
-            .unwrap();
-        let single_low = SubthresholdStack::uniform(&low, 2).leakage(v).unwrap();
-        assert!(bottom < single_low);
-        assert!(top < single_low);
-    }
-
-    #[test]
     fn zero_vds_carries_no_current() {
         assert_eq!(subthreshold_current(&dev(), Volts(0.0), Volts(0.0)), 0.0);
     }
@@ -242,19 +187,5 @@ mod tests {
         assert!(SubthresholdStack::uniform(&d, 2)
             .leakage(Volts(0.0))
             .is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one device")]
-    fn empty_stack_panics() {
-        let _ = SubthresholdStack::new(Vec::new());
-    }
-
-    #[test]
-    fn len_reports_depth() {
-        let s = SubthresholdStack::uniform(&dev(), 3);
-        assert_eq!(s.len(), 3);
-        assert!(!s.is_empty());
-        assert_eq!(s.devices().len(), 3);
     }
 }

@@ -25,15 +25,7 @@ pub enum GridError {
     },
 }
 
-impl GridError {
-    /// Iterations the failed solve performed, for `NoConvergence`.
-    pub fn iterations(&self) -> Option<usize> {
-        match self {
-            GridError::NoConvergence { diag } => Some(diag.iterations),
-            _ => None,
-        }
-    }
-}
+impl GridError {}
 
 impl fmt::Display for GridError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -82,11 +74,9 @@ mod tests {
         let s = format!("{err}");
         assert!(s.contains("stalled"), "{s}");
         assert!(s.contains("iteration budget"), "{s}");
-        assert_eq!(err.iterations(), Some(1));
         let e: GridError = np_units::guard::finite(f64::NAN, "g", "t")
             .unwrap_err()
             .into();
         assert!(format!("{e}").contains("bad input"));
-        assert!(e.iterations().is_none());
     }
 }

@@ -138,15 +138,6 @@ fn worst_drop_of(v: &[f64]) -> Volts {
     Volts(-v.iter().copied().fold(f64::INFINITY, f64::min))
 }
 
-/// Everything behind the cache's one lock.
-#[derive(Debug, Default)]
-struct CacheState {
-    /// Worst drop of the unit cell, keyed by mesh side.
-    unit_drops: HashMap<usize, f64>,
-    hits: u64,
-    misses: u64,
-}
-
 /// A table of unit bump-cell worst drops, one per mesh side, from which
 /// every node's drop is a scaling.
 ///
@@ -168,7 +159,6 @@ struct CacheState {
 /// let n50 = cache.worst_drop_with_resolution(TechNode::N50, Microns(90.0), Microns(3.0), n)?;
 /// // Another node and geometry at the same resolution is a table read.
 /// let n35 = cache.worst_drop_with_resolution(TechNode::N35, Microns(80.0), Microns(4.0), n)?;
-/// assert_eq!((cache.misses(), cache.hits()), (1, 1));
 /// assert!(n50.0 > 0.0);
 /// // The reference SOR solves the physical cell directly.
 /// let direct = mesh_worst_drop(TechNode::N35, Microns(80.0), Microns(4.0))?;
@@ -177,7 +167,8 @@ struct CacheState {
 /// ```
 #[derive(Debug, Default)]
 pub struct MeshCache {
-    state: Mutex<CacheState>,
+    /// Worst drop of the unit cell, keyed by mesh side.
+    unit_drops: Mutex<HashMap<usize, f64>>,
 }
 
 impl MeshCache {
@@ -209,47 +200,24 @@ impl MeshCache {
     /// The unit cell's worst drop at `side`: a table read on a hit, one
     /// solve on a miss.
     fn unit_drop(&self, side: usize) -> Result<f64, GridError> {
-        {
-            let mut state = self.lock();
-            if let Some(&unit) = state.unit_drops.get(&side) {
-                state.hits += 1;
-                drop(state);
-                np_telemetry::counter("grid.mesh_cache.hit", 1);
-                return Ok(unit);
-            }
-            state.misses += 1;
+        let tabled = self.lock().get(&side).copied();
+        if let Some(unit) = tabled {
+            np_telemetry::counter("grid.mesh_cache.hit", 1);
+            return Ok(unit);
         }
         np_telemetry::counter("grid.mesh_cache.miss", 1);
         let unit = worst_drop_of(&SolvePlan::auto().solve(&cell_problem(side, 1.0, 1.0))?).0;
-        self.lock().unit_drops.insert(side, unit);
+        self.lock().insert(side, unit);
         Ok(unit)
     }
 
     /// The table lock. A panic elsewhere cannot leave the table
-    /// half-written (each update is one insert or one increment), so a
-    /// poisoned lock is recovered.
-    fn lock(&self) -> MutexGuard<'_, CacheState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Lookups answered from the table.
-    pub fn hits(&self) -> u64 {
-        self.lock().hits
-    }
-
-    /// Lookups that had to solve the unit cell first.
-    pub fn misses(&self) -> u64 {
-        self.lock().misses
-    }
-
-    /// Number of mesh sides whose unit drop is tabled.
-    pub fn len(&self) -> usize {
-        self.lock().unit_drops.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// half-written (each update is one insert), so a poisoned lock is
+    /// recovered.
+    fn lock(&self) -> MutexGuard<'_, HashMap<usize, f64>> {
+        self.unit_drops
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -260,6 +228,18 @@ mod tests {
 
     /// The default mesh side, short for the cache lookups below.
     const N: usize = DEFAULT_RESOLUTION;
+
+    /// `(misses, hits)`: the cache lookups counted on `collector`.
+    fn lookups(collector: &np_telemetry::Collector) -> (u64, u64) {
+        let counters = collector.summary().counters;
+        let count = |name: &str| {
+            counters
+                .iter()
+                .find(|(n, _)| n == name)
+                .map_or(0, |(_, v)| *v)
+        };
+        (count("grid.mesh_cache.miss"), count("grid.mesh_cache.hit"))
+    }
 
     #[test]
     fn mesh_and_analytic_agree_within_a_factor() -> Result<(), GridError> {
@@ -315,6 +295,8 @@ mod tests {
         // An infinite pitch zeroes the edge conductance, an infinite width
         // makes it infinite, and a huge pitch overflows h²: the cache must
         // return the oracle's typed error, not a scaled inf, 0 or NaN.
+        let collector = np_telemetry::Collector::new();
+        let _guard = np_telemetry::install(&collector);
         let cache = MeshCache::new();
         for (pitch, width) in [
             (f64::INFINITY, 3.0),
@@ -336,11 +318,17 @@ mod tests {
                 );
             }
         }
-        assert!(cache.is_empty(), "no rejected cell reaches the table");
+        assert_eq!(
+            lookups(&collector),
+            (0, 0),
+            "no rejected cell reaches the table"
+        );
     }
 
     #[test]
     fn cache_matches_the_free_function() -> Result<(), GridError> {
+        let collector = np_telemetry::Collector::new();
+        let _guard = np_telemetry::install(&collector);
         let cache = MeshCache::new();
         let cached =
             cache.worst_drop_with_resolution(TechNode::N35, Microns(80.0), Microns(4.0), N)?;
@@ -352,23 +340,25 @@ mod tests {
             (cached.0 - direct.0).abs() <= 1e-6 * direct.0.abs(),
             "cached {cached} vs direct {direct}"
         );
-        assert_eq!((cache.misses(), cache.hits()), (1, 0));
-        assert_eq!(cache.len(), 1);
+        assert_eq!(lookups(&collector), (1, 0));
         Ok(())
     }
 
     #[test]
     fn repeat_solves_hit_the_cache_and_agree() -> Result<(), GridError> {
+        let collector = np_telemetry::Collector::new();
+        let _guard = np_telemetry::install(&collector);
         let cache = MeshCache::new();
         let first =
             cache.worst_drop_with_resolution(TechNode::N50, Microns(90.0), Microns(3.0), N)?;
         let second =
             cache.worst_drop_with_resolution(TechNode::N50, Microns(90.0), Microns(3.0), N)?;
         assert_eq!(first, second, "a table read gives the fresh solve's bits");
-        assert_eq!((cache.misses(), cache.hits()), (1, 1));
+        assert_eq!(lookups(&collector), (1, 1));
         // Another geometry at the same side scales the same unit solve.
         let other =
             cache.worst_drop_with_resolution(TechNode::N50, Microns(91.0), Microns(3.0), N)?;
+        assert_eq!(lookups(&collector), (1, 2));
         assert_eq!(
             other,
             MeshCache::new().worst_drop_with_resolution(
@@ -378,14 +368,15 @@ mod tests {
                 N
             )?
         );
-        assert_eq!((cache.misses(), cache.hits()), (1, 2));
         // Another side is a fresh unit solve; an even resolution rounds up
         // to the odd side already tabled.
         cache.worst_drop_with_resolution(TechNode::N50, Microns(90.0), Microns(3.0), 17)?;
         cache.worst_drop_with_resolution(TechNode::N50, Microns(90.0), Microns(3.0), 16)?;
-        assert_eq!((cache.misses(), cache.hits()), (2, 3));
-        assert_eq!(cache.len(), 2);
-        assert!(!cache.is_empty());
+        assert_eq!(
+            lookups(&collector),
+            (3, 3),
+            "the fresh cache above missed once"
+        );
         Ok(())
     }
 
@@ -424,6 +415,8 @@ mod tests {
         // resistance and rail width, so every node reads the same ratio
         // (to 1e-15).
         const RATIO_AT_129: f64 = 1.273_072_747_272_968;
+        let collector = np_telemetry::Collector::new();
+        let _guard = np_telemetry::install(&collector);
         let cache = MeshCache::new();
         for node in TechNode::ALL {
             let plan = crate::plan::GridPlan::min_pitch(node)?;
@@ -437,7 +430,7 @@ mod tests {
                 "{node}: mesh/analytic {ratio:.17e}, pinned {RATIO_AT_129:.17e}"
             );
         }
-        assert_eq!((cache.misses(), cache.hits()), (1, 5));
+        assert_eq!(lookups(&collector), (1, 5));
         Ok(())
     }
 
@@ -448,6 +441,8 @@ mod tests {
         let (node, pitch, width) = (TechNode::N50, Microns(90.0), Microns(3.0));
         let cache = MeshCache::new();
         for resolution in [33, 31] {
+            let collector = np_telemetry::Collector::new();
+            let _guard = np_telemetry::install(&collector);
             let direct = mesh_worst_drop_with_resolution(node, pitch, width, resolution)?;
             for _ in 0..2 {
                 let cached = cache.worst_drop_with_resolution(node, pitch, width, resolution)?;
@@ -456,8 +451,8 @@ mod tests {
                     "resolution {resolution}: cached {cached} vs SOR {direct}"
                 );
             }
+            assert_eq!(lookups(&collector), (1, 1), "resolution {resolution}");
         }
-        assert_eq!((cache.misses(), cache.hits()), (2, 2));
         Ok(())
     }
 
@@ -465,6 +460,8 @@ mod tests {
     fn one_cache_serves_concurrent_callers() -> Result<(), GridError> {
         // Every node from two threads at once through one cache: the
         // answers equal a fresh cache's, and each lookup counts once.
+        let collector = np_telemetry::Collector::new();
+        let _guard = np_telemetry::install(&collector);
         let cache = MeshCache::new();
         let drops = |cache: &MeshCache| -> Result<Vec<Volts>, GridError> {
             TechNode::ALL
@@ -475,18 +472,21 @@ mod tests {
                 .collect()
         };
         let (a, b) = std::thread::scope(|scope| {
-            let a = scope.spawn(|| drops(&cache));
+            let a = scope.spawn(|| {
+                let _guard = np_telemetry::install(&collector);
+                drops(&cache)
+            });
             let b = drops(&cache);
             (a.join().unwrap_or_else(|e| std::panic::resume_unwind(e)), b)
         });
         let (a, b) = (a?, b?);
         assert_eq!(a, b);
+        let (misses, hits) = lookups(&collector);
+        assert_eq!(misses + hits, 2 * TechNode::ALL.len() as u64);
+        // The side is tabled once, whoever solved it.
+        cache.worst_drop_with_resolution(TechNode::N50, Microns(90.0), Microns(3.0), 17)?;
+        assert_eq!(lookups(&collector), (misses, hits + 1));
         assert_eq!(a, drops(&MeshCache::new())?);
-        assert_eq!(
-            cache.hits() + cache.misses(),
-            2 * TechNode::ALL.len() as u64
-        );
-        assert_eq!(cache.len(), 1);
         Ok(())
     }
 }

@@ -11,17 +11,13 @@
 
 use crate::elmore::RcLine;
 use crate::error::InterconnectError;
-use crate::repeater::DriverTech;
-use np_units::{guard, Farads, Microns, Ohms, Seconds, Volts, Watts};
+use np_units::{guard, Volts};
 
 /// Default swing as a fraction of `Vdd` (the Alpha 21264 figure).
 pub const DEFAULT_SWING_FRACTION: f64 = 0.1;
 
 /// Smallest swing a practical sense-amplifier receiver resolves reliably.
 pub const MIN_RESOLVABLE_SWING: Volts = Volts(0.04);
-
-/// Receiver (sense-amp) delay in picoseconds — a fixed overhead per link.
-pub const RECEIVER_DELAY_PS: f64 = 60.0;
 
 /// Routing-area factor of a differential pair relative to a single-ended
 /// full-swing wire *with its shield* ("less than the expected factor
@@ -80,32 +76,14 @@ impl LowSwingLink {
         let c = self.line.geometry.capacitance_shielded_per_micron().0 * self.line.length.0;
         c * self.swing.0 * self.vdd.0
     }
-
-    /// Power at toggle rate `activity` and clock `freq_hz`.
-    pub fn power(&self, activity: f64, freq_hz: f64) -> Watts {
-        Watts(activity * freq_hz * self.energy_per_transition())
-    }
-
-    /// Link delay: wire settling to the swing point plus the sense-amp
-    /// resolution time. Settling to a small fraction of the final value is
-    /// *faster* than a full-swing 50 % crossing on the same wire.
-    pub fn delay(&self, driver: &DriverTech, driver_width: Microns) -> Seconds {
-        let r_drv = Ohms(driver.rd_ohm_um / driver_width.0);
-        // Time to slew the line to `swing` with the driver's current:
-        // approximately the Elmore delay scaled by the swing fraction,
-        // floored at 10% for slew limits.
-        let frac = (self.swing.0 / self.vdd.0).max(0.1);
-        let wire = self.line.elmore_delay(r_drv, Farads(0.0));
-        Seconds(wire.0 * frac + RECEIVER_DELAY_PS * 1e-12)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire::WireGeometry;
-    use np_device::Mosfet;
     use np_roadmap::TechNode;
+    use np_units::Microns;
 
     fn link(node: TechNode) -> LowSwingLink {
         let line = RcLine::new(WireGeometry::top_level(node), Microns(10_000.0)).unwrap();
@@ -128,15 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn power_scales_with_activity() {
-        let l = link(TechNode::N50);
-        let p1 = l.power(0.1, 3e9);
-        let p2 = l.power(0.2, 3e9);
-        assert!((p2.0 / p1.0 - 2.0).abs() < 1e-9);
-        assert!(p1.0 > 0.0);
-    }
-
-    #[test]
     fn swing_below_sensitivity_is_infeasible() {
         let line = RcLine::new(WireGeometry::top_level(TechNode::N35), Microns(5_000.0)).unwrap();
         // 10% of 0.35 V = 35 mV < 40 mV sensitivity.
@@ -149,16 +118,6 @@ mod tests {
         let line = RcLine::new(WireGeometry::top_level(TechNode::N70), Microns(5_000.0)).unwrap();
         assert!(LowSwingLink::with_swing(line, Volts(0.9), Volts(0.0)).is_err());
         assert!(LowSwingLink::with_swing(line, Volts(0.9), Volts(1.0)).is_err());
-    }
-
-    #[test]
-    fn delay_includes_receiver_overhead() {
-        let node = TechNode::N70;
-        let l = link(node);
-        let dev = Mosfet::for_node(node).unwrap();
-        let tech = DriverTech::from_device(&dev, node.params().vdd).unwrap();
-        let d = l.delay(&tech, Microns(20.0));
-        assert!(d.as_pico() > RECEIVER_DELAY_PS);
     }
 
     #[test]

@@ -84,12 +84,6 @@ impl TechNode {
         }
     }
 
-    /// The next (finer) node, or `None` at the end of the roadmap.
-    pub fn next(self) -> Option<TechNode> {
-        let i = self.index();
-        TechNode::ALL.get(i + 1).copied()
-    }
-
     /// Looks a node up by its drawn feature size in nanometers.
     ///
     /// # Examples
@@ -345,12 +339,6 @@ mod tests {
             assert_eq!(TechNode::from_drawn_nm(n.drawn().0 as u32), Some(n));
         }
         assert_eq!(TechNode::from_drawn_nm(250), None);
-    }
-
-    #[test]
-    fn next_walks_the_roadmap() {
-        assert_eq!(TechNode::N180.next(), Some(TechNode::N130));
-        assert_eq!(TechNode::N35.next(), None);
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! | IR-drop PCG / MGCG (`np-grid`) | `grid.pcg.solve`, `grid.pcg.iterations`, `grid.pcg.final_residual`; `grid.mgcg.solve`, `grid.mgcg.iterations`, `grid.mgcg.sweeps_equivalent`, `grid.mgcg.final_residual`, `grid.mg.level#depth` |
 //! | IR-drop SOR (`np-grid`) | `grid.sor.solve`, `grid.sor.iterations` |
 //! | electro-thermal fixed point (`np-thermal`) | `thermal.fixed_point`, `thermal.fixed_point.iterations` |
-//! | thermal-RC settle (`np-thermal`) | `thermal.rc.settle`, `thermal.rc.settle_steps` |
 //! | STA (`np-circuit`) | `circuit.sta.analyze`, `circuit.sta.critical_delay`, `circuit.sta.gates`, `circuit.sta.level_passes` |
 //! | Vth solve (`np-device`) | `device.solve_vth`, `device.solve_vth.evals` |
 //!

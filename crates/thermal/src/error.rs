@@ -20,11 +20,6 @@ pub enum ThermalError {
         /// What the fixed-point iteration did before it was abandoned.
         diag: Convergence,
     },
-    /// An iterative thermal solve exhausted its budget without settling.
-    NoConvergence {
-        /// What the iteration did before giving up.
-        diag: Convergence,
-    },
     /// A numerical solve failed.
     Solve(SolveError),
 }
@@ -39,9 +34,6 @@ impl fmt::Display for ThermalError {
                     f,
                     "thermal runaway: no stable junction temperature (reached {last_temp:.0} °C; {diag})"
                 )
-            }
-            ThermalError::NoConvergence { diag } => {
-                write!(f, "thermal solve stalled: {diag}")
             }
             ThermalError::Solve(e) => write!(f, "thermal solve failed: {e}"),
         }
@@ -90,10 +82,6 @@ mod tests {
         let s = format!("{runaway}");
         assert!(s.contains("runaway"), "{s}");
         assert!(s.contains("escaped"), "{s}");
-        let stalled = ThermalError::NoConvergence {
-            diag: trace.diagnostic(Breakdown::IterationBudget),
-        };
-        assert!(format!("{stalled}").contains("stalled"));
         let bad: ThermalError = np_units::guard::finite(f64::NAN, "P", "t")
             .unwrap_err()
             .into();

@@ -35,17 +35,6 @@ impl Package {
         self.t_ambient + self.theta_ja * power
     }
 
-    /// Eq. 1 solved for `Pchip`: the dissipation that drives the junction
-    /// to `t_max`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if θja is not positive.
-    pub fn max_power(&self, t_max: Celsius) -> Watts {
-        assert!(self.theta_ja.0 > 0.0, "θja must be positive");
-        Watts((t_max - self.t_ambient).0 / self.theta_ja.0)
-    }
-
     /// Eq. 1 solved for θja: the thermal resistance needed to keep
     /// `power` below `t_max` at this ambient.
     pub fn required_theta_ja(
@@ -157,12 +146,10 @@ mod tests {
     }
 
     #[test]
-    fn eq1_three_ways() {
+    fn eq1_both_ways() {
         let p = pkg();
         let tj = p.junction_temperature(Watts(68.75));
         assert!((tj.0 - 100.0).abs() < 1e-9);
-        let pmax = p.max_power(Celsius(100.0));
-        assert!((pmax.0 - 68.75).abs() < 1e-9);
         let theta = Package::required_theta_ja(Watts(68.75), Celsius(100.0), Celsius(45.0));
         assert!((theta.0 - 0.8).abs() < 1e-12);
     }
@@ -203,12 +190,5 @@ mod tests {
         assert!(pkg()
             .electro_thermal_temperature(Watts(10.0), &dev, Microns(0.0), Volts(0.9))
             .is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "θja must be positive")]
-    fn zero_theta_panics() {
-        let p = Package::new(ThermalResistance(0.0), Celsius(45.0));
-        let _ = p.max_power(Celsius(100.0));
     }
 }

@@ -5,10 +5,8 @@
 //! of `C·dT/dt = P − (T − Ta)/θ` is applied, so the integration is
 //! unconditionally stable for any sample period.
 
-use crate::error::ThermalError;
 use crate::package::Package;
-use np_units::convergence::{Breakdown, ResidualTrace};
-use np_units::{guard, Celsius, Seconds, Watts};
+use np_units::{Celsius, Seconds, Watts};
 
 /// Representative die + spreader heat capacity, J/°C. With θja ≈ 0.7 °C/W
 /// this gives the tens-of-milliseconds thermal time constant that on-die
@@ -44,60 +42,6 @@ impl ThermalRc {
     /// The thermal time constant `τ = θja · C_th`.
     pub fn time_constant(&self) -> Seconds {
         Seconds(self.package.theta_ja.0 * self.heat_capacity)
-    }
-
-    /// Steps the node at constant dissipation until the temperature
-    /// update falls below `tol_c` degrees, returning the settled
-    /// temperature — the iterative counterpart of
-    /// [`Package::junction_temperature`], with a watchdog: if `max_steps`
-    /// elapse first, the error's [`Convergence`] diagnostic carries the
-    /// step count and the tail of the update history.
-    ///
-    /// # Errors
-    ///
-    /// [`ThermalError::NonFinite`] for a NaN/infinite power or
-    /// non-positive `dt`/`tol_c`; [`ThermalError::NoConvergence`] when
-    /// the node has not settled within `max_steps`.
-    ///
-    /// [`Convergence`]: np_units::convergence::Convergence
-    pub fn settle(
-        &mut self,
-        power: Watts,
-        dt: Seconds,
-        tol_c: f64,
-        max_steps: usize,
-    ) -> Result<Celsius, ThermalError> {
-        let ctx = "ThermalRc::settle";
-        guard::finite_non_negative(power.0, "power", ctx)?;
-        guard::finite_positive(dt.0, "dt", ctx)?;
-        guard::finite_positive(tol_c, "tolerance", ctx)?;
-        let _span = np_telemetry::span("thermal.rc.settle");
-        let mut trace = ResidualTrace::new();
-        // The labeled block funnels every exit through one point so the
-        // step count is recorded exactly once, settled or not.
-        let result = 'solve: {
-            for _ in 0..max_steps {
-                let before = self.temperature;
-                let after = self.step(power, dt);
-                let delta = (after - before).abs().0;
-                if !delta.is_finite() {
-                    break 'solve Err(ThermalError::NoConvergence {
-                        diag: trace.diagnostic(Breakdown::NonFinite {
-                            at_iteration: trace.iterations(),
-                        }),
-                    });
-                }
-                trace.record(delta);
-                if delta <= tol_c {
-                    break 'solve Ok(after);
-                }
-            }
-            Err(ThermalError::NoConvergence {
-                diag: trace.diagnostic(Breakdown::IterationBudget),
-            })
-        };
-        np_telemetry::counter("thermal.rc.settle_steps", trace.iterations() as u64);
-        result
     }
 
     /// Advances the node by `dt` at constant dissipation `power`, using
@@ -175,44 +119,5 @@ mod tests {
     #[should_panic(expected = "heat capacity must be positive")]
     fn zero_capacity_panics() {
         let _ = ThermalRc::new(Package::new(ThermalResistance(0.8), Celsius(45.0)), 0.0);
-    }
-
-    #[test]
-    fn settle_matches_steady_state() {
-        let mut n = node();
-        let p = Watts(60.0);
-        let settled = n.settle(p, Seconds(1e-3), 1e-9, 2_000_000).unwrap();
-        assert!((settled - n.package.junction_temperature(p)).abs().0 < 1e-3);
-    }
-
-    #[test]
-    fn settle_watchdog_reports_budget_with_diagnostic() {
-        use crate::error::ThermalError;
-        use np_units::convergence::Breakdown;
-        let mut n = node();
-        // Far too few steps to settle from ambient to ~93 °C.
-        match n.settle(Watts(60.0), Seconds(1e-6), 1e-9, 5) {
-            Err(ThermalError::NoConvergence { diag }) => {
-                assert_eq!(diag.iterations, 5);
-                assert_eq!(diag.reason, Breakdown::IterationBudget);
-                assert!(!diag.residual_tail.is_empty());
-                assert!(diag.final_residual.is_finite());
-            }
-            other => panic!("expected watchdog error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn settle_rejects_non_finite_power() {
-        use crate::error::ThermalError;
-        let mut n = node();
-        assert!(matches!(
-            n.settle(Watts(f64::NAN), Seconds(1e-3), 1e-6, 10),
-            Err(ThermalError::NonFinite(_))
-        ));
-        assert!(matches!(
-            n.settle(Watts(60.0), Seconds(0.0), 1e-6, 10),
-            Err(ThermalError::NonFinite(_))
-        ));
     }
 }

@@ -40,21 +40,6 @@ impl WorkloadTrace {
         &self.samples
     }
 
-    /// Trace duration.
-    pub fn duration(&self) -> Seconds {
-        self.dt * self.samples.len() as f64
-    }
-
-    /// The instantaneous peak.
-    pub fn peak(&self) -> Watts {
-        self.samples.iter().copied().fold(Watts(0.0), Watts::max)
-    }
-
-    /// Mean power.
-    pub fn mean(&self) -> Watts {
-        self.samples.iter().copied().sum::<Watts>() / self.samples.len() as f64
-    }
-
     /// The *effective worst case*: the largest moving average over a
     /// thermal time-constant window — what actually heats the die.
     ///
@@ -127,11 +112,19 @@ mod tests {
 
     const DT: Seconds = Seconds(1e-3);
 
+    fn peak(t: &WorkloadTrace) -> Watts {
+        t.samples().iter().copied().fold(Watts(0.0), Watts::max)
+    }
+
+    fn mean(t: &WorkloadTrace) -> Watts {
+        t.samples().iter().copied().sum::<Watts>() / t.samples().len() as f64
+    }
+
     #[test]
     fn virus_is_flat_at_max() {
         let t = WorkloadTrace::power_virus(Watts(100.0), 1000, DT);
-        assert_eq!(t.peak(), Watts(100.0));
-        assert_eq!(t.mean(), Watts(100.0));
+        assert_eq!(peak(&t), Watts(100.0));
+        assert_eq!(mean(&t), Watts(100.0));
         assert_eq!(t.effective_worst_case(Seconds(0.05)), Watts(100.0));
     }
 
@@ -144,14 +137,14 @@ mod tests {
             "effective worst case {eff} not near 75 W"
         );
         // Instantaneous spikes still reach (close to) the theoretical max.
-        assert!(t.peak().0 > 95.0);
+        assert!(peak(&t).0 > 95.0);
     }
 
     #[test]
     fn effective_worst_case_is_below_peak_for_bursty() {
         let t = WorkloadTrace::application(Watts(100.0), 0.75, 20_000, DT, 4);
-        assert!(t.effective_worst_case(Seconds(0.05)) < t.peak());
-        assert!(t.mean() < t.effective_worst_case(Seconds(0.05)));
+        assert!(t.effective_worst_case(Seconds(0.05)) < peak(&t));
+        assert!(mean(&t) < t.effective_worst_case(Seconds(0.05)));
     }
 
     #[test]
@@ -164,8 +157,8 @@ mod tests {
     #[test]
     fn duration_is_samples_times_dt() {
         let t = WorkloadTrace::power_virus(Watts(1.0), 250, DT);
-        assert!((t.duration().0 - 0.25).abs() < 1e-12);
         assert_eq!(t.samples().len(), 250);
+        assert!((t.samples().len() as f64 * t.dt().0 - 0.25).abs() < 1e-12);
         assert_eq!(t.dt(), DT);
     }
 

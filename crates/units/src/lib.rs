@@ -11,10 +11,10 @@
 //! with the arithmetic that is physically meaningful — and only that
 //! arithmetic — implemented ([C-OVERLOAD]).
 //!
-//! The [`math`] and [`stats`] modules provide the root finding and
-//! descriptive statistics that the analytical models in the rest of the
-//! workspace need. They are implemented in-repo because the models require
-//! only small, well-understood numerics.
+//! The [`math`] module provides the root finding and sampling grids that
+//! the analytical models in the rest of the workspace need. They are
+//! implemented in-repo because the models require only small,
+//! well-understood numerics.
 //!
 //! # Examples
 //!
@@ -22,7 +22,7 @@
 //! use np_units::{Volts, Amps, Ohms, Watts};
 //!
 //! let vdd = Volts(1.2);
-//! let ion = Amps::from_milli(750.0); // 750 mA for a 1 mm-wide device
+//! let ion = Amps(0.75); // 750 mA for a 1 mm-wide device
 //! let power: Watts = vdd * ion;
 //! assert!((power.0 - 0.9).abs() < 1e-12);
 //!
@@ -41,7 +41,6 @@ pub mod convergence;
 pub mod guard;
 pub mod math;
 pub mod quantity;
-pub mod stats;
 
 pub use quantity::{
     Amps, Celsius, CoulombsPerCm2, Farads, FaradsPerCm2, FaradsPerMicron, Hertz, Kelvin,

@@ -176,41 +176,6 @@ pub fn logspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Fixed-point iteration `x_{k+1} = f(x_k)` until `|Δx| <= tol`.
-///
-/// Used for the leakage–temperature closure in `np-thermal`, where the map
-/// is a contraction for every physical package.
-///
-/// # Errors
-///
-/// Returns [`SolveError::NoConvergence`] when `max_iters` is exhausted and
-/// [`SolveError::NonFinite`] when the map diverges to a non-finite value.
-pub fn fixed_point<F: FnMut(f64) -> f64>(
-    mut f: F,
-    x0: f64,
-    tol: f64,
-    max_iters: usize,
-) -> Result<f64, SolveError> {
-    if !(tol > 0.0) {
-        return Err(SolveError::BadArguments("require tol > 0"));
-    }
-    let mut x = x0;
-    for _ in 0..max_iters {
-        let next = f(x);
-        if !next.is_finite() {
-            return Err(SolveError::NonFinite { at: x });
-        }
-        if (next - x).abs() <= tol {
-            return Ok(next);
-        }
-        x = next;
-    }
-    Err(SolveError::NoConvergence {
-        iterations: max_iters,
-        best: x,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,22 +242,6 @@ mod tests {
         for w in xs.windows(2) {
             assert!((w[1] / w[0] - 10.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn fixed_point_converges_for_contraction() {
-        // x = cos(x) has the Dottie number as its fixed point.
-        let x = fixed_point(f64::cos, 1.0, 1e-12, 500).expect("converges");
-        assert!((x - 0.739_085_133_215).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fixed_point_reports_exhaustion() {
-        let err = fixed_point(|x| x + 1.0, 0.0, 1e-9, 10).unwrap_err();
-        assert!(matches!(
-            err,
-            SolveError::NoConvergence { iterations: 10, .. }
-        ));
     }
 
     #[test]

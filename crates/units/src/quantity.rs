@@ -297,12 +297,6 @@ quantity!(
 // ---------------------------------------------------------------------------
 
 impl Volts {
-    /// Creates a value from millivolts.
-    #[inline]
-    pub fn from_milli(mv: f64) -> Self {
-        Self(mv * 1e-3)
-    }
-
     /// Returns the value in millivolts.
     #[inline]
     pub fn as_milli(self) -> f64 {
@@ -310,45 +304,7 @@ impl Volts {
     }
 }
 
-impl Amps {
-    /// Creates a value from milliamperes.
-    #[inline]
-    pub fn from_milli(ma: f64) -> Self {
-        Self(ma * 1e-3)
-    }
-
-    /// Creates a value from nanoamperes.
-    #[inline]
-    pub fn from_nano(na: f64) -> Self {
-        Self(na * 1e-9)
-    }
-
-    /// Returns the value in microamperes.
-    #[inline]
-    pub fn as_micro(self) -> f64 {
-        self.0 * 1e6
-    }
-}
-
 impl Watts {
-    /// Creates a value from milliwatts.
-    #[inline]
-    pub fn from_milli(mw: f64) -> Self {
-        Self(mw * 1e-3)
-    }
-
-    /// Creates a value from nanowatts.
-    #[inline]
-    pub fn from_nano(nw: f64) -> Self {
-        Self(nw * 1e-9)
-    }
-
-    /// Returns the value in milliwatts.
-    #[inline]
-    pub fn as_milli(self) -> f64 {
-        self.0 * 1e3
-    }
-
     /// Returns the value in microwatts.
     #[inline]
     pub fn as_micro(self) -> f64 {
@@ -363,22 +319,10 @@ impl Farads {
         Self(ff * 1e-15)
     }
 
-    /// Creates a value from picofarads.
-    #[inline]
-    pub fn from_pico(pf: f64) -> Self {
-        Self(pf * 1e-12)
-    }
-
     /// Returns the value in femtofarads.
     #[inline]
     pub fn as_femto(self) -> f64 {
         self.0 * 1e15
-    }
-
-    /// Returns the value in picofarads.
-    #[inline]
-    pub fn as_pico(self) -> f64 {
-        self.0 * 1e12
     }
 }
 
@@ -430,12 +374,6 @@ impl Celsius {
 }
 
 impl Microns {
-    /// Returns the value in centimeters (for areal-density math).
-    #[inline]
-    pub fn as_cm(self) -> f64 {
-        self.0 * 1e-4
-    }
-
     /// Returns the value in meters.
     #[inline]
     pub fn as_meters(self) -> f64 {
@@ -476,12 +414,6 @@ impl SquareMillimeters {
     #[inline]
     pub fn as_cm2(self) -> f64 {
         self.0 * 1e-2
-    }
-
-    /// The side length of a square die of this area.
-    #[inline]
-    pub fn side(self) -> Microns {
-        Microns((self.0.max(0.0)).sqrt() * 1e3)
     }
 }
 
@@ -642,11 +574,8 @@ mod tests {
 
     #[test]
     fn unit_scaled_ctors() {
-        assert!((Volts::from_milli(850.0).0 - 0.85).abs() < 1e-12);
-        assert!((Amps::from_nano(750.0).as_micro() - 0.75).abs() < 1e-12);
         assert!((Farads::from_femto(1.5).as_femto() - 1.5).abs() < 1e-9);
         assert!((Seconds::from_pico(12.0).as_pico() - 12.0).abs() < 1e-9);
-        assert!((Watts::from_milli(60.0).0 - 0.06).abs() < 1e-15);
     }
 
     #[test]
@@ -657,7 +586,6 @@ mod tests {
     #[test]
     fn length_conversions() {
         assert!((Nanometers(22.0).to_microns().0 - 0.022).abs() < 1e-12);
-        assert!((Microns(10_000.0).as_cm() - 1.0).abs() < 1e-12);
         assert!((Nanometers(10.0).as_cm() - 1e-6).abs() < 1e-18);
     }
 
@@ -705,10 +633,8 @@ mod tests {
     }
 
     #[test]
-    fn area_side() {
-        let a = SquareMillimeters(400.0);
-        assert!((a.side().0 - 20_000.0).abs() < 1e-6);
-        assert!((a.as_cm2() - 4.0).abs() < 1e-12);
+    fn area_in_square_centimeters() {
+        assert!((SquareMillimeters(400.0).as_cm2() - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Property-based tests for the quantity algebra and numerics.
 
 use np_units::math::{bisect, linspace, logspace};
-use np_units::stats::{quantile, Summary};
 use np_units::{Amps, Ohms, Volts, Watts};
 use proptest::prelude::*;
 
@@ -69,26 +68,5 @@ proptest! {
         for w in xs.windows(2) {
             prop_assert!((w[1] / w[0] / r0 - 1.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn quantile_is_monotone_in_q(
-        xs in proptest::collection::vec(-100.0..100.0f64, 1..40),
-        q1 in 0.0..1.0f64,
-        q2 in 0.0..1.0f64,
-    ) {
-        let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
-        let a = quantile(&xs, lo).unwrap();
-        let b = quantile(&xs, hi).unwrap();
-        prop_assert!(a <= b + 1e-12);
-    }
-
-    #[test]
-    fn summary_mean_is_within_min_max(
-        xs in proptest::collection::vec(-100.0..100.0f64, 1..40),
-    ) {
-        let s = Summary::of(&xs).unwrap();
-        prop_assert!(s.min <= s.mean + 1e-12 && s.mean <= s.max + 1e-12);
-        prop_assert!(s.std_dev >= 0.0);
     }
 }

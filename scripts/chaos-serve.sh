@@ -57,8 +57,7 @@ done
 
 # Through the proxy, torn frames and garbage floods make the CLIENT see
 # errors — a nonzero exit here is the point of the exercise.
-"$DAEMON" load --socket "$PROXY" --quick --out "$WORK/BENCH_chaos.json" \
-    | tee "$WORK/chaos-load.txt" || true
+"$DAEMON" load --socket "$PROXY" --quick | tee "$WORK/chaos-load.txt" || true
 
 echo "== 3. daemon survived: no panics, ready, clean service =="
 if grep -qi "panic" "$WORK/daemon.err"; then
@@ -72,8 +71,7 @@ health = json.load(open(sys.argv[1]))["health"]
 assert health["ready"] is True, health
 assert health["inflight"] == 0, health
 EOF
-"$DAEMON" load --socket "$SOCK" --quick --out "$WORK/BENCH_after.json" \
-    | tee "$WORK/after.txt"
+"$DAEMON" load --socket "$SOCK" --quick | tee "$WORK/after.txt"
 grep -qE ' 0 errors' "$WORK/after.txt" \
     || { echo "daemon degraded after chaos"; exit 1; }
 "$DAEMON" shutdown --socket "$SOCK" > /dev/null

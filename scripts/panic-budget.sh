@@ -44,7 +44,12 @@ cd "$(dirname "$0")/.."
 # only tests reached went with the 72 tokens of their tests (the
 # `unreached.sh` deletions: six modules, `Chip::optimize`, the DVFS
 # policy and the test-only optimizer options).
-BASELINE=470
+# Lowered 470 -> 447: the path-keyed `unreached.sh` found the library
+# items that name-keyed search missed (`np_units::stats`, `fixed_point`,
+# `ThermalRc::settle`, the `SubthresholdStack` accessors, the memo and
+# quarantine counters, `np_bench::serve`, ...), and they went with the
+# tokens of their tests; the spec fuzzer moved out to tests/.
+BASELINE=447
 
 count=$(grep -rEo 'unwrap\(|expect\(|panic!' crates/*/src --include='*.rs' | wc -l)
 

@@ -2,9 +2,10 @@
 # CI spec-fuzz: hammer a live release daemon with seeded untrusted
 # scenario-spec requests and require a typed response for every case.
 #
-#   1. Deterministic generator self-checks: the SpecFuzzer replays
-#      byte-identically from its seed and every generated case
-#      classifies at the parser exactly as labelled.
+#   1. Deterministic generator self-checks: the SpecFuzzer (in
+#      crates/bench/tests/spec_fuzz.rs) replays byte-identically from
+#      its seed and every generated case classifies at the parser
+#      exactly as labelled.
 #   2. Property layer: parse ∘ to_json is the identity, digests ignore
 #      wire key order, distinct scenarios get distinct digests.
 #   3. Live fuzz: NP_SPEC_FUZZ_CASES cases (default 1000, the
@@ -18,7 +19,8 @@ cd "$(dirname "$0")/.."
 CASES="${NP_SPEC_FUZZ_CASES:-1000}"
 
 echo "== 1. fuzzer determinism + parser classification =="
-cargo test --release -p np-bench --lib chaos:: -q
+cargo test --release -p np-bench --test spec_fuzz -q \
+    -- spec_fuzzer_is_deterministic every_fuzz_case_classifies
 
 echo "== 2. spec canonicalization properties =="
 cargo test --release -p np-bench --test spec_fuzz -q \

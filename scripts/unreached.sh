@@ -3,23 +3,24 @@
 #
 # rustc never calls a `pub` item dead, because another crate might use
 # it. So on a temporary copy of the workspace this script demotes to
-# `pub(crate)` every `pub fn`, `pub const fn`, `pub const` and
-# `pub static` under crates/*/src whose name appears in no non-test
-# source file other than its own, then runs `cargo check --lib`. Each
-# `dead_code` warning names an item that no artifact, spec, example,
-# bench or perfbench workload reaches.
+# `pub(crate)` every `pub` fn, const fn, const, static, struct, enum,
+# type and trait under crates/*/src (binaries and `macro_rules!` bodies
+# excepted). It then checks every non-test target of the workspace
+# (`--lib --bins --examples --bench '*'`) and the perfbench harness,
+# and restores each declaration a privacy error names, until both
+# build. What is still demoted is reached by path from no other crate,
+# so a final `cargo check --workspace --lib` reports as `dead_code`
+# every item that no artifact, spec, example, bench or perfbench
+# workload reaches.
 #
-# Non-test sources (a name there counts as reach): crates/*/src minus
-# in-file `#[cfg(test)]` items and the files a `#[cfg(test)] mod x;`
-# declares, crates/*/examples, crates/*/benches, examples/ and
-# perfbench/harness/src. crates/*/tests, tests/ and
-# perfbench/harness/tests do not count.
-#
-# Types are never demoted: a crate may use a type without naming it
-# (np-opt uses `GateAssignment` that way), so demoting types by name
-# breaks the build. Delete a type by hand when its functions go. Names
-# too common to be unique in the workspace (`new`, `optimize`) escape
-# the search too.
+# Reach is by path, never by name: an error restores the declaration
+# at the definition span it carries (E0603, E0624). Diagnostics without
+# one (E0364/E0365 re-exports, "type `m::T` is private") restore by the
+# name in the message, only in the crate that the path or file names.
+# Doc tests, tests/, crates/*/tests, perfbench/harness/tests and
+# `#[cfg(test)]` code never count as reach: `--bench '*'` is used
+# instead of `--benches`, which would also build each library's own
+# test harness.
 #
 # Usage: scripts/unreached.sh
 # Exits 1 when the search reports an item that ALLOW does not list, or
@@ -33,7 +34,9 @@ cd "$(dirname "$0")/.."
 # Kept on purpose, one `path name (reason)` per line:
 #   (a) a read a test uses to compare a fast path with its oracle;
 #   (b) safety code: a validator of outside input or a fault counter;
-#   (c) the only check of an EXPERIMENTS.md row.
+#   (c) the only check of an EXPERIMENTS.md row;
+#   (d) an `is_empty` that clippy's `len_without_is_empty` requires
+#       beside a reached `len`.
 ALLOW='
 crates/circuit/src/incremental.rs arrival_of (a) incremental_equivalence.rs compares each incremental arrival with full STA
 crates/circuit/src/sta.rs slack_of (a) incremental_equivalence.rs reads the full-STA slack it checks the incremental view against
@@ -43,136 +46,205 @@ crates/roadmap/src/survey.rs dynamic_power_penalty (c) T1 "+78 % dynamic power" 
 crates/grid/src/plan.rs total_routing_fraction (c) F5 "total with 16 % landing pads 17-20 %", a row fig5 does not print
 crates/thermal/src/workload.rs effective_worst_case (c) E1 "75 % effective worst case": tests/thermal_closure.rs checks the application trace against it
 crates/thermal/src/workload.rs power_virus (c) E1 "power virus on the same package", which the dtm artifact does not simulate
+crates/circuit/src/netlist.rs is_empty (d) Netlist::len is reached
+crates/core/src/service.rs is_empty (d) ArtifactMemo::len and Quarantine::len are reached
 '
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/unreached.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 
 cp -r Cargo.toml Cargo.lock crates vendor examples tests "$work/"
-mkdir -p "$work/corpus"
+mkdir -p "$work/perfbench/harness"
+cp -r perfbench/harness/Cargo.toml perfbench/harness/Cargo.lock perfbench/harness/src \
+    "$work/perfbench/harness/"
 
-# The non-test corpus. Library sources keep their line numbers, with
-# every `#[cfg(test)]` / `#[cfg(all(test, ..))]` item blanked; the files
-# a test-only `mod x;` declares are listed in test-mods.
-: > "$work/test-mods"
-find crates/*/src -name '*.rs' | sort | while read -r f; do
-    mkdir -p "$work/corpus/$(dirname "$f")"
-    awk -v file="$f" -v mods="$work/test-mods" '
-        function modfile(name,    dir, base) {
-            dir = file; sub(/\/[^\/]*$/, "", dir)
-            base = file; sub(/^.*\//, "", base); sub(/\.rs$/, "", base)
-            if (base == "lib" || base == "main" || base == "mod") return dir "/" name ".rs"
-            return dir "/" base "/" name ".rs"
-        }
-        skip {
-            print ""
-            if (index($0, ind "}") == 1 || index($0, ind ")") == 1) skip = 0
-            next
-        }
-        pending {
-            print ""
-            if ($0 ~ /^[ \t]*#\[/) next
-            pending = 0
-            if ($0 ~ /;[ \t]*$/) {
-                if (match($0, /mod [A-Za-z_0-9]+;/)) {
-                    name = substr($0, RSTART + 4, RLENGTH - 5)
-                    print modfile(name) >> mods
-                }
-                next
-            }
-            if ($0 ~ /\{.*\}[ \t]*$/) next
-            skip = 1
-            next
-        }
-        /^[ \t]*#\[cfg\((all\()?test[,)]/ {
-            ind = $0; sub(/#.*/, "", ind)
-            pending = 1
-            print ""
-            next
-        }
-        { print }
-    ' "$f" > "$work/corpus/$f"
-done
-while read -r f; do
-    : > "$work/corpus/$f"
-done < "$work/test-mods"
-for d in crates/*/examples crates/*/benches examples perfbench/harness/src; do
-    [[ -d "$d" ]] || continue
-    mkdir -p "$work/corpus/$d"
-    cp -r "$d/." "$work/corpus/$d/"
-done
+ALLOW="$ALLOW" python3 - "$work" <<'PY'
+import json, os, re, subprocess, sys
 
-# Declarations whose name no other non-test file mentions, as
-# `path line name`. Binaries are not library code, so they only count
-# as reach.
-(cd "$work/corpus" && find crates/*/src -name '*.rs' ! -path '*/src/bin/*' | sort \
-    | xargs awk '
-        match($0, /^[ \t]*pub (const fn|fn|const|static) [A-Za-z_][A-Za-z0-9_]*/) {
-            decl = substr($0, RSTART, RLENGTH)
-            sub(/^.* /, "", decl)
-            print FILENAME, FNR, decl
-        }') > "$work/decls"
-(cd "$work/corpus" && find . -type f -name '*.rs' | sed 's|^\./||' | sort \
-    | xargs awk -v decls="$work/decls" '
-        BEGIN { while ((getline l < decls) > 0) { n++; d[n] = l } }
-        {
-            line = $0
-            gsub(/[^A-Za-z0-9_]+/, " ", line)
-            k = split(line, w, " ")
-            for (i = 1; i <= k; i++) {
-                if (!(w[i] in first)) first[w[i]] = FILENAME
-                else if (first[w[i]] != FILENAME) many[w[i]] = 1
-            }
-        }
-        END {
-            for (i = 1; i <= n; i++) {
-                split(d[i], p, " ")
-                if (!(p[3] in many) && first[p[3]] == p[1]) print d[i]
-            }
-        }') > "$work/lonely"
+work = sys.argv[1]
+env = dict(os.environ, CARGO_TARGET_DIR=os.path.join(work, "target"))
+DECL = re.compile(
+    r"^(\s*)pub (?=(?:const fn|fn|const|static|struct|enum|type|trait) ([A-Za-z_][A-Za-z0-9_]*))"
+)
 
-while read -r path line _; do
-    sed -i "${line}s/\bpub /pub(crate) /" "$work/$path"
-done < "$work/lonely"
+allow = {}
+for entry in filter(str.strip, os.environ["ALLOW"].splitlines()):
+    path, name, reason = (entry.split(maxsplit=3) + ["", ""])[:3]
+    if not re.fullmatch(r"\([abcd]\)", reason):
+        sys.exit(f"error: ALLOW entry without an (a)-(d) reason: {entry}")
+    allow[f"{path} {name}"] = entry
 
-# Each dead_code warning names one or more items (`associated items
-# `a`, `b` and `c` are never used`), reported at the first one's line.
-if ! (cd "$work" && CARGO_TARGET_DIR="$work/target" \
-        cargo check --workspace --lib --message-format short --quiet) \
-        > "$work/check.log" 2>&1; then
-    cat "$work/check.log" >&2
-    echo "error: cargo check failed on the demoted copy" >&2
-    exit 2
-fi
-grep -E '^crates/[^:]+:[0-9]+:[0-9]+: warning: .* never (used|constructed|read)' "$work/check.log" \
-    > "$work/warnings" || true
-awk '{
-        path = $1; sub(/:.*/, "", path)
-        msg = $0; sub(/^[^`]*/, "", msg)
-        while (match(msg, /`[^`]+`/)) {
-            print path, substr(msg, RSTART + 1, RLENGTH - 2)
-            msg = substr(msg, RSTART + RLENGTH)
-        }
-    }' "$work/warnings" | sort -u > "$work/found"
+# Library name (`np_circuit`) -> directory under crates/ (`circuit`).
+CRATES = {}
+for d in os.listdir(os.path.join(work, "crates")):
+    with open(os.path.join(work, "crates", d, "Cargo.toml")) as f:
+        CRATES[re.search(r'^name = "(.*)"', f.read(), re.M).group(1).replace("-", "_")] = d
 
-printf '%s\n' "$ALLOW" | awk 'NF' > "$work/allow-lines"
-if awk 'NF < 3 || $3 !~ /^\([abc]\)$/ { bad = 1; print "error: ALLOW entry without an (a)/(b)/(c) reason: " $0 > "/dev/stderr" }
-        END { exit bad }' "$work/allow-lines"; then :; else exit 1; fi
-awk '{ print $1, $2 }' "$work/allow-lines" | sort -u > "$work/allowed"
+def crate_of(path):
+    return path.split("/")[1]
 
-new=$(comm -23 "$work/found" "$work/allowed")
-stale=$(comm -13 "$work/found" "$work/allowed")
-echo "unreached: $(wc -l < "$work/warnings") dead_code warnings naming $(wc -l < "$work/found") items" \
-    "($(wc -l < "$work/lonely") demoted, $(wc -l < "$work/allowed") allowed)"
-status=0
-if [[ -n "$new" ]]; then
-    echo "error: library items that only tests reach (delete them, or allow one with its reason):" >&2
-    sed 's/^/  /' <<< "$new" >&2
-    status=1
-fi
-if [[ -n "$stale" ]]; then
-    echo "error: ALLOW entries the search no longer reports (remove them):" >&2
-    sed 's/^/  /' <<< "$stale" >&2
-    status=1
-fi
-exit "$status"
+def module_path(path):
+    # crates/circuit/src/netlist.rs -> ["netlist"]; lib.rs and mod.rs name
+    # their directory.
+    parts = path.split("/")[3:]
+    parts[-1] = parts[-1][:-3]
+    if parts[-1] in ("lib", "mod"):
+        parts.pop()
+    return parts
+
+# Demote. `decls` maps (path, line) to the declared name.
+decls, demoted = {}, set()
+for root, _, files in os.walk(os.path.join(work, "crates")):
+    src_dir = os.path.relpath(root, work) + "/"
+    if "/src/" not in src_dir or "/src/bin/" in src_dir:
+        continue
+    for name in sorted(files):
+        if not name.endswith(".rs"):
+            continue
+        path = src_dir + name
+        with open(os.path.join(work, path)) as f:
+            lines = f.readlines()
+        macro_end = None
+        for i, text in enumerate(lines):
+            if macro_end is not None:
+                if text.startswith(macro_end):
+                    macro_end = None
+                continue
+            m = re.match(r"^(\s*)macro_rules!", text)
+            if m:
+                macro_end = m.group(1) + "}"
+                continue
+            m = DECL.match(text)
+            if m:
+                lines[i] = text[: len(m.group(1))] + "pub(crate) " + text[len(m.group(1)) + 4 :]
+                decls[(path, i + 1)] = m.group(2)
+                demoted.add((path, i + 1))
+        with open(os.path.join(work, path), "w") as f:
+            f.writelines(lines)
+total = len(demoted)
+
+def restore(key):
+    demoted.discard(key)
+    path, line = key
+    full = os.path.join(work, path)
+    with open(full) as f:
+        lines = f.readlines()
+    lines[line - 1] = lines[line - 1].replace("pub(crate) ", "pub ", 1)
+    with open(full, "w") as f:
+        f.writelines(lines)
+
+def spans(msg):
+    for s in msg.get("spans", []):
+        yield s
+    for child in msg.get("children", []):
+        yield from spans(child)
+
+def by_name(token, crate):
+    segs = re.sub(r"<.*", "", token).split("::")
+    name, mods = segs[-1], segs[:-1]
+    if mods and mods[0] in CRATES:
+        crate = CRATES[mods.pop(0)]
+    elif mods:
+        crate = None
+    if crate is None and not mods:
+        return []
+    return [
+        key
+        for key in demoted
+        if decls[key] == name
+        and (crate is None or crate_of(key[0]) == crate)
+        and (not mods or module_path(key[0])[-len(mods):] == mods)
+    ]
+
+def check(args, cwd, label):
+    out = subprocess.run(args, cwd=cwd, env=env, capture_output=True, text=True)
+    errors = []
+    for line in out.stdout.splitlines():
+        try:
+            rec = json.loads(line)
+        except ValueError:
+            continue
+        msg = rec.get("message")
+        if rec.get("reason") == "compiler-message" and msg and msg["level"] == "error":
+            errors.append(msg)
+    if out.returncode != 0 and not errors:
+        sys.stderr.write(out.stderr)
+        sys.exit(f"error: {label} failed without a compiler error")
+    return errors
+
+def rel(file_name, cwd):
+    return os.path.relpath(os.path.realpath(os.path.join(cwd, file_name)), work)
+
+rounds = 0
+harness = os.path.join(work, "perfbench", "harness")
+for args, cwd, label in (
+    (["cargo", "check", "--workspace", "--lib", "--bins", "--examples", "--bench", "*"], work, "the workspace"),
+    (["cargo", "check"], harness, "the perfbench harness"),
+):
+    while True:
+        errors = check(args + ["--keep-going", "--quiet", "--message-format", "json"], cwd, label)
+        if not errors:
+            break
+        rounds += 1
+        fixed = set()
+        for msg in errors:
+            hit = {(rel(s["file_name"], cwd), s["line_start"]) for s in spans(msg)} & demoted
+            code = (msg.get("code") or {}).get("code")
+            if not hit and (code in ("E0364", "E0365") or msg["message"].endswith(" is private")):
+                primary = next(s for s in msg["spans"] if s["is_primary"])
+                file = rel(primary["file_name"], cwd)
+                crate = crate_of(file) if file.startswith("crates/") else None
+                tokens = re.findall(r"`([^`]+)`", msg["message"])
+                hit = {key for token in tokens for key in by_name(token, crate)}
+            fixed |= hit
+        if not fixed:
+            for msg in errors:
+                sys.stderr.write(msg.get("rendered") or msg["message"])
+            sys.exit(f"error: {label} fails on the demoted copy with errors no demotion explains")
+        for key in fixed:
+            restore(key)
+
+out = subprocess.run(
+    ["cargo", "check", "--workspace", "--lib", "--quiet", "--message-format", "json"],
+    cwd=work, env=env, capture_output=True, text=True,
+)
+if out.returncode != 0:
+    sys.stderr.write(out.stderr)
+    sys.exit("error: cargo check failed on the demoted copy")
+# One warning may name several items ("associated items `a` and `b` are
+# never used"), each with its own primary span.
+found, warnings = {}, 0
+for line in out.stdout.splitlines():
+    try:
+        rec = json.loads(line)
+    except ValueError:
+        continue
+    msg = rec.get("message") or {}
+    if (msg.get("code") or {}).get("code") != "dead_code":
+        continue
+    warnings += 1
+    names = re.findall(r"`([^`]+)`", msg["message"])
+    where = [s for s in msg["spans"] if s["is_primary"]]
+    for i, name in enumerate(names):
+        span = where[min(i, len(where) - 1)]
+        found.setdefault(f"{rel(span['file_name'], work)} {name}", []).append(span["line_start"])
+
+print(f"unreached: {warnings} dead_code warnings naming {len(found)} items ({total} demoted,"
+      f" {total - len(demoted)} restored over {rounds} rounds, {len(allow)} allowed)")
+new = sorted(set(found) - set(allow))
+stale = sorted(set(allow) - set(found))
+if new:
+    print(
+        "error: library items that only tests reach (delete them, or allow one with its reason):",
+        file=sys.stderr,
+    )
+    for item in new:
+        path, name = item.split()
+        lines = ",".join(map(str, sorted(found[item])))
+        print(f"  {path}:{lines} {name}", file=sys.stderr)
+if stale:
+    print("error: ALLOW entries the search no longer reports (remove them):", file=sys.stderr)
+    for item in stale:
+        print(f"  {item}", file=sys.stderr)
+sys.exit(1 if new or stale else 0)
+PY

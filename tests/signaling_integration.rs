@@ -66,7 +66,7 @@ fn repeated_wires_meet_global_clocks() {
         let p = node.params();
         let dev = Mosfet::for_node(node).expect("calibration");
         let tech = DriverTech::from_device(&dev, p.vdd).expect("driver");
-        let die_side = p.die_area.side();
+        let die_side = Microns(p.die_area.0.sqrt() * 1e3);
         let line = RcLine::new(WireGeometry::top_level(node), die_side).expect("line");
         let design = insert_repeaters(&line, &tech).expect("repeaters");
         let cycles = design.total_delay.0 / p.global_clock.period().0;
