@@ -7,8 +7,9 @@
 //! `busy` backpressure and typed `overloaded` load shedding,
 //! per-connection write deadlines so a stalled client cannot wedge the
 //! shared record stream, a max-connections gate, per-request deadlines
-//! wired to the engine's graceful cancellation, and a self-watchdog
-//! behind the `health` request.
+//! wired to the engine's graceful cancellation, and a `health` request
+//! that fails while the oldest admitted request is older than
+//! `--watchdog-ms`.
 //!
 //! Untrusted scenario specs (`nanopower::spec`) enter through a
 //! hardened pipeline: field-validated parsing with typed `invalid_spec`
@@ -21,10 +22,9 @@
 //! `accept` and each handler blocks in its read, so a connection is
 //! greeted the moment it arrives. `shutdown` wakes every waiter
 //! explicitly: the acceptor by shutting down its listening socket
-//! (`np_bench::accept`), each idle handler by shutting down its
-//! connection's read half, and the watchdog through its wake channel. A
-//! request already in flight still finishes and writes its records and
-//! report; then the process exits.
+//! (`np_bench::accept`) and each idle handler by shutting down its
+//! connection's read half. A request already in flight still finishes
+//! and writes its records and report; then the process exits.
 //!
 //! ```text
 //! nanopowerd serve --socket /tmp/nanopower.sock [--tcp 127.0.0.1:7070]
@@ -61,7 +61,6 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -106,8 +105,8 @@ SERVE OPTIONS:
                            response is shed (default: 2000)
     --write-timeout-ms N   per-connection write deadline; a client that
                            stalls past it stops receiving (default: 2000)
-    --watchdog-ms N        oldest-inflight age at which the self-watchdog
-                           fails the health check (default: 30000)
+    --watchdog-ms N        oldest-inflight age at which the health check
+                           reports not ready (default: 30000)
     --memo-spill PATH      persist the artifact memo to an fsync'd spill
                            file and rehydrate it on restart
     --memo-max-entries N   memo entry cap, LRU-evicted (default: 256)
@@ -223,25 +222,20 @@ struct ServerState {
     /// Per-connection write deadline; a client stalled past it is
     /// marked dead and stops receiving.
     write_timeout: Duration,
-    /// Oldest-inflight age at which the watchdog declares the worker
-    /// pool stuck.
+    /// Oldest-inflight age at which `health` declares the worker pool
+    /// stuck.
     watchdog: Duration,
     /// Concurrent-connection cap; excess connections get a typed
     /// rejection line and are closed.
     max_connections: usize,
     /// Connections currently being served.
     connections: AtomicUsize,
-    /// Set by the watchdog while the oldest inflight request exceeds
-    /// the threshold — `health` reports `ready: false`.
-    stuck: AtomicBool,
     started: Instant,
     /// Requested by `shutdown`; wakes the blocked acceptor.
     stop: Stop,
     /// Each live handler's read-half closer, by connection id: shutdown
     /// ends every blocked read with EOF.
     readers: Mutex<HashMap<u64, ReadCloser>>,
-    /// Dropped at shutdown, which ends the watchdog's interval wait.
-    watchdog_wake: Mutex<Option<mpsc::Sender<()>>>,
 }
 
 /// Shuts down one connection's read half.
@@ -250,9 +244,8 @@ type ReadCloser = Box<dyn Fn() + Send>;
 impl ServerState {
     fn health(&self) -> HealthMsg {
         let oldest = self.gate.oldest_inflight_age().unwrap_or(Duration::ZERO);
-        let stuck = self.stuck.load(Ordering::SeqCst) || oldest >= self.watchdog;
         HealthMsg {
-            ready: !stuck && !self.stop.is_requested(),
+            ready: oldest < self.watchdog && !self.stop.is_requested(),
             inflight: self.gate.inflight() as u64,
             capacity: self.gate.capacity() as u64,
             oldest_inflight_ms: oldest.as_millis() as u64,
@@ -287,9 +280,9 @@ impl ServerState {
         Ok(true)
     }
 
-    /// Starts shutdown: sets the flag and wakes the acceptor, ends every
-    /// idle read with EOF and wakes the watchdog. Requests in flight
-    /// finish; their handlers then read EOF too.
+    /// Starts shutdown: sets the flag and wakes the acceptor, and ends
+    /// every idle read with EOF. Requests in flight finish; their handlers
+    /// then read EOF too.
     fn begin_shutdown(&self) {
         self.stop.request();
         for close in self
@@ -300,12 +293,6 @@ impl ServerState {
         {
             close();
         }
-        drop(
-            self.watchdog_wake
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take(),
-        );
     }
 }
 
@@ -376,7 +363,6 @@ fn cmd_serve(args: &[String]) -> i32 {
         },
         None => ArtifactMemo::with_config(memo_config),
     };
-    let (watchdog_wake, watchdog_wait) = mpsc::channel();
     let state = Arc::new(ServerState {
         memo,
         inflight: Arc::new(InFlight::new()),
@@ -392,56 +378,18 @@ fn cmd_serve(args: &[String]) -> i32 {
         watchdog: Duration::from_millis(watchdog_ms.max(1)),
         max_connections: max_connections.max(1),
         connections: AtomicUsize::new(0),
-        stuck: AtomicBool::new(false),
         started: Instant::now(),
         stop: Stop::new(),
         readers: Mutex::new(HashMap::new()),
-        watchdog_wake: Mutex::new(Some(watchdog_wake)),
     });
-    let watchdog = spawn_watchdog(&state, watchdog_wait);
-    let code = match serve_on(&endpoint, &state) {
+    match serve_on(&endpoint, &state) {
         Ok(()) => 0,
         Err(e) => {
             eprintln!("nanopowerd serve: {e}");
             state.begin_shutdown();
             1
         }
-    };
-    let _ = watchdog.join();
-    code
-}
-
-/// The self-watchdog: periodically compares the oldest inflight
-/// request's age against the threshold and flips the `stuck` flag the
-/// health check reports. Purely observational — it never kills work,
-/// it makes the wedge visible to a supervisor. Between checks it waits
-/// on `wake`, whose sender shutdown drops, so it exits at once.
-fn spawn_watchdog(
-    state: &Arc<ServerState>,
-    wake: mpsc::Receiver<()>,
-) -> std::thread::JoinHandle<()> {
-    let state = Arc::clone(state);
-    std::thread::spawn(move || {
-        let interval =
-            (state.watchdog / 4).clamp(Duration::from_millis(25), Duration::from_secs(1));
-        loop {
-            let oldest = state.gate.oldest_inflight_age().unwrap_or(Duration::ZERO);
-            let stuck = oldest >= state.watchdog;
-            if stuck && !state.stuck.swap(stuck, Ordering::SeqCst) {
-                eprintln!(
-                    "nanopowerd: watchdog: oldest inflight request stuck for {} ms \
-                     (threshold {} ms); health now not ready",
-                    oldest.as_millis(),
-                    state.watchdog.as_millis()
-                );
-            } else {
-                state.stuck.store(stuck, Ordering::SeqCst);
-            }
-            if wake.recv_timeout(interval) != Err(RecvTimeoutError::Timeout) {
-                break;
-            }
-        }
-    })
+    }
 }
 
 /// Binds the unix listener, probing (instead of clobbering) an existing

@@ -19,13 +19,10 @@
 //! repro --check            # drift gate: compare against golden/
 //! repro --check --csv      # drift gate over the CSV goldens
 //! repro --golden DIR       # golden reference directory (default golden)
-//! repro --bench            # perf harness: grid/thermal/STA/opt kernels
-//! repro --bench --bench-quick          # smallest mesh only (CI smoke)
+//! repro --bench            # kernel benchmark: grid/thermal/STA/opt rows
+//! repro --bench --bench-quick          # 33² mesh, 1k/5k cells (CI smoke)
 //! repro --bench --bench-out BENCH.json # report path (default
-//!                                      # BENCH_grid.json)
-//! repro --bench-opt        # optimizer scaling sweep (default
-//!                          # BENCH_opt.json; 10k/100k/1M cells, or the
-//!                          # 1k/5k smoke axis with --bench-quick)
+//!                                      # BENCH_kernels.json)
 //! ```
 //!
 //! Artifacts run concurrently across `--jobs` worker threads, but output
@@ -74,7 +71,7 @@
 //! section, and `--trace-out FILE` writes the full span timeline as
 //! Chrome `trace_event` JSON for `chrome://tracing` / Perfetto.
 
-use nanopower::engine::{self, CancelToken, Job, RunHooks, RunPolicy, RunReport, Session};
+use nanopower::engine::{self, CancelToken, Job, RunPolicy, RunReport, Session};
 use nanopower::journal::{self, Journal, JournalConfig, JournalEntry};
 use nanopower::{telemetry, Error};
 use np_bench::golden::GoldenStore;
@@ -82,7 +79,7 @@ use np_bench::registry;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// SIGINT → cooperative cancellation. The library crates forbid unsafe
@@ -137,7 +134,6 @@ struct Options {
     golden: PathBuf,
     bless: bool,
     bench: bool,
-    bench_opt: bool,
     bench_quick: bool,
     bench_out: Option<PathBuf>,
     names: Vec<String>,
@@ -165,7 +161,6 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
         golden: PathBuf::from("golden"),
         bless: false,
         bench: false,
-        bench_opt: false,
         bench_quick: false,
         bench_out: None,
         names: Vec::new(),
@@ -208,7 +203,6 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
                 opts.golden = PathBuf::from(value);
             }
             "--bench" => opts.bench = true,
-            "--bench-opt" => opts.bench_opt = true,
             "--bench-quick" => opts.bench_quick = true,
             "--bench-out" => {
                 let value = it.next().ok_or("--bench-out needs a file path")?;
@@ -244,9 +238,6 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
     }
     if opts.bless && opts.check {
         return Err("--bless and --check are mutually exclusive".into());
-    }
-    if opts.bench && opts.bench_opt {
-        return Err("--bench and --bench-opt are mutually exclusive (run them separately)".into());
     }
     Ok(opts)
 }
@@ -488,7 +479,7 @@ fn run_artifacts(opts: &Options) -> Result<ExitCode, Error> {
     }
     // The journal writer: created fresh for --journal, re-opened in
     // append mode for --resume (the header is already there).
-    let writer: Option<Arc<Mutex<Journal>>> = match (&opts.journal, &opts.resume) {
+    let writer: Option<Mutex<Journal>> = match (&opts.journal, &opts.resume) {
         (Some(path), _) => Some(Journal::create(
             path,
             &JournalConfig {
@@ -499,7 +490,7 @@ fn run_artifacts(opts: &Options) -> Result<ExitCode, Error> {
         (None, Some(path)) => Some(Journal::append_to(path)?),
         (None, None) => None,
     }
-    .map(|j| Arc::new(Mutex::new(j)));
+    .map(Mutex::new);
     // Graceful ^C: the handler flips a flag, the watcher turns it into a
     // cooperative cancel, the engine drains in-flight artifacts, and the
     // journal keeps every completion observed before the drain.
@@ -515,21 +506,6 @@ fn run_artifacts(opts: &Options) -> Result<ExitCode, Error> {
             std::thread::sleep(Duration::from_millis(25));
         });
     }
-    let hooks = RunHooks {
-        cancel: Some(token),
-        on_record: writer.clone().map(|journal| {
-            Arc::new(
-                move |_idx: usize, record: &engine::JobRecord| match journal.lock() {
-                    Ok(mut journal) => {
-                        if let Err(e) = journal.record(record) {
-                            eprintln!("journal write failed: {e}");
-                        }
-                    }
-                    Err(_) => eprintln!("journal lock poisoned; record dropped"),
-                },
-            ) as engine::RecordObserver
-        }),
-    };
     let policy = RunPolicy {
         deadline: opts.timeout,
         retries: opts.retries,
@@ -541,11 +517,25 @@ fn run_artifacts(opts: &Options) -> Result<ExitCode, Error> {
     let collector = telemetry::Collector::new();
     let report = {
         let _guard = telemetry::install(&collector);
-        let report = Session::new(jobs)
+        let mut session = Session::new(jobs)
             .workers(opts.jobs)
             .policy(policy)
-            .hooks(hooks)
-            .run();
+            .cancel(token);
+        if let Some(journal) = writer {
+            session = session.on_record(move |_idx, record: &engine::JobRecord| {
+                // Written as each record lands, so a kill loses at most
+                // the artifacts still in flight.
+                match journal.lock() {
+                    Ok(mut journal) => {
+                        if let Err(e) = journal.record(record) {
+                            eprintln!("journal write failed: {e}");
+                        }
+                    }
+                    Err(_) => eprintln!("journal lock poisoned; record dropped"),
+                }
+            });
+        }
+        let report = session.run();
         let mut report = merge_replayed(report, &names, &completed);
         np_telemetry::counter("journal.replayed", report.replayed as u64);
         if opts.check {
@@ -591,60 +581,36 @@ fn main() -> ExitCode {
         print_list();
         return ExitCode::SUCCESS;
     }
-    if opts.bench_opt {
-        let report = match np_bench::perf::run_opt(np_bench::perf::BenchOptions {
+    if opts.bench {
+        let report = match np_bench::perf::run(np_bench::perf::BenchOptions {
             quick: opts.bench_quick,
         }) {
             Ok(report) => report,
             Err(e) => {
-                eprintln!("optimizer sweep failed: {e}");
+                eprintln!("bench failed: {e}");
                 return ExitCode::FAILURE;
             }
         };
         let out = opts
             .bench_out
             .clone()
-            .unwrap_or_else(|| PathBuf::from("BENCH_opt.json"));
+            .unwrap_or_else(|| PathBuf::from("BENCH_kernels.json"));
         if let Err(e) = std::fs::write(&out, report.to_json()) {
-            eprintln!("cannot write opt bench report to {}: {e}", out.display());
-            return ExitCode::FAILURE;
-        }
-        for r in &report.rows {
-            println!(
-                "{} cells: full STA {:.1} ms, probe {:.1} us (cone {:.0}), x{:.0} speedup, \
-                 round {:.1} ms ({} accepts)",
-                r.cells,
-                r.full_sta_ns / 1e6,
-                r.probe_ns / 1e3,
-                r.probe_cone,
-                r.inc_speedup,
-                r.round_ns / 1e6,
-                r.round_accepted
-            );
-        }
-        println!("opt bench report written to {}", out.display());
-        return ExitCode::SUCCESS;
-    }
-    if opts.bench {
-        let report = np_bench::perf::run(np_bench::perf::BenchOptions {
-            quick: opts.bench_quick,
-        });
-        let json = report.to_json();
-        let out = opts
-            .bench_out
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("BENCH_grid.json"));
-        if let Err(e) = std::fs::write(&out, &json) {
             eprintln!("cannot write bench report to {}: {e}", out.display());
             return ExitCode::FAILURE;
         }
-        if let Some(c) = &report.mg_vs_pcg {
+        let c = &report.mg_vs_pcg;
+        println!(
+            "mg vs pcg at {n}x{n}: {pcg} pcg iterations vs {mgcg} mgcg sweep-equivalents (x{ratio:.1})",
+            n = c.mesh,
+            pcg = c.pcg_iterations,
+            mgcg = c.mgcg_sweeps_equivalent,
+            ratio = c.fine_sweep_ratio
+        );
+        for s in &report.opt_sweep {
             println!(
-                "mg vs pcg at {n}x{n}: {pcg} pcg iterations vs {mgcg} mgcg sweep-equivalents (x{ratio:.1})",
-                n = c.mesh,
-                pcg = c.pcg_iterations,
-                mgcg = c.mgcg_sweeps_equivalent,
-                ratio = c.fine_sweep_ratio
+                "opt sweep at {} cells: probe cone {:.1}, round {}/{} accepted, digest fnv1a:{:016x}",
+                s.cells, s.probe_cone, s.round_accepted, s.round_proposed, s.digest
             );
         }
         println!("bench report written to {}", out.display());

@@ -55,6 +55,7 @@
 //! deadline, not `retries + 1` of them.
 
 use crate::error::Error;
+use crate::jsonio;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -124,37 +125,7 @@ impl CancelToken {
 
 /// A completion observer: called with `(submission_index, record)` the
 /// moment a job's record becomes final.
-pub type RecordObserver = Arc<dyn Fn(usize, &JobRecord) + Send + Sync>;
-
-/// Optional per-run hooks for a [`Session`]: a cancellation token and a
-/// completion observer. Usually set through the [`Session::cancel`] and
-/// [`Session::on_record`] conveniences; pass a whole `RunHooks` via
-/// [`Session::hooks`] when both come from one place.
-///
-/// The observer (`on_record`) fires on the worker thread as soon as a
-/// job's record is final — success or failure — *before* the run
-/// finishes. This is what the crash-safe journal hangs off: each
-/// completed artifact is persisted the moment it exists, so a kill at
-/// any point loses at most the in-flight jobs.
-#[derive(Clone, Default)]
-pub struct RunHooks {
-    /// Checked by workers between jobs, by the retry loop between
-    /// attempts, and by the deadline watchdog while waiting.
-    pub cancel: Option<CancelToken>,
-    /// Called with `(submission_index, record)` when a job's record is
-    /// final. Invoked concurrently from worker threads; the callee
-    /// serializes (the journal holds its writer behind a mutex).
-    pub on_record: Option<RecordObserver>,
-}
-
-impl std::fmt::Debug for RunHooks {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunHooks")
-            .field("cancel", &self.cancel)
-            .field("on_record", &self.on_record.as_ref().map(|_| "Fn"))
-            .finish()
-    }
-}
+type RecordObserver = Arc<dyn Fn(usize, &JobRecord) + Send + Sync>;
 
 /// One unit of work: a named closure producing rendered text.
 ///
@@ -384,7 +355,7 @@ impl RunReport {
         out.push_str("  \"artifacts\": [\n");
         for (i, r) in self.records.iter().enumerate() {
             out.push_str("    {");
-            out.push_str(&format!("\"artifact\": {}, ", json_string(&r.name)));
+            out.push_str(&format!("\"artifact\": {}, ", jsonio::escape(&r.name)));
             out.push_str(&format!("\"status\": \"{}\", ", r.status()));
             out.push_str(&format!(
                 "\"duration_ms\": {:.3}, ",
@@ -401,7 +372,7 @@ impl RunReport {
                         fnv1a64(text.as_bytes())
                     ));
                 }
-                Err(e) => out.push_str(&format!(", \"error\": {}", json_string(&e.to_string()))),
+                Err(e) => out.push_str(&format!(", \"error\": {}", jsonio::escape(&e.to_string()))),
             }
             out.push('}');
             if i + 1 < self.records.len() {
@@ -420,7 +391,7 @@ impl RunReport {
 /// tests all share.
 ///
 /// Defaults: all available cores, [`RunPolicy::default`] (no deadline,
-/// no retries), no hooks. Every knob is optional:
+/// no retries), no cancel token, no observer. Every knob is optional:
 ///
 /// ```
 /// use nanopower::engine::{CancelToken, Job, RunPolicy, Session};
@@ -450,24 +421,25 @@ impl RunReport {
 /// The determinism contract of the module holds regardless of the
 /// configuration: [`RunReport::records`] is byte-identical across worker
 /// counts; only telemetry varies.
-#[derive(Debug)]
 pub struct Session {
     jobs: Vec<Job>,
     workers: usize,
     policy: RunPolicy,
-    hooks: RunHooks,
+    cancel: Option<CancelToken>,
+    on_record: Option<RecordObserver>,
 }
 
 impl Session {
-    /// A session over `jobs` with default workers (all available cores),
-    /// policy, and hooks.
+    /// A session over `jobs` with default workers (all available cores)
+    /// and policy, no cancel token and no observer.
     pub fn new(jobs: Vec<Job>) -> Self {
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         Session {
             jobs,
             workers: cores,
             policy: RunPolicy::default(),
-            hooks: RunHooks::default(),
+            cancel: None,
+            on_record: None,
         }
     }
 
@@ -487,20 +459,12 @@ impl Session {
         self
     }
 
-    /// Replaces both hooks at once. Prefer [`Session::cancel`] and
-    /// [`Session::on_record`] unless a prebuilt [`RunHooks`] is in hand.
-    #[must_use]
-    pub fn hooks(mut self, hooks: RunHooks) -> Self {
-        self.hooks = hooks;
-        self
-    }
-
     /// Installs a cooperative [`CancelToken`]: cancelling it makes
     /// workers stop claiming jobs, drain what is in flight, and record
     /// the never-started jobs as [`Error::Cancelled`].
     #[must_use]
     pub fn cancel(mut self, token: CancelToken) -> Self {
-        self.hooks.cancel = Some(token);
+        self.cancel = Some(token);
         self
     }
 
@@ -508,13 +472,15 @@ impl Session {
     /// `(submission_index, record)` the moment each job's record becomes
     /// final — including the `Cancelled` placeholder records a cancelled
     /// run synthesizes for jobs that never started, so journals and
-    /// service response streams cover every submitted job.
+    /// service response streams cover every submitted job. It runs on the
+    /// worker threads, concurrently; the observer serializes its own
+    /// writes.
     #[must_use]
     pub fn on_record(
         mut self,
         observer: impl Fn(usize, &JobRecord) + Send + Sync + 'static,
     ) -> Self {
-        self.hooks.on_record = Some(Arc::new(observer));
+        self.on_record = Some(Arc::new(observer));
         self
     }
 
@@ -539,14 +505,21 @@ impl Session {
             jobs,
             workers,
             policy,
-            hooks,
+            cancel,
+            on_record,
         } = self;
-        run_session(jobs, workers, policy, hooks)
+        run_session(jobs, workers, policy, cancel.as_ref(), on_record.as_ref())
     }
 }
 
 /// The engine proper — the body behind [`Session::run`].
-fn run_session(jobs: Vec<Job>, workers: usize, policy: RunPolicy, hooks: RunHooks) -> RunReport {
+fn run_session(
+    jobs: Vec<Job>,
+    workers: usize,
+    policy: RunPolicy,
+    cancel: Option<&CancelToken>,
+    on_record: Option<&RecordObserver>,
+) -> RunReport {
     let total = jobs.len();
     let start = Instant::now();
     // Telemetry propagates from the calling thread onto every worker:
@@ -554,7 +527,7 @@ fn run_session(jobs: Vec<Job>, workers: usize, policy: RunPolicy, hooks: RunHook
     // inside each spawned worker. All instrumentation below is a no-op
     // when `collector` is `None`.
     let collector = np_telemetry::current();
-    let cancelled = || hooks.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
+    let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
     if total == 0 {
         return RunReport {
             records: Vec::new(),
@@ -586,7 +559,6 @@ fn run_session(jobs: Vec<Job>, workers: usize, policy: RunPolicy, hooks: RunHook
             let records = &records;
             let policy = &policy;
             let collector = &collector;
-            let hooks = &hooks;
             scope.spawn(move || {
                 let _telemetry = collector.as_ref().map(np_telemetry::install);
                 let _worker_span = np_telemetry::span("engine.worker");
@@ -597,9 +569,7 @@ fn run_session(jobs: Vec<Job>, workers: usize, policy: RunPolicy, hooks: RunHook
                         // A cancelled run stops claiming: everything still
                         // in the queue is drained to Cancelled records
                         // after the scope ends.
-                        if index >= total
-                            || hooks.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-                        {
+                        if index >= total || cancel.is_some_and(CancelToken::is_cancelled) {
                             return;
                         }
                         q.0 += 1;
@@ -613,8 +583,8 @@ fn run_session(jobs: Vec<Job>, workers: usize, policy: RunPolicy, hooks: RunHook
                     // How long the job sat in the queue before a worker
                     // claimed it (submission-to-claim, not attempt time).
                     np_telemetry::value("engine.queue_wait_us", start.elapsed().as_micros() as f64);
-                    let record = run_one(job, worker, policy, hooks.cancel.as_ref());
-                    if let Some(on_record) = &hooks.on_record {
+                    let record = run_one(job, worker, policy, cancel);
+                    if let Some(on_record) = on_record {
                         on_record(index, &record);
                     }
                     records.lock().unwrap_or_else(PoisonError::into_inner)[index] = Some(record);
@@ -651,7 +621,7 @@ fn run_session(jobs: Vec<Job>, workers: usize, policy: RunPolicy, hooks: RunHook
                         attempts: 0,
                         timed_out: false,
                     };
-                    if let Some(on_record) = &hooks.on_record {
+                    if let Some(on_record) = on_record {
                         on_record(i, &record);
                     }
                     record
@@ -817,25 +787,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x1000_0000_01B3);
     }
     hash
-}
-
-/// Escapes a string as a JSON string literal (quotes included).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -1230,14 +1181,10 @@ mod tests {
                 Ok(format!("should never run {i}\n"))
             }));
         }
-        let hooks = RunHooks {
-            cancel: Some(token),
-            ..RunHooks::default()
-        };
         let report = Session::new(jobs)
             .workers(1)
             .policy(RunPolicy::default())
-            .hooks(hooks)
+            .cancel(token)
             .run();
         assert!(report.interrupted);
         assert!(report.records[0].is_ok(), "in-flight job drained");
@@ -1253,14 +1200,10 @@ mod tests {
 
     #[test]
     fn uncancelled_runs_report_uninterrupted() {
-        let hooks = RunHooks {
-            cancel: Some(CancelToken::new()),
-            ..RunHooks::default()
-        };
         let report = Session::new(fixed_jobs(3))
             .workers(2)
             .policy(RunPolicy::default())
-            .hooks(hooks)
+            .cancel(CancelToken::new())
             .run();
         assert!(!report.interrupted);
         assert!(report.failures().is_empty());
@@ -1284,15 +1227,11 @@ mod tests {
             backoff: Duration::from_secs(30), // would stall the test if slept
             ..RunPolicy::default()
         };
-        let hooks = RunHooks {
-            cancel: Some(token),
-            ..RunHooks::default()
-        };
         let start = Instant::now();
         let report = Session::new(jobs)
             .workers(1)
             .policy(policy)
-            .hooks(hooks)
+            .cancel(token)
             .run();
         assert!(start.elapsed() < Duration::from_secs(5), "no backoff sleep");
         assert_eq!(CALLS.load(Ordering::SeqCst), 1, "no retry after cancel");
@@ -1304,16 +1243,6 @@ mod tests {
     fn on_record_hook_fires_once_per_job_as_it_completes() {
         let seen: Arc<Mutex<Vec<(usize, String, bool)>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
-        let hooks = RunHooks {
-            on_record: Some(Arc::new(move |index, record: &JobRecord| {
-                sink.lock().unwrap_or_else(PoisonError::into_inner).push((
-                    index,
-                    record.name.clone(),
-                    record.is_ok(),
-                ));
-            })),
-            ..RunHooks::default()
-        };
         let mut jobs = fixed_jobs(5);
         jobs.push(Job::new("bad", || {
             Err(Error::InvalidParameter("broken".into()))
@@ -1321,7 +1250,13 @@ mod tests {
         let report = Session::new(jobs)
             .workers(3)
             .policy(RunPolicy::default())
-            .hooks(hooks)
+            .on_record(move |index, record: &JobRecord| {
+                sink.lock().unwrap_or_else(PoisonError::into_inner).push((
+                    index,
+                    record.name.clone(),
+                    record.is_ok(),
+                ));
+            })
             .run();
         assert_eq!(report.records.len(), 6);
         let mut seen = seen.lock().unwrap_or_else(PoisonError::into_inner).clone();
@@ -1371,8 +1306,8 @@ mod tests {
         let session = Session::new(fixed_jobs(2));
         assert!(session.workers >= 1);
         assert_eq!(session.policy, RunPolicy::default());
-        assert!(session.hooks.cancel.is_none());
-        assert!(session.hooks.on_record.is_none());
+        assert!(session.cancel.is_none());
+        assert!(session.on_record.is_none());
         assert!(session.run().failures().is_empty());
     }
 

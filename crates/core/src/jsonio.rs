@@ -249,7 +249,7 @@ fn parse_string(chars: &mut Chars<'_>) -> Result<String, String> {
 }
 
 /// Escapes a string as a JSON string literal (quotes included) — the
-/// one escaper behind the journal and protocol writers.
+/// one escaper behind the journal, protocol and run-report writers.
 pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

@@ -310,15 +310,17 @@ pub struct StatsMsg {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HealthMsg {
     /// Whether the daemon considers itself able to make progress:
-    /// false once shutdown begins or when the self-watchdog sees the
-    /// oldest inflight request stuck past its threshold.
+    /// false once shutdown begins or while the oldest inflight request
+    /// has been executing for at least the daemon's `--watchdog-ms`
+    /// threshold. Computed at each read, so it recovers as soon as that
+    /// request releases its admission slot.
     pub ready: bool,
     /// Requests currently executing.
     pub inflight: u64,
     /// The daemon's `max_inflight` setting.
     pub capacity: u64,
     /// Milliseconds the oldest inflight request has been executing
-    /// (0 when idle) — the watchdog's raw signal.
+    /// (0 when idle) — the signal `ready` compares with the threshold.
     pub oldest_inflight_ms: u64,
     /// Milliseconds since the daemon started serving.
     pub uptime_ms: u64,

@@ -31,8 +31,8 @@
 //!   `overloaded` response, distinct from `busy` — instead of queueing
 //!   unboundedly long. The gate also tracks how long the oldest
 //!   admitted request has been executing
-//!   ([`AdmissionGate::oldest_inflight_age`]), which is what the
-//!   daemon's stuck-worker watchdog and `health` endpoint read.
+//!   ([`AdmissionGate::oldest_inflight_age`]), which the daemon's
+//!   `health` endpoint compares with its stuck threshold.
 //! - [`InFlight`] — the memo keys whose render is in progress, so an
 //!   identical request that arrives meanwhile waits for that one render
 //!   (and is then served from the memo) instead of repeating it.
@@ -542,8 +542,8 @@ impl AdmissionGate {
     }
 
     /// How long the oldest currently-admitted request has been holding
-    /// its permit — `None` when nothing is inflight. A daemon watchdog
-    /// compares this against a stuck threshold to fail its health
+    /// its permit — `None` when nothing is inflight. The daemon's
+    /// `health` compares this against a stuck threshold to fail the
     /// check when the worker pool has wedged.
     pub fn oldest_inflight_age(&self) -> Option<Duration> {
         self.state

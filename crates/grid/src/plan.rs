@@ -152,8 +152,8 @@ pub enum SolveStrategy {
 /// fit the 2^k+1 coarsening ladder, Jacobi-PCG otherwise.
 ///
 /// There is no size threshold: on the ladder MGCG does O(N) work against
-/// Jacobi-PCG's O(N^1.5), and `BENCH_grid.json` has it ahead from 65²
-/// up (5.6× at 129²). At 33² it is 6 % slower, but that solve takes
+/// Jacobi-PCG's O(N^1.5), and `BENCH_kernels.json` has it ahead from 65²
+/// up (5.7× at 129²). At 33² it is 6 % slower, but that solve takes
 /// under a millisecond either way. The spec cost gate prices a grid leg
 /// with the same function, so it charges for the solver that runs.
 pub fn strategy_for(nx: usize, ny: usize) -> SolveStrategy {

@@ -5,9 +5,7 @@
 //! high-supply gate; *clustered* voltage scaling only admits a gate to the
 //! low cluster when every fan-out is already low (or a timing endpoint,
 //! where a converting flip-flop absorbs the conversion), so conversions
-//! are pushed to register boundaries. *Extended* CVS (ECVS) allows
-//! converters anywhere and trades their delay/energy for a bigger
-//! cluster.
+//! are pushed to register boundaries.
 //!
 //! The paper's expectations: "~75 % of all gates can tolerate Vdd,l" on
 //! designs with relaxed timing; "Vdd,l ≈ 0.6–0.7 × Vdd,h"; and a
@@ -21,16 +19,6 @@ use np_circuit::netlist::{GateId, Netlist};
 use np_circuit::power::{level_converter_count, netlist_power, PowerReport};
 use np_circuit::sta::TimingContext;
 use np_units::Hertz;
-
-/// Which conversion discipline the assignment uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CvsStyle {
-    /// Level conversion only at timing endpoints (classic CVS).
-    #[default]
-    Clustered,
-    /// Converters allowed on any low→high edge (ECVS).
-    Extended,
-}
 
 /// Dual-rail power-grid routing overhead once any gate uses `Vdd,l`
 /// (the second supply must be distributed).
@@ -46,8 +34,6 @@ pub const CONVERTER_AREA_UNITS: f64 = 3.0;
 /// CVS configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CvsOptions {
-    /// Conversion discipline.
-    pub style: CvsStyle,
     /// Switching activity used for the power accounting.
     pub activity: f64,
     /// Clock frequency used for the power accounting; `None` uses the
@@ -58,7 +44,6 @@ pub struct CvsOptions {
 impl Default for CvsOptions {
     fn default() -> Self {
         Self {
-            style: CvsStyle::Clustered,
             activity: 0.1,
             frequency: None,
         }
@@ -126,17 +111,14 @@ pub fn cluster_voltage_scale(
     let mut sta = IncrementalSta::new(ctx, netlist);
     let order: Vec<GateId> = netlist.topological_order().iter().rev().copied().collect();
     for id in order {
-        let admissible = match options.style {
-            CvsStyle::Clustered => {
-                let fanouts = netlist.fanouts(id);
-                let endpoint = fanouts.is_empty() || netlist.is_output(id);
-                endpoint
-                    || fanouts
-                        .iter()
-                        .all(|&f| netlist.supply(f) == SupplyClass::Low)
-            }
-            CvsStyle::Extended => true,
-        };
+        // Clustered admissibility: the gate is a timing endpoint, or every
+        // fan-out is already low.
+        let fanouts = netlist.fanouts(id);
+        let endpoint = fanouts.is_empty() || netlist.is_output(id);
+        let admissible = endpoint
+            || fanouts
+                .iter()
+                .all(|&f| netlist.supply(f) == SupplyClass::Low);
         if !admissible {
             continue;
         }
@@ -222,23 +204,6 @@ mod tests {
             cluster_voltage_scale(&mut nl_loose, &ctx_loose, &CvsOptions::default()).unwrap();
         assert!(r_tight.fraction_low < r_loose.fraction_low);
         assert!(r_tight.timing_met);
-    }
-
-    #[test]
-    fn extended_style_admits_at_least_as_many_gates() {
-        let (mut nl_c, ctx) = setup(1.3);
-        let r_c = cluster_voltage_scale(&mut nl_c, &ctx, &CvsOptions::default()).unwrap();
-        let (mut nl_e, ctx_e) = setup(1.3);
-        let r_e = cluster_voltage_scale(
-            &mut nl_e,
-            &ctx_e,
-            &CvsOptions {
-                style: CvsStyle::Extended,
-                ..CvsOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(r_e.low_count >= r_c.low_count);
     }
 
     #[test]

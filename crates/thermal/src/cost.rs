@@ -80,13 +80,6 @@ pub fn cooling_cost_dollars(power: Watts) -> f64 {
     }
 }
 
-/// The paper's DTM saving: cooling-cost difference between packaging for
-/// the theoretical worst case and for the effective worst case
-/// (`fraction ×` theoretical).
-pub fn dtm_cooling_saving_dollars(theoretical: Watts, effective_fraction: f64) -> f64 {
-    cooling_cost_dollars(theoretical) - cooling_cost_dollars(theoretical * effective_fraction)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,17 +113,6 @@ mod tests {
     fn refrigeration_is_at_least_a_dollar_per_watt() {
         let c = cooling_cost_dollars(Watts(180.0));
         assert!(c >= 180.0);
-    }
-
-    #[test]
-    fn dtm_saving_is_large_when_straddling_the_step() {
-        // 100 W theoretical, 75% effective: 75 W (triple cost) vs ... the
-        // saving is the height of the escalation between 75 and 100 W.
-        let s = dtm_cooling_saving_dollars(Watts(100.0), 0.75);
-        assert!(s > 20.0, "saving {s}");
-        // No saving when both land in the flat heatsink regime.
-        let s_flat = dtm_cooling_saving_dollars(Watts(40.0), 0.75);
-        assert!(s_flat < 10.0);
     }
 
     #[test]

@@ -49,7 +49,10 @@ cd "$(dirname "$0")/.."
 # `ThermalRc::settle`, the `SubthresholdStack` accessors, the memo and
 # quarantine counters, `np_bench::serve`, ...), and they went with the
 # tokens of their tests; the spec fuzzer moved out to tests/.
-BASELINE=447
+# Lowered 447 -> 442: the kernel benchmark's two quick tests merged
+# into one that returns `Result` and uses `?` (3 fewer), and the ECVS
+# test went with `CvsStyle::Extended` (2 fewer).
+BASELINE=442
 
 count=$(grep -rEo 'unwrap\(|expect\(|panic!' crates/*/src --include='*.rs' | wc -l)
 

@@ -6,21 +6,19 @@
 # `pub(crate)` every `pub` fn, const fn, const, static, struct, enum,
 # type and trait under crates/*/src (binaries and `macro_rules!` bodies
 # excepted). It then checks every non-test target of the workspace
-# (`--lib --bins --examples --bench '*'`) and the perfbench harness,
-# and restores each declaration a privacy error names, until both
-# build. What is still demoted is reached by path from no other crate,
-# so a final `cargo check --workspace --lib` reports as `dead_code`
-# every item that no artifact, spec, example, bench or perfbench
-# workload reaches.
+# (`--lib --bins --examples`) and the perfbench harness, and restores
+# each declaration a privacy error names, until both build. What is
+# still demoted is reached by path from no other crate, so a final
+# `cargo check --workspace --lib` reports as `dead_code` every item
+# that no artifact, spec, example, binary or perfbench workload
+# reaches.
 #
 # Reach is by path, never by name: an error restores the declaration
 # at the definition span it carries (E0603, E0624). Diagnostics without
 # one (E0364/E0365 re-exports, "type `m::T` is private") restore by the
 # name in the message, only in the crate that the path or file names.
 # Doc tests, tests/, crates/*/tests, perfbench/harness/tests and
-# `#[cfg(test)]` code never count as reach: `--bench '*'` is used
-# instead of `--benches`, which would also build each library's own
-# test harness.
+# `#[cfg(test)]` code never count as reach.
 #
 # Usage: scripts/unreached.sh
 # Exits 1 when the search reports an item that ALLOW does not list, or
@@ -178,7 +176,7 @@ def rel(file_name, cwd):
 rounds = 0
 harness = os.path.join(work, "perfbench", "harness")
 for args, cwd, label in (
-    (["cargo", "check", "--workspace", "--lib", "--bins", "--examples", "--bench", "*"], work, "the workspace"),
+    (["cargo", "check", "--workspace", "--lib", "--bins", "--examples"], work, "the workspace"),
     (["cargo", "check"], harness, "the perfbench harness"),
 ):
     while True:
