@@ -501,6 +501,20 @@ mod tests {
             );
         }
         assert_eq!(report.mg_vs_pcg.mesh, 33);
+        let json = report.to_json();
+        assert!(json.contains("\"schema\": \"nanopower-bench/v4\""));
+        assert!(json.contains("\"quick\": true"));
+        assert!(json.contains(&format!("\"os\": \"{}\"", std::env::consts::OS)));
+        // The work counts are a pure function of the configuration.
+        let again = run(BenchOptions { quick: true })?;
+        assert_eq!(report.mg_vs_pcg, again.mg_vs_pcg);
+        assert_eq!(report.opt_sweep, again.opt_sweep);
+        Ok(())
+    }
+
+    #[test]
+    fn quick_opt_sweep_reports_incremental_speedup() -> Result<(), nanopower::Error> {
+        let report = run(BenchOptions { quick: true })?;
         assert_eq!(
             report.opt_sweep.iter().map(|s| s.cells).collect::<Vec<_>>(),
             OPT_SWEEP_CELLS_QUICK
@@ -526,15 +540,11 @@ mod tests {
             );
             assert!(s.round_accepted > 0, "{s:?}");
         }
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"nanopower-bench/v4\""));
-        assert!(json.contains("\"quick\": true"));
-        assert!(json.contains("\"digest\": \"fnv1a:"));
-        assert!(json.contains(&format!("\"os\": \"{}\"", std::env::consts::OS)));
-        // The work counts are a pure function of the configuration.
-        let again = run(BenchOptions { quick: true })?;
-        assert_eq!(report.mg_vs_pcg, again.mg_vs_pcg);
-        assert_eq!(report.opt_sweep, again.opt_sweep);
+        assert!(report.to_json().contains("\"digest\": \"fnv1a:"));
+        // The post-round digest is a pure function of (seed, cells):
+        // re-running one size alone must reproduce it.
+        let alone = sweep_size(OPT_SWEEP_CELLS_QUICK[0], 1, &mut Vec::new())?;
+        assert_eq!(alone, report.opt_sweep[0]);
         Ok(())
     }
 }
